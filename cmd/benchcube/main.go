@@ -869,8 +869,8 @@ func runShard(out string, rows int, against string) {
 			e.Tune(sqlexec.WithCaching(false)) // every partial is a full partition pass
 			workers = append(workers, &shard.LocalWorker{Engine: e})
 		}
-		st := &sqlexec.Stats{}
-		return shard.NewCoordinator(workers, st), st
+		front := sqlexec.NewEngine(d)
+		return shard.NewCoordinator(workers, front), &front.Stats
 	}
 
 	// Correctness gate: 4-shard merged cubes vs the unsharded engine across

@@ -160,14 +160,15 @@ func WithAuditCheckOptions(opts ...CheckOption) AuditOption {
 // Audit checks a corpus of documents against the checker's database with
 // cross-document shared-pass planning: documents are checked concurrently,
 // their per-iteration claim batches pooled into one planning window and
-// merged into shared cube passes over the checker's cached engine.
+// merged into shared cube passes over the checker's cached engine — or,
+// on a sharded checker, into shared fan-outs over its partition engines.
 // Verdicts are bit-for-bit identical to checking each document alone.
 //
-// The window applies in unsharded cached mode (the default); merged,
-// naive, and sharded configurations still audit concurrently but evaluate
-// per their own strategy, without pooled passes. Cancellation stops
-// feeding new documents and aborts in-flight checks; the report covers
-// whatever completed, and ctx.Err() is returned alongside it.
+// The window applies in cached mode (the default); merged and naive
+// requests still audit concurrently but keep their per-request engines,
+// so there is nothing for their passes to be shared through. Cancellation
+// stops feeding new documents and aborts in-flight checks; the report
+// covers whatever completed, and ctx.Err() is returned alongside it.
 func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOption) (*AuditReport, error) {
 	var set auditSettings
 	for _, o := range opts {
@@ -187,8 +188,8 @@ func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOptio
 	before := c.Engine.Stats.Snapshot()
 	rep := &AuditReport{Docs: make([]DocReport, len(docs))}
 
-	win := sqlexec.NewWindow(c.Engine, set.window)
-	checkOpts := append([]CheckOption{withBatchRunner(win)}, set.checkOpts...)
+	win := sqlexec.NewWindow(c.runner(), &c.Engine.Stats, set.window)
+	checkOpts := append([]CheckOption{withWindow(win)}, set.checkOpts...)
 
 	var progressMu sync.Mutex
 	var wg sync.WaitGroup

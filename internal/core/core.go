@@ -105,7 +105,10 @@ type Config struct {
 	// CompactAfter > 0 triggers a background compaction when a refresh
 	// leaves any table with at least that many sealed blocks: blocks are
 	// resealed into one per table with adaptively re-chunked zone maps and
-	// republished under a new structural epoch. 0 never compacts.
+	// republished under a new structural epoch. The threshold counts
+	// blocks, not refreshes: the initial load is one block and every
+	// refresh that appends rows seals one more, so CompactAfter = 3 reseals
+	// on the second refresh after a load or a reseal. 0 never compacts.
 	CompactAfter int
 }
 
@@ -140,6 +143,9 @@ type Checker struct {
 	// compactions.
 	store      *colstore.Store
 	compacting atomic.Bool
+	// compactDone, when non-nil, is called with the outcome of every
+	// background compaction once it has finished; tests wait on it.
+	compactDone func(error)
 }
 
 // NewChecker builds the fragment catalog and indexes for the database
@@ -155,7 +161,7 @@ func NewChecker(d *db.Database, cfg Config) *Checker {
 	if cfg.Shards > 1 {
 		if sh, err := db.NewSharder(d, cfg.Shards, db.ShardOptions{Keys: cfg.ShardKeys}); err == nil {
 			c.shards = sh
-			c.coord = shard.NewCoordinator(c.buildShardWorkers(cfg, false), &c.Engine.Stats)
+			c.coord = shard.NewCoordinator(c.buildShardWorkers(cfg, false), c.Engine)
 		}
 	}
 	return c
@@ -215,10 +221,13 @@ func (c *Checker) maybeCompactAsync(after int) {
 		return
 	}
 	go func() {
-		defer c.compacting.Store(false)
 		// A failed compaction surfaces through Database.PersistError on the
 		// next commit; there is no caller to report to here.
-		_ = c.Compact()
+		err := c.Compact()
+		c.compacting.Store(false)
+		if c.compactDone != nil {
+			c.compactDone(err)
+		}
 	}()
 }
 
@@ -275,32 +284,6 @@ func (c *Checker) Check(ctx context.Context, doc *document.Document, opts ...Che
 	return c.check(ctx, doc, newCheckSettings(c.Config, opts))
 }
 
-// CheckDocument verifies a parsed document without cancellation support.
-//
-// Deprecated: use Check with a context.
-func (c *Checker) CheckDocument(doc *document.Document) *Report {
-	rep, _ := c.Check(context.Background(), doc)
-	return rep
-}
-
-// CheckHTML parses HTML-lite markup and verifies it without cancellation
-// support.
-//
-// Deprecated: use document.ParseHTML (aggchecker.ParseHTML) plus Check
-// with a context.
-func (c *Checker) CheckHTML(src string) *Report {
-	return c.CheckDocument(document.ParseHTML(src))
-}
-
-// CheckText parses plain text (markdown-lite headings) and verifies it
-// without cancellation support.
-//
-// Deprecated: use document.ParseText (aggchecker.ParseText) plus Check
-// with a context.
-func (c *Checker) CheckText(src string) *Report {
-	return c.CheckDocument(document.ParseText(src))
-}
-
 // check is the shared pipeline behind Check and Stream.
 func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSettings) (*Report, error) {
 	if set.deadline > 0 {
@@ -314,7 +297,16 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 	start := time.Now()
 	scores := keywords.MatchAll(c.Catalog, doc, set.cfg.Context, set.cfg.Model.TopKHits)
 
-	ev, engine := c.evaluatorFor(set.cfg, set.runner)
+	ev, engine := c.evaluatorFor(set.cfg)
+	if w := set.window; w != nil && set.cfg.Mode == EvalCached {
+		// Pooling axis: the window wraps the checker-lifetime runner, so it
+		// applies exactly when this request runs on that runner. Everyone
+		// registered must eventually park a batch or leave, or the other
+		// documents wait out the flush deadline every EM iteration.
+		ev.Runner = w
+		w.Join()
+		defer w.Leave()
+	}
 	// Pin one storage snapshot for the whole request: every cube pass and
 	// direct scan of this check observes a single version, so a Refresh
 	// committing mid-check cannot mix row sets between EM iterations. A
@@ -365,62 +357,40 @@ func diffStats(before, after map[string]int64) map[string]int64 {
 	return out
 }
 
-// evaluatorFor instantiates the evaluation strategy of the effective
-// per-request config. Merged and naive modes get a fresh engine so cached
-// state cannot leak between strategy comparisons; cached mode reuses the
-// checker's engine so cube results persist across documents of the same
-// database.
-func (c *Checker) evaluatorFor(cfg Config, runner evaluate.BatchRunner) (model.Evaluator, *sqlexec.Engine) {
-	if c.shards != nil {
-		return c.shardEvaluatorFor(cfg)
+// runner is the topology axis over the checker-lifetime engine: the engine
+// itself, or the coordinator that fans its passes out to the partitions.
+func (c *Checker) runner() evaluate.BatchRunner {
+	if c.coord != nil {
+		return c.coord
 	}
-	switch cfg.Mode {
-	case EvalNaive:
-		e := sqlexec.NewEngine(c.DB, cfg.Exec...)
-		return &evaluate.NaiveEvaluator{Engine: e, Workers: cfg.Workers}, e
-	case EvalMerged:
-		e := sqlexec.NewEngine(c.DB, cfg.Exec...)
-		e.Tune(sqlexec.WithCaching(false))
-		ev := evaluate.NewCubeEvaluator(e)
-		ev.Workers = cfg.Workers
-		return ev, e
-	default:
-		ev := evaluate.NewCubeEvaluator(c.Engine)
-		ev.Workers = cfg.Workers
-		// A pooling runner (Audit's cross-document window) applies only
-		// here: merged/naive isolate per-request engines on purpose, and
-		// sharded execution already fans batches out per partition.
-		ev.Runner = runner
-		return ev, c.Engine
-	}
+	return c.Engine
 }
 
-// shardEvaluatorFor is evaluatorFor's sharded counterpart: every strategy
-// fans out to shard workers, with the same cache-isolation rules as
-// unsharded execution — merged and naive modes get fresh front and
-// partition engines so cached state cannot leak between strategy
-// comparisons, cached mode reuses the checker-lifetime coordinator whose
-// partition engines delta-advance their cube caches across documents.
-func (c *Checker) shardEvaluatorFor(cfg Config) (model.Evaluator, *sqlexec.Engine) {
-	switch cfg.Mode {
-	case EvalNaive:
-		e := sqlexec.NewEngine(c.DB, cfg.Exec...)
-		ev := shard.NewEvaluator(shard.NewCoordinator(c.buildShardWorkers(cfg, false), &e.Stats), e.DefaultTable())
-		ev.Workers = cfg.Workers
-		ev.Naive = true
-		return ev, e
-	case EvalMerged:
-		e := sqlexec.NewEngine(c.DB, cfg.Exec...)
-		e.Tune(sqlexec.WithCaching(false))
-		ev := shard.NewEvaluator(shard.NewCoordinator(c.buildShardWorkers(cfg, true), &e.Stats), e.DefaultTable())
-		ev.Workers = cfg.Workers
-		ev.MergeSmall = false
-		return ev, e
-	default:
-		ev := shard.NewEvaluator(c.coord, c.Engine.DefaultTable())
-		ev.Workers = cfg.Workers
-		return ev, c.Engine
+// evaluatorFor composes the executor of one request from its strategy and
+// the checker's topology (check adds the third axis, pooling). Strategy:
+// cached mode runs on the checker-lifetime engine so cube results persist
+// across documents of the same database; merged and naive modes get a fresh
+// non-caching engine (and fresh partition engines) so cached state cannot
+// leak between strategy comparisons, and naive additionally plans every
+// query as its own scan. Topology: a sharded checker puts a coordinator
+// over the partitions in front of whichever engine the strategy chose.
+func (c *Checker) evaluatorFor(cfg Config) (*evaluate.CubeEvaluator, *sqlexec.Engine) {
+	engine, run := c.Engine, c.runner()
+	if cfg.Mode != EvalCached {
+		engine = sqlexec.NewEngine(c.DB, cfg.Exec...)
+		engine.Tune(sqlexec.WithCaching(false))
+		run = engine
+		if c.shards != nil {
+			run = shard.NewCoordinator(c.buildShardWorkers(cfg, true), engine)
+		}
 	}
+	ev := evaluate.NewCubeEvaluator(engine)
+	if cfg.Mode == EvalNaive {
+		ev = evaluate.NewNaiveEvaluator(engine)
+	}
+	ev.Workers = cfg.Workers
+	ev.Runner = run
+	return ev, engine
 }
 
 // GroundTruth is the hand-built translation of one claim: the matching

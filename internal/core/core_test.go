@@ -1,12 +1,23 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"aggchecker/internal/corpus"
+	"aggchecker/internal/document"
 	"aggchecker/internal/sqlexec"
 )
+
+func mustCheck(t *testing.T, c *Checker, doc *document.Document) *Report {
+	t.Helper()
+	rep, err := c.Check(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 func quickCfg() Config {
 	cfg := DefaultConfig()
@@ -18,7 +29,7 @@ func quickCfg() Config {
 func TestCheckNFLEndToEnd(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	checker := NewChecker(tc.DB, quickCfg())
-	report := checker.CheckDocument(tc.Doc)
+	report := mustCheck(t, checker, tc.Doc)
 	if len(report.Claims()) != len(tc.Truth) {
 		t.Fatalf("claims = %d, want %d", len(report.Claims()), len(tc.Truth))
 	}
@@ -44,7 +55,7 @@ func TestEvalModesAgreeOnVerdicts(t *testing.T) {
 		cfg := quickCfg()
 		cfg.Mode = mode
 		checker := NewChecker(tc.DB, cfg)
-		report := checker.CheckDocument(tc.Doc)
+		report := mustCheck(t, checker, tc.Doc)
 		var v []bool
 		for _, cr := range report.Claims() {
 			v = append(v, cr.Erroneous)
@@ -63,13 +74,13 @@ func TestEvalModesAgreeOnVerdicts(t *testing.T) {
 func TestCheckHTMLAndText(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	checker := NewChecker(tc.DB, quickCfg())
-	r1 := checker.CheckHTML(tc.HTML)
+	r1 := mustCheck(t, checker, document.ParseHTML(tc.HTML))
 	if len(r1.Claims()) != len(tc.Truth) {
-		t.Errorf("CheckHTML claims = %d", len(r1.Claims()))
+		t.Errorf("ParseHTML claims = %d", len(r1.Claims()))
 	}
-	r2 := checker.CheckText("There were 9 suspensions for substance abuse.")
+	r2 := mustCheck(t, checker, document.ParseText("There were 9 suspensions for substance abuse."))
 	if len(r2.Claims()) != 1 {
-		t.Fatalf("CheckText claims = %d", len(r2.Claims()))
+		t.Fatalf("ParseText claims = %d", len(r2.Claims()))
 	}
 	if r2.Claims()[0].Erroneous {
 		t.Error("correct claim flagged")
@@ -79,7 +90,7 @@ func TestCheckHTMLAndText(t *testing.T) {
 func TestRenderText(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	checker := NewChecker(tc.DB, quickCfg())
-	report := checker.CheckDocument(tc.Doc)
+	report := mustCheck(t, checker, tc.Doc)
 	out := report.RenderText(RenderOptions{Color: false, TopQueries: 2})
 	if !strings.Contains(out, "claims") || !strings.Contains(out, "OK") {
 		t.Errorf("render missing summary: %q", out[:120])
@@ -93,7 +104,7 @@ func TestRenderText(t *testing.T) {
 func TestMarkup(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	checker := NewChecker(tc.DB, quickCfg())
-	report := checker.CheckDocument(tc.Doc)
+	report := mustCheck(t, checker, tc.Doc)
 	markup := report.Markup()
 	if !strings.Contains(markup, "[OK]") && !strings.Contains(markup, "[WRONG") {
 		t.Errorf("markup has no annotations: %q", markup)
@@ -103,7 +114,7 @@ func TestMarkup(t *testing.T) {
 func TestErroneousClaims(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	checker := NewChecker(tc.DB, quickCfg())
-	report := checker.CheckDocument(tc.Doc)
+	report := mustCheck(t, checker, tc.Doc)
 	errs := report.ErroneousClaims()
 	for _, cr := range errs {
 		if !cr.Erroneous {
@@ -115,7 +126,7 @@ func TestErroneousClaims(t *testing.T) {
 func TestRankOf(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	checker := NewChecker(tc.DB, quickCfg())
-	report := checker.CheckDocument(tc.Doc)
+	report := mustCheck(t, checker, tc.Doc)
 	cr := report.Claims()[1]
 	if r := RankOf(cr, tc.Truth[1].Query); r != 0 {
 		t.Errorf("rank = %d", r)

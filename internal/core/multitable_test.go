@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aggchecker/internal/db"
+	"aggchecker/internal/document"
 	"aggchecker/internal/sqlexec"
 )
 
@@ -100,7 +101,7 @@ func TestMultiTableGroundTruthSemantics(t *testing.T) {
 func TestMultiTableEndToEnd(t *testing.T) {
 	d := multiTableDB(t)
 	checker := NewChecker(d, quickCfg())
-	report := checker.CheckHTML(multiTableArticle)
+	report := mustCheck(t, checker, document.ParseHTML(multiTableArticle))
 	claims := report.Claims()
 	if len(claims) != 4 {
 		t.Fatalf("claims = %d, want 4", len(claims))

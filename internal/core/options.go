@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"aggchecker/internal/evaluate"
 	"aggchecker/internal/model"
 	"aggchecker/internal/sqlexec"
 )
@@ -22,10 +21,10 @@ type checkSettings struct {
 	// exec carries per-request engine overrides (scan workers, zone maps)
 	// into the request context via sqlexec.ContextWithOptions.
 	exec []sqlexec.ExecOption
-	// runner, when non-nil, replaces direct engine batch execution for this
-	// request's claim batches (unsharded cached mode only): Audit installs
-	// a sqlexec.Window here so concurrently-checked documents share passes.
-	runner evaluate.BatchRunner
+	// window, when non-nil, pools this request's claim batches with those of
+	// the other documents Audit is checking concurrently (cached mode only:
+	// merged and naive isolate per-request engines on purpose).
+	window *sqlexec.Window
 }
 
 func newCheckSettings(base Config, opts []CheckOption) checkSettings {
@@ -87,10 +86,8 @@ func withObserver(obs model.Observer) CheckOption {
 	return func(s *checkSettings) { s.observer = obs }
 }
 
-// withBatchRunner routes the request's claim batches through a pooling
-// runner (a sqlexec.Window). Audit installs it on every member check; it
-// only takes effect in unsharded cached mode, where documents share one
-// engine whose cache the pooled passes feed.
-func withBatchRunner(r evaluate.BatchRunner) CheckOption {
-	return func(s *checkSettings) { s.runner = r }
+// withWindow routes the request's claim batches through Audit's planning
+// window.
+func withWindow(w *sqlexec.Window) CheckOption {
+	return func(s *checkSettings) { s.window = w }
 }

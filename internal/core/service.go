@@ -658,6 +658,8 @@ func (s *Service) refresh(ctx context.Context, src *source, ck *Checker) (Status
 			shards:  ck.shards,
 			coord:   ck.coord,
 			store:   ck.store,
+
+			compactDone: ck.compactDone,
 		}
 		s.mu.Lock()
 		if src.checker == ck {

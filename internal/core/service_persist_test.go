@@ -124,9 +124,9 @@ func TestServicePersistentRestart(t *testing.T) {
 }
 
 // TestServicePersistentRefreshAndCompaction drives the full persistent
-// lifecycle: refreshes append durable blocks, a compaction threshold kicks
-// off a background reseal, and a dead-source restart restores the
-// compacted state.
+// lifecycle: refreshes append durable blocks, a refresh that leaves
+// CompactAfter blocks kicks off a background reseal, and a dead-source
+// restart restores the compacted state.
 func TestServicePersistentRefreshAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCSV(t, dir, "fines.csv", persistCSV)
@@ -146,9 +146,14 @@ func TestServicePersistentRefreshAndCompaction(t *testing.T) {
 	if ck.Store() == nil {
 		t.Fatal("checker under DataDir has no store")
 	}
+	resealed := make(chan error, 1)
+	ck.compactDone = func(err error) { resealed <- err }
+	blocksNow := func() int { return len(ck.DB.Snapshot().Tables()[0].Blocks()) }
 
-	// Each refresh appends one sealed block; the third crosses the
-	// CompactAfter threshold and triggers a background reseal.
+	// The load is one sealed block and each refresh appends one more: the
+	// second refresh leaves CompactAfter blocks and triggers the reseal, the
+	// third lands on the resealed table and stays under the threshold.
+	blocks, reseals := 1, 0
 	for i := 0; i < 3; i++ {
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {
@@ -161,17 +166,24 @@ func TestServicePersistentRefreshAndCompaction(t *testing.T) {
 		if _, err := svc.Refresh(ctx, "fines"); err != nil {
 			t.Fatal(err)
 		}
+		if blocks++; blocks < cfg.CompactAfter {
+			continue
+		}
+		select {
+		case err := <-resealed:
+			if err != nil {
+				t.Fatalf("background compaction after refresh %d: %v", i+1, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("refresh %d left %d blocks but no background compaction finished", i+1, blocks)
+		}
+		blocks, reseals = 1, reseals+1
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		blocks := len(ck.DB.Snapshot().Tables()[0].Blocks())
-		if blocks == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never resealed (still %d blocks)", blocks)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if reseals == 0 {
+		t.Fatal("no refresh reached the compaction threshold")
+	}
+	if got := blocksNow(); got != blocks || got >= cfg.CompactAfter {
+		t.Fatalf("blocks = %d, want %d (under the threshold of %d)", got, blocks, cfg.CompactAfter)
 	}
 	st, err := svc.Status("fines")
 	if err != nil || st.Store == nil {
@@ -197,8 +209,8 @@ func TestServicePersistentRefreshAndCompaction(t *testing.T) {
 	if got := snap.Tables()[0].NumRows(); got != 11 {
 		t.Fatalf("restored rows = %d, want 11", got)
 	}
-	if got := len(snap.Tables()[0].Blocks()); got != 1 {
-		t.Fatalf("restored blocks = %d, want 1 (compacted layout persists)", got)
+	if got := len(snap.Tables()[0].Blocks()); got != blocks {
+		t.Fatalf("restored blocks = %d, want %d (compacted layout persists)", got, blocks)
 	}
 }
 

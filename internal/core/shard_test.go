@@ -64,42 +64,9 @@ func diffFingerprints(t *testing.T, label string, want, got [][]rankedPrint, wan
 	}
 }
 
-// TestShardedReportsMatchUnsharded checks every evaluation strategy end to
-// end: a 3-shard checker must produce bit-for-bit the unsharded report.
-func TestShardedReportsMatchUnsharded(t *testing.T) {
-	tc := corpus.MustLoad().Cases[0]
-	for _, mode := range []EvalMode{EvalCached, EvalMerged, EvalNaive} {
-		cfg := quickCfg()
-		cfg.Mode = mode
-		plain := NewChecker(tc.DB, cfg)
-		want, err := plain.Check(context.Background(), tc.Doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		scfg := cfg
-		scfg.Shards = 3
-		sharded := NewChecker(tc.DB, scfg)
-		if sharded.Sharder() == nil {
-			t.Fatal("checker did not shard")
-		}
-		got, err := sharded.Check(context.Background(), tc.Doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffFingerprints(t, mode.String(), fingerprint(t, want), fingerprint(t, got), want, got)
-		if got.Stats["shard_fanouts"] == 0 || got.Stats["shard_partials"] == 0 {
-			t.Errorf("%s: shard counters missing from Report.Stats: %d fanouts, %d partials",
-				mode, got.Stats["shard_fanouts"], got.Stats["shard_partials"])
-		}
-		if want.Stats["shard_fanouts"] != 0 {
-			t.Errorf("%s: unsharded report counts %d fanouts", mode, want.Stats["shard_fanouts"])
-		}
-	}
-}
-
-// TestShardedHTTPTransportMatchesUnsharded runs the same end-to-end
-// differential with the coordinator talking to its shards over the HTTP
+// TestShardedHTTPTransportMatchesUnsharded runs the sharded-vs-unsharded
+// differential (TestExecutorCompositionDifferential covers the in-process
+// transport) with the coordinator talking to its shards over the HTTP
 // worker protocol: the partitions are registered as ordinary databases on a
 // peer daemon (httptest) and placed by the consistent-hash ring.
 func TestShardedHTTPTransportMatchesUnsharded(t *testing.T) {

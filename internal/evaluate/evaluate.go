@@ -1,194 +1,76 @@
-// Package evaluate implements §6 of the paper: massive-scale evaluation of
-// candidate queries. Three strategies regenerate the rows of Table 6:
+// Package evaluate adapts §6 of the paper — massive-scale evaluation of
+// candidate queries — to the EM loop. There is one batch loop,
+// sqlexec.RunBatch (deduplicate, plan into merged cube passes, run them on
+// a bounded pool, answer each query from its cell, fall back to a scan),
+// and every way of executing a document is a point in the product of three
+// independent axes that nest around it:
 //
-//   - NaiveEvaluator evaluates every candidate with its own scan;
-//   - CubeEvaluator merges the candidates of a batch into cube queries with
-//     InOrDefault literal coding (query merging);
-//   - CubeEvaluator over an engine with caching enabled additionally reuses
-//     cube results across claims and EM iterations (result caching).
+//   - strategy, the rows of Table 6: naive plans every candidate as its own
+//     scan (NewNaiveEvaluator); merged plans cube passes with InOrDefault
+//     literal coding over an engine that does not cache; cached is merged
+//     over an engine whose cube cache carries results across claims, EM
+//     iterations and documents;
+//   - topology: the Runner is a local *sqlexec.Engine, or a
+//     *shard.Coordinator that fans each pass and scan out to partitions;
+//   - pooling: a *sqlexec.Window wrapped around either runner merges the
+//     batches of concurrently-checked documents into shared passes.
 //
-// Planning and execution live in sqlexec (Engine.EvaluateBatch): the
-// evaluators here add policy — the document-wide literal pool that keeps
-// cube signatures stable — and satisfy the model.Evaluator interface
-// structurally so no import cycle arises. All evaluators are safe for
-// concurrent use.
+// CubeEvaluator adds the one piece of per-document policy — the literal
+// pool that keeps cube signatures stable — and implements model.Evaluator.
+// It is safe for concurrent use.
 package evaluate
 
 import (
 	"context"
-	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"aggchecker/internal/sqlexec"
 )
 
-// NaiveEvaluator evaluates each query independently (Table 6 row "Naive").
-type NaiveEvaluator struct {
-	Engine *sqlexec.Engine
-	// Workers bounds the scan worker pool per batch; ≤ 0 uses GOMAXPROCS.
-	// The naive baseline gets the same parallelism as the merged
-	// strategies so Table 6 compares evaluation strategy, not scheduling.
-	Workers int
-}
-
-// EvaluateBatch evaluates the queries with one scan each, fanned out over a
-// bounded worker pool. Once ctx is cancelled the remaining scans are
-// skipped and their slots stay NaN.
-func (n *NaiveEvaluator) EvaluateBatch(ctx context.Context, queries []sqlexec.Query) []float64 {
-	out := make([]float64, len(queries))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	workers := n.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	eval := func(i int) {
-		v, err := n.Engine.EvaluateContext(ctx, queries[i])
-		if err != nil {
-			v = math.NaN()
-		}
-		out[i] = v
-	}
-	if workers <= 1 {
-		for i := range queries {
-			if ctx.Err() != nil {
-				break
-			}
-			eval(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				eval(i)
-			}
-		}()
-	}
-	for i := range queries {
-		if ctx.Err() != nil {
-			break
-		}
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	return out
-}
-
-// CubeEvaluator merges batches of candidate queries into cube passes via
-// the engine's batch planner. Literal sets per column are document-wide
-// (SetPool) so cube signatures stay stable across claims, which is what
-// makes the engine's result cache effective (§6.3); literals seen in
-// batches are accumulated as a fallback when no pool is provided.
+// CubeEvaluator feeds a document's claim batches to a batch runner.
+// Literal sets per column are document-wide (SetPool) so cube signatures
+// stay stable across claims, which is what makes the engine's result cache
+// effective (§6.3); literals seen in batches are accumulated as a fallback
+// when no pool is provided.
 type CubeEvaluator struct {
 	Engine *sqlexec.Engine
-	// Workers bounds the engine-side worker pool per batch; ≤ 0 uses
-	// GOMAXPROCS.
+	// Workers bounds the worker pool per batch; ≤ 0 uses GOMAXPROCS.
 	Workers int
 	// Runner, when non-nil, executes the batches instead of the engine
-	// directly — a sqlexec.Window pools them with batches from other
-	// documents being checked concurrently (corpus audits). Nil keeps the
-	// direct engine path.
+	// directly: a shard.Coordinator scatter-gathers them over partitions, a
+	// sqlexec.Window pools them with batches from other documents being
+	// checked concurrently (corpus audits).
 	Runner BatchRunner
 
-	mu   sync.Mutex
-	pool map[string]map[string]bool // ColumnRef.String() -> literal set
+	naive bool
+	pool  sqlexec.LiteralPool
 }
 
-// BatchRunner executes one document's claim batches. Engine.EvaluateBatch
-// is the default; sqlexec.Window satisfies the same surface to merge
-// batches across concurrently-checked documents into shared passes.
-type BatchRunner interface {
-	EvaluateBatch(ctx context.Context, queries []sqlexec.Query, opts sqlexec.BatchOptions) []float64
-}
+// BatchRunner executes one document's claim batches; see
+// sqlexec.BatchRunner for the implementations.
+type BatchRunner = sqlexec.BatchRunner
 
 // NewCubeEvaluator returns a merging evaluator over the engine.
 func NewCubeEvaluator(e *sqlexec.Engine) *CubeEvaluator {
-	return &CubeEvaluator{Engine: e, pool: make(map[string]map[string]bool)}
+	return &CubeEvaluator{Engine: e}
 }
 
-// SetPool installs the document-wide literal pool (column reference string
-// → literals), replacing any accumulated literals for those columns.
-func (c *CubeEvaluator) SetPool(pool map[string][]string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for col, lits := range pool {
-		set := make(map[string]bool, len(lits))
-		for _, l := range lits {
-			set[l] = true
-		}
-		c.pool[col] = set
-	}
+// NewNaiveEvaluator returns the Table 6 "Naive" strategy: the same loop
+// with every query planned as its own scan.
+func NewNaiveEvaluator(e *sqlexec.Engine) *CubeEvaluator {
+	return &CubeEvaluator{Engine: e, naive: true}
 }
 
-// snapshotPool folds the batch's literals into the accumulated pool and
-// returns a sorted snapshot for the planner, restricted to the predicate
-// columns the batch actually touches (the only pool entries the planner
-// reads).
-func (c *CubeEvaluator) snapshotPool(queries []sqlexec.Query) map[string][]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cols := make(map[string]bool)
-	for _, q := range queries {
-		for _, p := range q.Preds {
-			col := p.Col.String()
-			cols[col] = true
-			set := c.pool[col]
-			if set == nil {
-				set = make(map[string]bool)
-				c.pool[col] = set
-			}
-			set[p.Value] = true
-		}
-	}
-	out := make(map[string][]string, len(cols))
-	for col := range cols {
-		set := c.pool[col]
-		lits := make([]string, 0, len(set))
-		for l := range set {
-			lits = append(lits, l)
-		}
-		sort.Strings(lits)
-		out[col] = lits
-	}
-	return out
-}
+// SetPool folds the document-wide literal pool (column reference string →
+// literals) into the evaluator's pool.
+func (c *CubeEvaluator) SetPool(pool map[string][]string) { c.pool.Add(pool) }
 
-// EvaluateBatch merges the batch into as few cube passes as the engine
-// cache allows and answers every query. Cancellation is honored between
-// and inside cube passes; see Engine.EvaluateBatch.
+// EvaluateBatch answers every query of the batch positionally, NaN marking
+// undefined results. Cancellation is honored between and inside cube
+// passes; see sqlexec.RunBatch.
 func (c *CubeEvaluator) EvaluateBatch(ctx context.Context, queries []sqlexec.Query) []float64 {
-	opts := sqlexec.BatchOptions{Pool: c.snapshotPool(queries), Workers: c.Workers}
+	opts := sqlexec.BatchOptions{Pool: c.pool.For(queries), Workers: c.Workers, Naive: c.naive}
 	if c.Runner != nil {
 		return c.Runner.EvaluateBatch(ctx, queries, opts)
 	}
 	return c.Engine.EvaluateBatch(ctx, queries, opts)
-}
-
-// BeginDocument registers the document with a participant-tracking runner
-// (sqlexec.Window counts active documents to decide when a pooled window
-// is complete); EndDocument deregisters it. Both are no-ops on the direct
-// engine path. The EM loop calls them structurally, like SetPool.
-func (c *CubeEvaluator) BeginDocument() {
-	if r, ok := c.Runner.(interface{ Join() }); ok {
-		r.Join()
-	}
-}
-
-// EndDocument ends the document's window participation; see BeginDocument.
-func (c *CubeEvaluator) EndDocument() {
-	if r, ok := c.Runner.(interface{ Leave() }); ok {
-		r.Leave()
-	}
 }

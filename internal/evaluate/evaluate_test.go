@@ -81,7 +81,7 @@ func testBatch() []sqlexec.Query {
 
 func TestEvaluatorsAgree(t *testing.T) {
 	d := testDB(t)
-	naive := &NaiveEvaluator{Engine: sqlexec.NewEngine(d)}
+	naive := NewNaiveEvaluator(sqlexec.NewEngine(d))
 	merged := NewCubeEvaluator(sqlexec.NewEngine(d))
 	cachedEngine := sqlexec.NewEngine(d)
 	cached := NewCubeEvaluator(cachedEngine)
@@ -111,7 +111,7 @@ func eqNaN(a, b float64) bool {
 func TestMergingReducesScans(t *testing.T) {
 	d := testDB(t)
 	naiveEngine := sqlexec.NewEngine(d)
-	naive := &NaiveEvaluator{Engine: naiveEngine}
+	naive := NewNaiveEvaluator(naiveEngine)
 	mergedEngine := sqlexec.NewEngine(d)
 	mergedEngine.Tune(sqlexec.WithCaching(false))
 	merged := NewCubeEvaluator(mergedEngine)
@@ -185,7 +185,7 @@ func TestSubsetGroupsShareHostCube(t *testing.T) {
 		t.Errorf("cube passes = %d, want 1 (subset merging)", passes)
 	}
 	// Cross-check results directly.
-	direct := &NaiveEvaluator{Engine: sqlexec.NewEngine(d)}
+	direct := NewNaiveEvaluator(sqlexec.NewEngine(d))
 	want := direct.EvaluateBatch(context.Background(), batch)
 	for i := range batch {
 		if !eqNaN(res[i], want[i]) {
@@ -207,7 +207,7 @@ func TestConcurrentBatches(t *testing.T) {
 	e := sqlexec.NewEngine(d)
 	ev := NewCubeEvaluator(e)
 	batch := testBatch()
-	want := (&NaiveEvaluator{Engine: sqlexec.NewEngine(d)}).EvaluateBatch(context.Background(), batch)
+	want := NewNaiveEvaluator(sqlexec.NewEngine(d)).EvaluateBatch(context.Background(), batch)
 	done := make(chan []float64, 8)
 	for w := 0; w < 8; w++ {
 		go func() { done <- ev.EvaluateBatch(context.Background(), batch) }()

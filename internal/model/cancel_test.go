@@ -17,6 +17,8 @@ type cancellingEval struct {
 	cancel context.CancelFunc
 }
 
+func (cancellingEval) SetPool(map[string][]string) {}
+
 func (c cancellingEval) EvaluateBatch(ctx context.Context, qs []sqlexec.Query) []float64 {
 	c.cancel()
 	out := make([]float64, len(qs))

@@ -100,9 +100,17 @@ func DefaultConfig() Config {
 }
 
 // Evaluator supplies query results to the EM loop. Package evaluate
-// provides implementations (naive, merged, merged+cached); they satisfy the
-// interface structurally so no import cycle arises.
+// provides the implementation (evaluate.CubeEvaluator over any strategy,
+// topology and pooling); it satisfies the interface structurally so no
+// import cycle arises.
 type Evaluator interface {
+	// SetPool receives the document-wide literal pool (column reference
+	// string → literals) once, before the first batch. Evaluators that merge
+	// candidates into cubes key their caches on per-column literal sets;
+	// knowing every literal up front (§6.3: "all literals with non-zero
+	// probability for any claim") keeps cube signatures stable across
+	// claims and EM iterations.
+	SetPool(pool map[string][]string)
 	// EvaluateBatch returns the result of each query, positionally. NaN
 	// marks queries whose result is undefined. Implementations must stop
 	// early (returning NaN for unevaluated slots) once ctx is cancelled;

@@ -103,25 +103,7 @@ func Run(ctx context.Context, cat *fragments.Catalog, doc *document.Document, sc
 		return nil, err
 	}
 	pool := BuildPool(cat, scores, cfg)
-	// Evaluators that merge candidates into cubes key their caches on
-	// per-column literal sets; installing the document-wide pool up front
-	// (§6.3: "all literals with non-zero probability for any claim") keeps
-	// cube signatures stable across claims and EM iterations.
-	if p, ok := ev.(interface{ SetPool(map[string][]string) }); ok {
-		p.SetPool(pool.Literals(cat))
-	}
-	// Evaluators whose batches pool across concurrently-checked documents
-	// (corpus audits) track document lifetimes: a pooled window flushes when
-	// every in-flight document has a batch parked, so the EM loop must
-	// bracket its run or the other documents wait out the flush deadline
-	// every iteration.
-	if d, ok := ev.(interface {
-		BeginDocument()
-		EndDocument()
-	}); ok {
-		d.BeginDocument()
-		defer d.EndDocument()
-	}
+	ev.SetPool(pool.Literals(cat))
 	priors := UniformPriors(cat)
 	states := make([]*claimState, len(doc.Claims))
 	for i := range states {

@@ -16,6 +16,8 @@ import (
 // naiveEval satisfies Evaluator by evaluating each query directly.
 type naiveEval struct{ e *sqlexec.Engine }
 
+func (naiveEval) SetPool(map[string][]string) {}
+
 func (n naiveEval) EvaluateBatch(ctx context.Context, qs []sqlexec.Query) []float64 {
 	out := make([]float64, len(qs))
 	for i, q := range qs {

@@ -147,13 +147,14 @@ func sameBits(a, b float64) bool {
 }
 
 // diffCoordinator builds a fresh coordinator over the sharder's current
-// partition snapshots, one single-threaded in-process worker per shard.
-func diffCoordinator(s *db.Sharder) *shard.Coordinator {
+// partition snapshots, one single-threaded in-process worker per shard,
+// fronted by an engine over the source database.
+func diffCoordinator(src *db.Database, s *db.Sharder) *shard.Coordinator {
 	workers := make([]shard.Worker, 0, s.NumShards())
 	for _, p := range s.Partitions() {
 		workers = append(workers, &shard.LocalWorker{Engine: sqlexec.NewEngine(p)})
 	}
-	return shard.NewCoordinator(workers, &sqlexec.Stats{})
+	return shard.NewCoordinator(workers, sqlexec.NewEngine(src))
 }
 
 func TestRandomizedShardDifferential(t *testing.T) {
@@ -212,7 +213,7 @@ func TestRandomizedShardDifferential(t *testing.T) {
 func compareDiffRound(t *testing.T, round int, src *db.Database, s *db.Sharder) {
 	t.Helper()
 	ctx := context.Background()
-	coord := diffCoordinator(s)
+	coord := diffCoordinator(src, s)
 	ref := sqlexec.NewEngine(src)
 	for ri, req := range diffRequests() {
 		merged, err := coord.Cube(ctx, req)

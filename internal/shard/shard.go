@@ -5,7 +5,9 @@
 // folds the per-shard partials back together with the exact mergeAppend
 // algebra of the delta path — so a K-shard answer is bit-for-bit the
 // unsharded answer for integer-valued data, and exact for counts, min/max,
-// and distinct sets always.
+// and distinct sets always. Those two operations make the Coordinator a
+// sqlexec.Backend: batches run through the same sqlexec.RunBatch loop as
+// on a local engine, and nest under a sqlexec.Window the same way.
 //
 // Workers come in two transports behind the same interface: LocalWorker
 // wraps an in-process partition engine (sharing the morsel scheduler of the
@@ -60,26 +62,26 @@ const stragglerFloor = 2 * time.Millisecond
 // which is what makes sharded answers reproducible.
 type Coordinator struct {
 	workers []Worker
-	stats   *sqlexec.Stats
+	front   *sqlexec.Engine
 }
 
-// NewCoordinator builds a coordinator over the shard workers. stats is the
-// front engine's counter block (may be nil): fan-out, partial, merge-time,
-// and straggler counters are recorded there so they surface in
+// NewCoordinator builds a coordinator over the shard workers. front is the
+// engine over the unpartitioned source database. It runs nothing; it
+// supplies what is not physical: the counter block — fan-out, partial,
+// merge-time and straggler counters are recorded there so they surface in
 // Report.Stats, Table 6, and service status alongside the ordinary
-// execution counters.
-func NewCoordinator(workers []Worker, stats *sqlexec.Stats) *Coordinator {
-	if stats == nil {
-		stats = &sqlexec.Stats{}
-	}
-	return &Coordinator{workers: workers, stats: stats}
+// execution counters — the default table, and the plan policy (small groups
+// merge into cube passes only while front caches, which is how core marks
+// partitions that cache).
+func NewCoordinator(workers []Worker, front *sqlexec.Engine) *Coordinator {
+	return &Coordinator{workers: workers, front: front}
 }
 
 // NumWorkers returns the fan-out width K.
 func (c *Coordinator) NumWorkers() int { return len(c.workers) }
 
 // Stats returns the counter block the coordinator records into.
-func (c *Coordinator) Stats() *sqlexec.Stats { return c.stats }
+func (c *Coordinator) Stats() *sqlexec.Stats { return &c.front.Stats }
 
 // fanOut calls fn once per worker concurrently and collects the results in
 // worker order. The first error cancels the remaining workers and is
@@ -114,9 +116,9 @@ func fanOut[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Cont
 	}
 	wg.Wait()
 
-	c.stats.ShardFanouts.Add(1)
-	c.stats.ShardPartials.Add(int64(k))
-	c.stats.ShardStragglers.Add(countStragglers(lats))
+	c.front.Stats.ShardFanouts.Add(1)
+	c.front.Stats.ShardPartials.Add(int64(k))
+	c.front.Stats.ShardStragglers.Add(countStragglers(lats))
 
 	// Prefer a worker's own failure over the context cancellations it
 	// induced in its peers, so callers see the root cause.
@@ -169,13 +171,31 @@ func (c *Coordinator) Cube(ctx context.Context, req sqlexec.CubeRequest) (*sqlex
 		return nil, err
 	}
 	for _, p := range parts {
-		c.stats.RowsScanned.Add(p.Rows)
+		c.front.Stats.RowsScanned.Add(p.Rows)
 	}
-	c.stats.CubePasses.Add(1)
+	c.front.Stats.CubePasses.Add(1)
 	start := time.Now()
 	res, err := sqlexec.MergeCubePartials(parts)
-	c.stats.ShardMergeNanos.Add(time.Since(start).Nanoseconds())
+	c.front.Stats.ShardMergeNanos.Add(time.Since(start).Nanoseconds())
 	return res, err
+}
+
+// EvaluateBatch runs the batch by scatter-gather: every planned cube pass
+// and direct scan is one fan-out. Selections are never pushed down — the
+// wire CubeRequest carries no filter.
+func (c *Coordinator) EvaluateBatch(ctx context.Context, queries []sqlexec.Query, opts sqlexec.BatchOptions) []float64 {
+	return sqlexec.RunBatch(ctx, c, &c.front.Stats, c.front.DefaultTable(),
+		sqlexec.PlanOptions{MergeSmall: c.front.CachingEnabled()}, queries, opts)
+}
+
+// CubePass implements sqlexec.Backend.
+func (c *Coordinator) CubePass(ctx context.Context, p *sqlexec.CubePlan) (*sqlexec.CubeResult, error) {
+	return c.Cube(ctx, sqlexec.CubeRequest{Tables: p.Tables, Dims: p.Dims, Reqs: p.Reqs})
+}
+
+// DirectScan implements sqlexec.Backend.
+func (c *Coordinator) DirectScan(ctx context.Context, q sqlexec.Query) (float64, error) {
+	return c.Evaluate(ctx, q)
 }
 
 // Evaluate fans one direct query out to every shard worker and finalizes
@@ -188,14 +208,14 @@ func (c *Coordinator) Evaluate(ctx context.Context, q sqlexec.Query) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	c.stats.DirectQueries.Add(1)
+	c.front.Stats.DirectQueries.Add(1)
 	for _, p := range parts {
-		c.stats.RowsScanned.Add(p.RowsRead)
-		c.stats.BlocksScanned.Add(p.Scanned)
-		c.stats.BlocksPruned.Add(p.Pruned)
+		c.front.Stats.RowsScanned.Add(p.RowsRead)
+		c.front.Stats.BlocksScanned.Add(p.Scanned)
+		c.front.Stats.BlocksPruned.Add(p.Pruned)
 	}
 	start := time.Now()
 	v, err := sqlexec.FinalizeScanPartials(q, parts)
-	c.stats.ShardMergeNanos.Add(time.Since(start).Nanoseconds())
+	c.front.Stats.ShardMergeNanos.Add(time.Since(start).Nanoseconds())
 	return v, err
 }

@@ -80,7 +80,7 @@ func shardedFixture(t *testing.T, rows, k int) (*shard.Coordinator, *sqlexec.Eng
 		workers = append(workers, &shard.LocalWorker{Engine: sqlexec.NewEngine(p)})
 	}
 	front := sqlexec.NewEngine(src)
-	return shard.NewCoordinator(workers, &front.Stats), front
+	return shard.NewCoordinator(workers, front), front
 }
 
 func TestCoordinatorCubeMatchesUnsharded(t *testing.T) {
@@ -145,14 +145,12 @@ func TestCoordinatorEvaluateMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestEvaluatorMatchesEngineBatch(t *testing.T) {
+func TestCoordinatorBatchMatchesEngineBatch(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		coord, front := shardedFixture(t, 1800, 4)
-		ev := shard.NewEvaluator(coord, "fact")
-		ev.Naive = naive
 		qs := testQueries()
 		qs = append(qs, qs[0]) // duplicate exercises dedup slots
-		got := ev.EvaluateBatch(context.Background(), qs)
+		got := coord.EvaluateBatch(context.Background(), qs, sqlexec.BatchOptions{Naive: naive})
 		want := front.EvaluateBatch(context.Background(), qs, sqlexec.BatchOptions{})
 		for i := range qs {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -213,7 +211,7 @@ func TestCoordinatorFirstErrorCancelsPeers(t *testing.T) {
 		&stubWorker{err: boom},
 		&stubWorker{block: make(chan struct{})}, // released only by cancel
 	}
-	coord := shard.NewCoordinator(workers, nil)
+	coord := shard.NewCoordinator(workers, sqlexec.NewEngine(db.NewDatabase("front")))
 	done := make(chan error, 1)
 	go func() {
 		_, err := coord.Cube(context.Background(), sqlexec.CubeRequest{})
@@ -234,7 +232,7 @@ func TestCoordinatorHonorsCallerCancellation(t *testing.T) {
 		&stubWorker{block: make(chan struct{})},
 		&stubWorker{block: make(chan struct{})},
 	}
-	coord := shard.NewCoordinator(workers, nil)
+	coord := shard.NewCoordinator(workers, sqlexec.NewEngine(db.NewDatabase("front")))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -341,10 +339,9 @@ func TestClientTransportMatchesLocal(t *testing.T) {
 		_ = i
 	}
 	front := sqlexec.NewEngine(src)
-	coord := shard.NewCoordinator(workers, &front.Stats)
-	ev := shard.NewEvaluator(coord, "fact")
+	coord := shard.NewCoordinator(workers, front)
 	qs := testQueries()
-	got := ev.EvaluateBatch(context.Background(), qs)
+	got := coord.EvaluateBatch(context.Background(), qs, sqlexec.BatchOptions{})
 	want := front.EvaluateBatch(context.Background(), qs, sqlexec.BatchOptions{})
 	for i := range qs {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -308,7 +308,7 @@ func newCubeResultWithCols(tables []string, dims []DimSpec, cols []trackedCol) (
 // computeCubeScalar is the legacy row-at-a-time cube interpreter: one scan
 // over the joined view, accumulating every tracked column at every cell of
 // the cube lattice (2^|dims| hash-map probes and pointer-chased accumulator
-// updates per row). It is kept behind Engine.SetScalarKernel as the
+// updates per row). It is kept behind WithScalarKernel as the
 // reference implementation for differential testing, and as the fallback
 // when literal sets make the vectorized kernel's dense lattice too large
 // (see flatLatticeSize in kernel.go).

@@ -308,7 +308,7 @@ type Engine struct {
 	// vector before accumulating (on by default).
 	pushdown atomic.Bool
 	// zoneMaps enables zone-map pruning in the scan pipeline (on by
-	// default); SetZoneMaps(false) is the operational escape hatch and the
+	// default); WithZoneMaps(false) is the operational escape hatch and the
 	// benchmark baseline toggle.
 	zoneMaps atomic.Bool
 	// scanWorkers bounds intra-pass parallelism (morsels in flight on the
@@ -393,38 +393,15 @@ func (e *Engine) CacheUsage() (entries int, bytes int64) {
 // predicate-sharing queries into filtered cube passes.
 func (e *Engine) PushdownEnabled() bool { return e.pushdown.Load() }
 
-// SetZoneMaps toggles zone-map pruning in the shared scan pipeline.
-//
-// Deprecated: use Tune(WithZoneMaps(on)), or pass WithZoneMaps to
-// NewEngine.
-func (e *Engine) SetZoneMaps(on bool) { e.Tune(WithZoneMaps(on)) }
-
 // ZoneMapsEnabled reports whether zone-map pruning is active.
 func (e *Engine) ZoneMapsEnabled() bool { return e.zoneMaps.Load() }
 
 // CachingEnabled reports whether cube results are cached.
 func (e *Engine) CachingEnabled() bool { return e.caching.Load() }
 
-// SetCaching toggles the cube-result cache.
-//
-// Deprecated: use Tune(WithCaching(on)), or pass WithCaching to NewEngine.
-func (e *Engine) SetCaching(on bool) { e.Tune(WithCaching(on)) }
-
-// SetScalarKernel routes cube passes to the legacy scalar interpreter.
-//
-// Deprecated: use Tune(WithScalarKernel(on)), or pass WithScalarKernel to
-// NewEngine.
-func (e *Engine) SetScalarKernel(on bool) { e.Tune(WithScalarKernel(on)) }
-
 // ScalarKernel reports whether cube passes are forced onto the scalar
 // interpreter.
 func (e *Engine) ScalarKernel() bool { return e.scalarKernel.Load() }
-
-// SetScanWorkers bounds per-scan parallelism.
-//
-// Deprecated: use Tune(WithScanWorkers(n)), or pass WithScanWorkers to
-// NewEngine; per-request, use ContextWithOptions.
-func (e *Engine) SetScanWorkers(n int) { e.Tune(WithScanWorkers(n)) }
 
 // ResetCache drops all cached cube results (join views are kept: they are
 // part of the storage layer, not the evaluation strategy).
@@ -582,6 +559,21 @@ func (e *Engine) snapshotFor(ctx context.Context) *db.Snapshot {
 		}
 	}
 	return e.DB.Snapshot()
+}
+
+// pinnedVersions names every snapshot pinned in ctx ("database@version",
+// newest pin first). Requests with equal strings read identical rows on
+// every engine they reach — front database and shard partitions alike.
+func pinnedVersions(ctx context.Context) string {
+	pinned, _ := ctx.Value(snapCtxKey{}).([]*db.Snapshot)
+	var sb strings.Builder
+	for _, snap := range pinned {
+		sb.WriteString(snap.DatabaseName())
+		sb.WriteByte('@')
+		sb.WriteString(strconv.FormatUint(snap.Version(), 10))
+		sb.WriteByte(' ')
+	}
+	return sb.String()
 }
 
 // view returns the (cached) join view over the given tables at the

@@ -53,6 +53,15 @@ type BatchOptions struct {
 	// Workers bounds the worker pool executing cube passes and direct
 	// scans; ≤ 0 uses GOMAXPROCS.
 	Workers int
+	// Naive skips planning and answers every query with its own scan (the
+	// "Naive" row of Table 6).
+	Naive bool
+
+	// observe, when set, receives the plan RunBatch is about to execute
+	// and, per batch query, the index of the deduplicated query the plan
+	// refers to. Window counts shared passes from it instead of planning a
+	// second time; runners between the two pass their options through.
+	observe func(plan *BatchPlan, slot []int)
 }
 
 // PlanOptions tunes cube planning (PlanCubesOpt).
@@ -74,18 +83,6 @@ type PlanOptions struct {
 // zones admit, so its payoff is the per-row work saved across many
 // queries, not the scan itself.
 const pushdownMinShared = 3
-
-// PlanCubes merges a query batch into cube passes. Queries are grouped by
-// (join scope, predicate column set); a group whose column set is a subset
-// of another group's is answered from the larger cube, and remaining groups
-// over the same scope are greedily unioned into wider cubes while the
-// combined dimension count stays within maxCubeDims (the paper's m ≤ 3
-// merging, applied across claims). When mergeSmall is false (no result
-// cache to amortize a pass), groups holding ≤ 2 queries are answered with
-// direct scans instead — the cost model of §6.1.
-func PlanCubes(queries []Query, defaultTable string, pool map[string][]string, mergeSmall bool) *BatchPlan {
-	return PlanCubesOpt(queries, defaultTable, PlanOptions{Pool: pool, MergeSmall: mergeSmall})
-}
 
 // filterEligible reports whether query q could be answered by a cube pass
 // filtered on predicate f. It mirrors CubeResult.stripFilter: the query
@@ -321,10 +318,17 @@ func planPushdown(plan *BatchPlan, queries []Query, defaultTable string, opt Pla
 	}
 }
 
-// PlanCubesOpt is PlanCubes with the full option set: when opt.Pushdown is
-// set, a pre-pass first claims queries sharing an equality predicate into
+// PlanCubesOpt merges a query batch into cube passes. Queries are grouped
+// by (join scope, predicate column set); a group whose column set is a
+// subset of another group's is answered from the larger cube, and remaining
+// groups over the same scope are greedily unioned into wider cubes while
+// the combined dimension count stays within maxCubeDims (the paper's m ≤ 3
+// merging, applied across claims). When opt.MergeSmall is false (no result
+// cache to amortize a pass), groups holding ≤ 2 queries are answered with
+// direct scans instead — the cost model of §6.1. When opt.Pushdown is set,
+// a pre-pass first claims queries sharing an equality predicate into
 // filtered cube passes (selection pushdown); the remainder is merged into
-// unfiltered cubes exactly as PlanCubes does.
+// unfiltered cubes as above.
 func PlanCubesOpt(queries []Query, defaultTable string, opt PlanOptions) *BatchPlan {
 	plan := &BatchPlan{}
 	if len(queries) == 0 {
@@ -511,22 +515,37 @@ func sameTables(a, b []string) bool {
 	return strings.Join(sortedCopy(a), ",") == strings.Join(sortedCopy(b), ",")
 }
 
-// EvaluateBatch answers every query of the batch, positionally. Duplicate
-// queries (by canonical key) are evaluated once; the remainder is planned
-// into merged cube passes executed concurrently by a bounded worker pool.
-// Queries a cube pass cannot answer (planner fallback, cube errors) are
-// evaluated with direct scans. NaN marks undefined results.
+// Backend is where a planned batch physically runs. *Engine runs both
+// operations locally; shard.Coordinator fans each out to its partitions and
+// merges the partials. Everything else about a batch — deduplication,
+// planning, the worker pool, answering from cells, the direct-scan fallback
+// — is RunBatch, once, for every backend.
+type Backend interface {
+	// CubePass runs one planned cube pass.
+	CubePass(ctx context.Context, p *CubePlan) (*CubeResult, error)
+	// DirectScan answers one query with a dedicated scan.
+	DirectScan(ctx context.Context, q Query) (float64, error)
+}
+
+// RunBatch answers every query of the batch, positionally, on backend b.
+// Duplicate queries (by canonical key) are evaluated once; the remainder is
+// planned under policy (Pool comes from opts) into merged cube passes that
+// a bounded worker pool executes concurrently, and each query is answered
+// from its cube cell. Queries a cube pass cannot answer (planner fallback,
+// cube errors) are evaluated with direct scans, as is the whole batch under
+// opts.Naive. NaN marks undefined results. stats receives the batch
+// counters; table anchors queries that reference no column.
 //
 // Cancellation is checked before every cube pass and direct scan, and
 // periodically inside scans: once ctx is done the remaining work is skipped
 // and the corresponding slots are NaN. Callers that need to distinguish
 // cancellation from undefined results must check ctx.Err() afterwards.
-func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64 {
+func RunBatch(ctx context.Context, b Backend, stats *Stats, table string, policy PlanOptions, queries []Query, opts BatchOptions) []float64 {
 	out := make([]float64, len(queries))
 	if len(queries) == 0 {
 		return out
 	}
-	e.Stats.BatchQueries.Add(int64(len(queries)))
+	stats.BatchQueries.Add(int64(len(queries)))
 
 	// Cross-claim deduplication by canonical query key.
 	uniq := make([]Query, 0, len(queries))
@@ -543,12 +562,20 @@ func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchO
 		slot[i] = j
 	}
 
-	plan := PlanCubesOpt(uniq, e.DefaultTable(), PlanOptions{
-		Pool:       opts.Pool,
-		MergeSmall: e.CachingEnabled(),
-		Pushdown:   e.PushdownEnabled(),
-	})
-	e.Stats.PlannedCubes.Add(int64(len(plan.Cubes)))
+	var plan *BatchPlan
+	if opts.Naive {
+		plan = &BatchPlan{Direct: make([]int, len(uniq))}
+		for i := range plan.Direct {
+			plan.Direct[i] = i
+		}
+	} else {
+		policy.Pool = opts.Pool
+		plan = PlanCubesOpt(uniq, table, policy)
+		stats.PlannedCubes.Add(int64(len(plan.Cubes)))
+	}
+	if opts.observe != nil {
+		opts.observe(plan, slot)
+	}
 	// Pre-fill with NaN so slots skipped after cancellation read as
 	// undefined rather than zero; every answered slot is overwritten.
 	res := make([]float64, len(uniq))
@@ -557,97 +584,63 @@ func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchO
 	}
 
 	direct := func(i int) {
-		v, err := e.EvaluateContext(ctx, uniq[i])
+		v, err := b.DirectScan(ctx, uniq[i])
 		if err != nil {
 			v = math.NaN()
 		}
 		res[i] = v
 	}
-	runCubePlan := func(p *CubePlan) {
-		var cube *CubeResult
-		var err error
-		if p.Filter != nil {
-			cube, err = e.FilteredCubeForContext(ctx, p.Tables, p.Dims, p.Reqs, p.Filter)
-		} else {
-			cube, err = e.CubeForContext(ctx, p.Tables, p.Dims, p.Reqs)
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				for _, i := range p.QueryIdx {
-					res[i] = math.NaN()
-				}
-				return
-			}
-			for _, i := range p.QueryIdx {
-				direct(i)
-			}
+	// Each task writes disjoint slots of res, so no lock is needed.
+	task := func(t int) {
+		if t >= len(plan.Cubes) {
+			direct(plan.Direct[t-len(plan.Cubes)])
 			return
 		}
+		p := plan.Cubes[t]
+		cube, err := b.CubePass(ctx, p)
+		if err != nil && ctx.Err() != nil {
+			return // slots stay NaN
+		}
 		for _, i := range p.QueryIdx {
-			if v, ok := cube.Value(uniq[i]); ok {
-				e.Stats.CubeAnswers.Add(1)
-				res[i] = v
-			} else {
-				direct(i)
+			if err == nil {
+				if v, ok := cube.Value(uniq[i]); ok {
+					stats.CubeAnswers.Add(1)
+					res[i] = v
+					continue
+				}
 			}
+			direct(i)
 		}
 	}
 
+	tasks := len(plan.Cubes) + len(plan.Direct)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tasks := len(plan.Cubes) + len(plan.Direct)
 	if workers > tasks {
 		workers = tasks
 	}
+	// Stop feeding once the request is cancelled; workers drain what was
+	// already queued (each task re-checks ctx and is a no-op).
 	if workers <= 1 {
-		for _, p := range plan.Cubes {
-			if ctx.Err() != nil {
-				break
-			}
-			runCubePlan(p)
-		}
-		for _, i := range plan.Direct {
-			if ctx.Err() != nil {
-				break
-			}
-			direct(i)
+		for t := 0; t < tasks && ctx.Err() == nil; t++ {
+			task(t)
 		}
 	} else {
-		// Each task writes disjoint slots of res, so no lock is needed.
-		type task struct {
-			cube   *CubePlan
-			direct int
-		}
-		ch := make(chan task)
+		ch := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for t := range ch {
-					if t.cube != nil {
-						runCubePlan(t.cube)
-					} else {
-						direct(t.direct)
-					}
+					task(t)
 				}
 			}()
 		}
-		// Stop feeding once the request is cancelled; workers drain what
-		// was already queued (each task re-checks ctx and is a no-op).
-		for _, p := range plan.Cubes {
-			if ctx.Err() != nil {
-				break
-			}
-			ch <- task{cube: p}
-		}
-		for _, i := range plan.Direct {
-			if ctx.Err() != nil {
-				break
-			}
-			ch <- task{direct: i}
+		for t := 0; t < tasks && ctx.Err() == nil; t++ {
+			ch <- t
 		}
 		close(ch)
 		wg.Wait()
@@ -657,4 +650,22 @@ func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchO
 		out[i] = res[slot[i]]
 	}
 	return out
+}
+
+// EvaluateBatch runs the batch on the local engine: passes and scans read
+// the context-pinned snapshot, merging is amortized by the cube cache when
+// caching is on, and the planner may push shared selections down.
+func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64 {
+	return RunBatch(ctx, e, &e.Stats, e.DefaultTable(),
+		PlanOptions{MergeSmall: e.CachingEnabled(), Pushdown: e.PushdownEnabled()}, queries, opts)
+}
+
+// CubePass implements Backend.
+func (e *Engine) CubePass(ctx context.Context, p *CubePlan) (*CubeResult, error) {
+	return e.cubeForContext(ctx, p.Tables, p.Dims, p.Reqs, p.Filter)
+}
+
+// DirectScan implements Backend.
+func (e *Engine) DirectScan(ctx context.Context, q Query) (float64, error) {
+	return e.EvaluateContext(ctx, q)
 }

@@ -21,7 +21,7 @@ func TestPlanCubesSubsetMerge(t *testing.T) {
 		countQ("b", "u"),
 		countQ("a", "p", "b", "u"),
 	}
-	plan := PlanCubes(batch, "t", nil, true)
+	plan := PlanCubesOpt(batch, "t", PlanOptions{MergeSmall: true})
 	if len(plan.Cubes) != 1 || len(plan.Direct) != 0 {
 		t.Fatalf("plan = %d cubes, %d direct; want 1 cube (subset merging)", len(plan.Cubes), len(plan.Direct))
 	}
@@ -41,7 +41,7 @@ func TestPlanCubesUnionMergesDisjointGroups(t *testing.T) {
 		countQ("b", "u"), countQ("b", "v"), countQ("b", "w"),
 		countQ("c", "1"), countQ("c", "2"), countQ("c", "3"),
 	}
-	plan := PlanCubes(batch, "t", nil, true)
+	plan := PlanCubesOpt(batch, "t", PlanOptions{MergeSmall: true})
 	if len(plan.Cubes) != 1 {
 		t.Fatalf("plan = %d cubes, want 1 (disjoint groups packed into one m<=3 cube)", len(plan.Cubes))
 	}
@@ -49,7 +49,7 @@ func TestPlanCubesUnionMergesDisjointGroups(t *testing.T) {
 		t.Errorf("packed cube has %d dims, want %d", got, maxCubeDims)
 	}
 	batch = append(batch, countQ("d", "x"), countQ("d", "y"), countQ("d", "z"))
-	plan = PlanCubes(batch, "t", nil, true)
+	plan = PlanCubesOpt(batch, "t", PlanOptions{MergeSmall: true})
 	if len(plan.Cubes) != 2 {
 		t.Fatalf("plan = %d cubes, want 2 (fourth column exceeds the dimension limit)", len(plan.Cubes))
 	}
@@ -57,7 +57,7 @@ func TestPlanCubesUnionMergesDisjointGroups(t *testing.T) {
 
 func TestPlanCubesTooManyPredColumnsGoDirect(t *testing.T) {
 	wide := countQ("a", "p", "b", "u", "c", "1", "d", "x")
-	plan := PlanCubes([]Query{wide, countQ("a", "p")}, "t", nil, true)
+	plan := PlanCubesOpt([]Query{wide, countQ("a", "p")}, "t", PlanOptions{MergeSmall: true})
 	if len(plan.Direct) != 1 || plan.Direct[0] != 0 {
 		t.Fatalf("direct = %v, want [0] (four predicate columns exceed maxCubeDims)", plan.Direct)
 	}
@@ -67,12 +67,12 @@ func TestPlanCubesTooManyPredColumnsGoDirect(t *testing.T) {
 }
 
 func TestPlanCubesSmallGroupsDirectWithoutCache(t *testing.T) {
-	plan := PlanCubes([]Query{countQ("a", "p"), countQ("a", "q")}, "t", nil, false)
+	plan := PlanCubesOpt([]Query{countQ("a", "p"), countQ("a", "q")}, "t", PlanOptions{MergeSmall: false})
 	if len(plan.Cubes) != 0 || len(plan.Direct) != 2 {
 		t.Fatalf("plan = %d cubes, %d direct; want all direct (cost model, no cache)", len(plan.Cubes), len(plan.Direct))
 	}
 	// The same group is worth a cube once a cache amortizes the pass.
-	plan = PlanCubes([]Query{countQ("a", "p"), countQ("a", "q")}, "t", nil, true)
+	plan = PlanCubesOpt([]Query{countQ("a", "p"), countQ("a", "q")}, "t", PlanOptions{MergeSmall: true})
 	if len(plan.Cubes) != 1 || len(plan.Direct) != 0 {
 		t.Fatalf("plan = %d cubes, %d direct; want 1 cube with caching", len(plan.Cubes), len(plan.Direct))
 	}
@@ -80,7 +80,7 @@ func TestPlanCubesSmallGroupsDirectWithoutCache(t *testing.T) {
 
 func TestPlanCubesPoolLiteralsIncluded(t *testing.T) {
 	pool := map[string][]string{planRef("a").String(): {"p", "q", "r", "s"}}
-	plan := PlanCubes([]Query{countQ("a", "p")}, "t", pool, true)
+	plan := PlanCubesOpt([]Query{countQ("a", "p")}, "t", PlanOptions{Pool: pool, MergeSmall: true})
 	if len(plan.Cubes) != 1 {
 		t.Fatalf("plan = %d cubes, want 1", len(plan.Cubes))
 	}

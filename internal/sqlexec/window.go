@@ -6,34 +6,45 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"aggchecker/internal/db"
 )
+
+// BatchRunner executes claim batches positionally: *Engine locally,
+// shard.Coordinator by scatter-gather, and Window by pooling the batches of
+// concurrently-checked documents onto whichever of those it wraps.
+type BatchRunner interface {
+	EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64
+}
 
 // Window pools EvaluateBatch submissions from concurrently-checked
 // documents into one planning window, so N documents about the same tables
 // pay roughly one document's worth of cube passes. Each participant
 // registers with Join/Leave; its per-iteration claim batches then park in
 // the window instead of executing immediately. A window flushes — merging
-// every parked batch into one EvaluateBatch over the shared engine — when
+// every parked batch into one EvaluateBatch on the runner it wraps — when
 // all active participants have a batch parked, when the parked count
 // reaches MaxPending, or when the flush deadline expires (participants
 // whose EM phase runs long never stall the others for more than
 // FlushDelay).
 //
-// Batches are grouped by pinned snapshot version and each group flushes as
-// its own merged execution: documents pinned before and after an append
-// must not share passes, or their answers would not match isolated checks.
-// Within a group, merging is answer-preserving by construction — the
-// planner unions literal pools and dimension sets, and a cube answers each
-// query from the cell keyed by that query's own predicates, so widening a
-// pass with another document's literals or dimensions never changes a
-// covered query's value. The window additionally accumulates a
+// The window is indifferent to what it wraps: a local engine and a shard
+// coordinator pool alike. Batches are grouped by every snapshot version
+// their context pins (a sharded check pins the front database and each
+// partition) and each group flushes as its own merged execution under a
+// context that inherits those pins: documents pinned before and after an
+// append must not share passes, or their answers would not match isolated
+// checks. A batch whose context pins nothing names no rows to share, so it
+// is not pooled: it runs on the wrapped runner at once, as if there were no
+// window. Within a group, merging is answer-preserving by construction —
+// the planner unions literal pools and dimension sets, and a cube answers
+// each query from the cell keyed by that query's own predicates, so
+// widening a pass with another document's literals or dimensions never
+// changes a covered query's value. The window additionally accumulates a
 // corpus-lifetime literal pool: merged literal sets converge as the corpus
 // streams through, keeping cube shapes stable (sameDims) so later
 // documents hit the cache instead of forcing recomputes.
 type Window struct {
-	eng        *Engine
+	runner     BatchRunner
+	stats      *Stats
 	maxPending int
 	flushDelay time.Duration
 	workers    int
@@ -41,11 +52,10 @@ type Window struct {
 	mu      sync.Mutex
 	active  int // participants between Join and Leave
 	waiting int // batches parked across all groups
-	groups  map[uint64]*windowGroup
+	groups  map[string]*windowGroup
 	timer   *time.Timer
 
-	poolMu sync.Mutex
-	pool   map[string]map[string]bool // corpus-lifetime literal pool
+	pool LiteralPool // corpus-lifetime
 }
 
 // WindowConfig tunes a Window; zero values select the defaults.
@@ -67,9 +77,8 @@ const (
 )
 
 type windowGroup struct {
-	version uint64
-	snap    *db.Snapshot
-	reqs    []*windowReq
+	pins string // pinnedVersions of every member context
+	reqs []*windowReq
 }
 
 type windowReq struct {
@@ -79,15 +88,16 @@ type windowReq struct {
 	done    chan []float64 // buffered: the flusher never blocks on a member
 }
 
-// NewWindow creates a planning window over the engine.
-func NewWindow(e *Engine, cfg WindowConfig) *Window {
+// NewWindow creates a planning window whose merged executions run on r;
+// stats receives the window counters (batches, flushes, shared passes).
+func NewWindow(r BatchRunner, stats *Stats, cfg WindowConfig) *Window {
 	w := &Window{
-		eng:        e,
+		runner:     r,
+		stats:      stats,
 		maxPending: cfg.MaxPending,
 		flushDelay: cfg.FlushDelay,
 		workers:    cfg.Workers,
-		groups:     make(map[uint64]*windowGroup),
-		pool:       make(map[string]map[string]bool),
+		groups:     make(map[string]*windowGroup),
 	}
 	if w.maxPending <= 0 {
 		w.maxPending = defaultWindowMaxPending
@@ -97,9 +107,6 @@ func NewWindow(e *Engine, cfg WindowConfig) *Window {
 	}
 	return w
 }
-
-// Engine returns the engine merged executions run on.
-func (w *Window) Engine() *Engine { return w.eng }
 
 // Join registers one participant (a document check). Every participant
 // must Leave when its check ends, or parked batches from the others wait
@@ -127,24 +134,28 @@ func (w *Window) Leave() {
 }
 
 // EvaluateBatch parks the batch in the window and blocks until a flush
-// answers it (positionally, like Engine.EvaluateBatch). When ctx is
-// cancelled before the flush delivers, every slot reads NaN — the same
-// contract a cancelled Engine.EvaluateBatch honors.
+// answers it (positionally, like RunBatch); ctx must pin the snapshots the
+// batch reads (WithSnapshot) to be pooled. When ctx is cancelled before
+// the flush delivers, every slot reads NaN — the same contract a cancelled
+// RunBatch honors.
 func (w *Window) EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64 {
 	if len(queries) == 0 {
 		return nil
 	}
-	w.eng.Stats.WindowBatches.Add(1)
-	w.mergePool(opts.Pool)
+	pins := pinnedVersions(ctx)
+	if pins == "" {
+		return w.runner.EvaluateBatch(ctx, queries, opts)
+	}
+	w.stats.WindowBatches.Add(1)
+	w.pool.Add(opts.Pool)
 
-	snap := w.eng.snapshotFor(ctx)
 	r := &windowReq{ctx: ctx, queries: queries, opts: opts, done: make(chan []float64, 1)}
 
 	w.mu.Lock()
-	g := w.groups[snap.Version()]
+	g := w.groups[pins]
 	if g == nil {
-		g = &windowGroup{version: snap.Version(), snap: snap}
-		w.groups[snap.Version()] = g
+		g = &windowGroup{pins: pins}
+		w.groups[pins] = g
 	}
 	g.reqs = append(g.reqs, r)
 	w.waiting++
@@ -191,8 +202,8 @@ func (w *Window) takeLocked() []*windowGroup {
 	for _, g := range w.groups {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].version < out[b].version })
-	w.groups = make(map[uint64]*windowGroup)
+	sort.Slice(out, func(a, b int) bool { return out[a].pins < out[b].pins })
+	w.groups = make(map[string]*windowGroup)
 	w.waiting = 0
 	return out
 }
@@ -211,8 +222,7 @@ func (w *Window) flushGroup(g *windowGroup) {
 	if g == nil || len(g.reqs) == 0 {
 		return
 	}
-	e := w.eng
-	e.Stats.WindowFlushes.Add(1)
+	w.stats.WindowFlushes.Add(1)
 
 	all := make([]Query, 0, 64)
 	offs := make([]int, len(g.reqs)+1)
@@ -228,18 +238,17 @@ func (w *Window) flushGroup(g *windowGroup) {
 	if w.workers > 0 {
 		workers = w.workers
 	}
-	pool := w.snapshotPool()
 
-	if len(g.reqs) > 1 {
-		w.countSharedPasses(g, pool)
-	}
-
-	// Execute under a context pinned to the group's snapshot and cancelled
-	// only when EVERY member context is done: one cancelled document must
-	// not trash the answers the other members are waiting on. The watcher
-	// goroutine is released through stop when the flush finishes first
-	// (member contexts that are never cancelled must not leak it).
-	base, cancel := context.WithCancel(context.Background())
+	// Execute under a member's context stripped of its cancellation: the
+	// group shares every pinned snapshot by construction, and per-request
+	// scan tuning (scan workers, zone maps) carries over the same way —
+	// audit members share one checker's settings, so the first request is
+	// representative. The merged run is cancelled only when EVERY member
+	// context is done: one cancelled document must not trash the answers
+	// the other members are waiting on. The watcher goroutine is released
+	// through stop when the flush finishes first (member contexts that are
+	// never cancelled must not leak it).
+	mctx, cancel := context.WithCancel(context.WithoutCancel(g.reqs[0].ctx))
 	stop := make(chan struct{})
 	go func() {
 		for _, r := range g.reqs {
@@ -251,14 +260,13 @@ func (w *Window) flushGroup(g *windowGroup) {
 		}
 		cancel()
 	}()
-	mctx := WithSnapshot(base, g.snap)
-	if ov := overrideFor(g.reqs[0].ctx); ov != nil {
-		// Per-request scan tuning (scan workers, zone maps) carries over
-		// from the members; audit members share one checker's settings, so
-		// the first request is representative.
-		mctx = context.WithValue(mctx, execCtxKey{}, ov)
+	opts := BatchOptions{Pool: w.pool.For(all), Workers: workers}
+	if len(g.reqs) > 1 {
+		opts.observe = func(plan *BatchPlan, slot []int) {
+			w.stats.SharedPasses.Add(sharedPasses(plan, slot, offs))
+		}
 	}
-	vals := e.EvaluateBatch(mctx, all, BatchOptions{Pool: pool, Workers: workers})
+	vals := w.runner.EvaluateBatch(mctx, all, opts)
 	close(stop)
 	cancel()
 	for i, r := range g.reqs {
@@ -266,80 +274,38 @@ func (w *Window) flushGroup(g *windowGroup) {
 	}
 }
 
-// countSharedPasses plans the merged batch the way EvaluateBatch is about
-// to and records how many cube passes serve queries from more than one
-// member — the economics the audit report surfaces. A query submitted
+// sharedPasses counts the cube passes of an executed plan that serve
+// queries from more than one member — the economics the audit report
+// surfaces. slot maps each merged-batch query to the deduplicated query the
+// plan indexes; offs holds the members' batch boundaries. A query submitted
 // identically by two members counts its pass as shared too: after
 // deduplication one pass answers both documents.
-func (w *Window) countSharedPasses(g *windowGroup, pool map[string][]string) {
-	e := w.eng
-	uniqIdx := make(map[string]int)
-	var uniq []Query
-	var members []map[int]bool // uniq index -> member set
-	for i, r := range g.reqs {
-		for _, q := range r.queries {
-			k := q.Key()
-			j, ok := uniqIdx[k]
-			if !ok {
-				j = len(uniq)
-				uniqIdx[k] = j
-				uniq = append(uniq, q)
-				members = append(members, make(map[int]bool, 2))
-			}
-			members[j][i] = true
+func sharedPasses(plan *BatchPlan, slot, offs []int) int64 {
+	const unowned, several = -1, -2
+	owner := make([]int, len(slot)) // deduplicated query -> submitting member
+	for i := range owner {
+		owner[i] = unowned
+	}
+	m := 0
+	for i, j := range slot {
+		for i >= offs[m+1] {
+			m++
+		}
+		if owner[j] == unowned {
+			owner[j] = m
+		} else if owner[j] != m {
+			owner[j] = several
 		}
 	}
-	plan := PlanCubesOpt(uniq, e.DefaultTable(), PlanOptions{
-		Pool:       pool,
-		MergeSmall: e.CachingEnabled(),
-		Pushdown:   e.PushdownEnabled(),
-	})
+	var n int64
 	for _, p := range plan.Cubes {
-		seen := make(map[int]bool, len(g.reqs))
+		first := owner[p.QueryIdx[0]]
 		for _, qi := range p.QueryIdx {
-			for m := range members[qi] {
-				seen[m] = true
+			if owner[qi] != first || first == several {
+				n++
+				break
 			}
 		}
-		if len(seen) > 1 {
-			e.Stats.SharedPasses.Add(1)
-		}
 	}
-}
-
-// mergePool folds one batch's literal pool into the window's
-// corpus-lifetime pool. The pool only grows, so cube literal sets converge
-// across documents and cached cubes keep their shape (sameDims) instead of
-// recomputing per document.
-func (w *Window) mergePool(p map[string][]string) {
-	if len(p) == 0 {
-		return
-	}
-	w.poolMu.Lock()
-	for col, lits := range p {
-		set := w.pool[col]
-		if set == nil {
-			set = make(map[string]bool, len(lits))
-			w.pool[col] = set
-		}
-		for _, l := range lits {
-			set[l] = true
-		}
-	}
-	w.poolMu.Unlock()
-}
-
-func (w *Window) snapshotPool() map[string][]string {
-	w.poolMu.Lock()
-	defer w.poolMu.Unlock()
-	out := make(map[string][]string, len(w.pool))
-	for col, set := range w.pool {
-		lits := make([]string, 0, len(set))
-		for l := range set {
-			lits = append(lits, l)
-		}
-		sort.Strings(lits)
-		out[col] = lits
-	}
-	return out
+	return n
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aggchecker/internal/db"
 )
 
 func windowQueries() []Query {
@@ -16,15 +18,21 @@ func windowQueries() []Query {
 	}
 }
 
+// pinnedCtx pins d's current snapshot, as core.check does for every member
+// it sends through a window.
+func pinnedCtx(d *db.Database) context.Context {
+	return WithSnapshot(context.Background(), d.Snapshot())
+}
+
 func TestWindowSingleParticipantMatchesEngine(t *testing.T) {
 	d := nflDB(t)
 	want := NewEngine(d).EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
 
 	e := NewEngine(d)
-	w := NewWindow(e, WindowConfig{})
+	w := NewWindow(e, &e.Stats, WindowConfig{})
 	w.Join()
 	defer w.Leave()
-	got := w.EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
+	got := w.EvaluateBatch(pinnedCtx(d), windowQueries(), BatchOptions{})
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
 	}
@@ -54,7 +62,7 @@ func TestWindowMergesConcurrentParticipants(t *testing.T) {
 	wantB := base.EvaluateBatch(context.Background(), qb, BatchOptions{})
 
 	e := NewEngine(d)
-	w := NewWindow(e, WindowConfig{})
+	w := NewWindow(e, &e.Stats, WindowConfig{})
 	var wg sync.WaitGroup
 	var gotA, gotB []float64
 	w.Join()
@@ -63,12 +71,12 @@ func TestWindowMergesConcurrentParticipants(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer w.Leave()
-		gotA = w.EvaluateBatch(context.Background(), qa, BatchOptions{})
+		gotA = w.EvaluateBatch(pinnedCtx(d), qa, BatchOptions{})
 	}()
 	go func() {
 		defer wg.Done()
 		defer w.Leave()
-		gotB = w.EvaluateBatch(context.Background(), qb, BatchOptions{})
+		gotB = w.EvaluateBatch(pinnedCtx(d), qb, BatchOptions{})
 	}()
 	wg.Wait()
 
@@ -94,14 +102,14 @@ func TestWindowTimerFlushesPartialWindow(t *testing.T) {
 	want := NewEngine(d).EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
 
 	e := NewEngine(d)
-	w := NewWindow(e, WindowConfig{FlushDelay: 2 * time.Millisecond})
+	w := NewWindow(e, &e.Stats, WindowConfig{FlushDelay: 2 * time.Millisecond})
 	w.Join()
 	w.Join() // second participant parks nothing
 	defer w.Leave()
 	defer w.Leave()
 
 	start := time.Now()
-	got := w.EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
+	got := w.EvaluateBatch(pinnedCtx(d), windowQueries(), BatchOptions{})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("flush took %v", elapsed)
 	}
@@ -131,7 +139,7 @@ func TestWindowGroupsBySnapshotVersion(t *testing.T) {
 	}
 
 	e := NewEngine(d)
-	w := NewWindow(e, WindowConfig{})
+	w := NewWindow(e, &e.Stats, WindowConfig{})
 	q := []Query{{Agg: Count, Preds: []Predicate{{Col: ref("games"), Value: "indef"}}}}
 
 	var wg sync.WaitGroup
@@ -159,16 +167,41 @@ func TestWindowGroupsBySnapshotVersion(t *testing.T) {
 	}
 }
 
+// TestWindowRunsUnpinnedBatchesDirectly: a batch whose context pins no
+// snapshot names no rows it could share, so it is answered at once by the
+// wrapped runner — it neither parks (the second participant never submits
+// and the flush delay is a minute) nor counts as a window batch.
+func TestWindowRunsUnpinnedBatchesDirectly(t *testing.T) {
+	d := nflDB(t)
+	want := NewEngine(d).EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
+
+	e := NewEngine(d)
+	w := NewWindow(e, &e.Stats, WindowConfig{FlushDelay: time.Minute})
+	w.Join()
+	w.Join()
+	defer w.Leave()
+	defer w.Leave()
+	got := w.EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
+	for i := range want {
+		if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Errorf("q%d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if n := e.Stats.WindowBatches.Load() + e.Stats.WindowFlushes.Load(); n != 0 {
+		t.Errorf("unpinned batch counted %d window batches+flushes, want 0", n)
+	}
+}
+
 // TestWindowCancelledMemberGetsNaN: a member whose context dies before the
 // flush reads NaN for every slot, and surviving members still get real
 // answers.
 func TestWindowCancelledMemberGetsNaN(t *testing.T) {
 	d := nflDB(t)
 	e := NewEngine(d)
-	w := NewWindow(e, WindowConfig{FlushDelay: time.Minute})
+	w := NewWindow(e, &e.Stats, WindowConfig{FlushDelay: time.Minute})
 	q := windowQueries()
 
-	cancelled, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(pinnedCtx(d))
 	cancel()
 
 	// Two participants, long flush delay: the dead member parks first and
@@ -180,7 +213,7 @@ func TestWindowCancelledMemberGetsNaN(t *testing.T) {
 	defer w.Leave()
 	defer w.Leave()
 	gotDead := w.EvaluateBatch(cancelled, q, BatchOptions{})
-	gotLive := w.EvaluateBatch(context.Background(), q, BatchOptions{})
+	gotLive := w.EvaluateBatch(pinnedCtx(d), q, BatchOptions{})
 
 	for i, v := range gotDead {
 		if !math.IsNaN(v) {
