@@ -11,7 +11,7 @@
 //
 // Quickstart:
 //
-//	tbl, _ := aggchecker.LoadCSVFile("nflsuspensions.csv", "")
+//	tbl, _ := aggchecker.LoadCSVFileOptions("nflsuspensions.csv", "", aggchecker.CSVOptions{})
 //	db := aggchecker.NewDatabase("nfl")
 //	db.MustAddTable(tbl)
 //	checker := aggchecker.New(db, aggchecker.DefaultConfig())
@@ -33,8 +33,7 @@
 // pool spanning every concurrent request, with per-request fair queuing.
 // NewService(WithScheduler(NewScheduler(n))) installs one pool per
 // process; engine-construction knobs (Config.Exec) use ExecOption
-// constructors (ExecScanWorkers, ExecZoneMaps, ExecCaching,
-// ExecScalarKernel, ExecScheduler).
+// constructors (ExecScanWorkers, ExecScheduler, ExecCubeCacheBudget).
 //
 // Storage is snapshot-versioned: databases are opened from pluggable
 // Sources (CSV, JSONL, in-memory builders), rows appended between checks
@@ -147,9 +146,6 @@ type ServiceOption = core.ServiceOption
 // RegisterOption configures one Service database registration.
 type RegisterOption = core.RegisterOption
 
-// OpenFunc lazily materializes a registered database on first use.
-type OpenFunc = core.OpenFunc
-
 // CheckOption customizes one Check or Stream call without mutating the
 // checker's shared Config.
 type CheckOption = core.CheckOption
@@ -185,7 +181,7 @@ type WindowConfig = sqlexec.WindowConfig
 type Scheduler = sqlexec.Scheduler
 
 // ExecOption configures engine construction (Config.Exec): scan-worker
-// bounds, zone maps, kernel selection, caching, and scheduler attachment.
+// bound, scheduler attachment, and cube-cache budget.
 type ExecOption = sqlexec.ExecOption
 
 // Event is one element of a verification stream; concrete types are
@@ -318,17 +314,6 @@ func WithScheduler(s *Scheduler) ServiceOption { return core.WithScheduler(s) }
 // ExecScanWorkers sets an engine's default per-scan worker bound.
 func ExecScanWorkers(n int) ExecOption { return sqlexec.WithScanWorkers(n) }
 
-// ExecZoneMaps sets an engine's default zone-map pruning toggle.
-func ExecZoneMaps(on bool) ExecOption { return sqlexec.WithZoneMaps(on) }
-
-// ExecScalarKernel forces the scalar (non-vectorized) kernel; the
-// vectorized kernel is the default.
-func ExecScalarKernel(on bool) ExecOption { return sqlexec.WithScalarKernel(on) }
-
-// ExecCaching toggles cube-result caching (disabling also drops cached
-// results).
-func ExecCaching(on bool) ExecOption { return sqlexec.WithCaching(on) }
-
 // ExecScheduler attaches a shared morsel scheduler to one engine.
 func ExecScheduler(s *Scheduler) ExecOption { return sqlexec.WithScheduler(s) }
 
@@ -361,25 +346,16 @@ func NewJSONLSource(name string, files ...string) *JSONLSource {
 // NewMemSource returns a Source over an in-memory database.
 func NewMemSource(d *Database) *MemSource { return db.NewMemSource(d) }
 
-// NewDatabase creates an empty database.
-//
-// Deprecated: hand-built databases remain fully supported as the in-memory
-// builder path, but prefer registering a Source (NewMemSource wraps a
-// built Database) so services can Refresh it; use Append/Commit rather
-// than direct column mutation once checking has started.
+// NewDatabase creates an empty database: the in-memory builder path. A
+// service can Refresh a built Database registered through NewMemSource;
+// use Append/Commit rather than direct column mutation once checking has
+// started.
 func NewDatabase(name string) *Database { return db.NewDatabase(name) }
 
-// LoadCSVFile loads a table from a CSV file with type inference; the table
-// name defaults to the file's base name.
-//
-// Deprecated: use NewCSVSource (or LoadCSVFileOptions for one table with
-// explicit CSVOptions); sources open lazily and refresh incrementally.
-func LoadCSVFile(path, tableName string) (*Table, error) {
-	return db.LoadCSVFile(path, tableName)
-}
-
-// LoadCSVFileOptions loads a table from a CSV file with explicit parsing
-// options (NULL tokens, delimiter).
+// LoadCSVFileOptions loads a table from a CSV file with type inference
+// and explicit parsing options (NULL tokens, delimiter; the zero
+// CSVOptions are the defaults); the table name defaults to the file's
+// base name. NewCSVSource opens lazily and refreshes incrementally.
 func LoadCSVFileOptions(path, tableName string, opts CSVOptions) (*Table, error) {
 	return db.LoadCSVFileOptions(path, tableName, opts)
 }

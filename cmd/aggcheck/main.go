@@ -104,7 +104,7 @@ func main() {
 
 	db := aggchecker.NewDatabase("userdb")
 	for _, path := range strings.Split(*data, ",") {
-		tbl, err := aggchecker.LoadCSVFile(strings.TrimSpace(path), "")
+		tbl, err := aggchecker.LoadCSVFileOptions(strings.TrimSpace(path), "", aggchecker.CSVOptions{})
 		if err != nil {
 			fatal(err)
 		}

@@ -277,7 +277,7 @@ func watchSources(ctx context.Context, svc *core.Service, logger *log.Logger, ev
 // registerDemo registers every corpus case under its name, with the NFL
 // running example (case 0) registered as "nfl" — one name per dataset, so
 // no catalog is ever built twice for the same data. The corpus is built
-// once here; the per-case OpenFuncs just hand out the prebuilt databases.
+// once here and each prebuilt database is registered as is.
 func registerDemo(svc *core.Service) (int, error) {
 	c, err := corpus.Load()
 	if err != nil {
@@ -289,8 +289,7 @@ func registerDemo(svc *core.Service) (int, error) {
 		if i == 0 {
 			name = "nfl"
 		}
-		d := tc.DB
-		if err := svc.Register(name, func(context.Context) (*db.Database, error) { return d, nil }); err != nil {
+		if err := svc.RegisterDatabase(name, tc.DB); err != nil {
 			return n, err
 		}
 		n++

@@ -1,8 +1,7 @@
-// Package benchdata builds the benchmark database and case matrix shared
-// by the in-repo cube kernel benchmarks (internal/sqlexec) and
-// cmd/benchcube, so BenchmarkCubeKernel and the committed BENCH_cube.json
-// perf record always measure the same workload. Any schema or case tweak
-// lands in both consumers by construction.
+// Package benchdata builds the benchmark database and cube-pass case
+// matrix of BenchmarkCubeKernel (internal/sqlexec) and of the colstore
+// cold-open benchmark and page-residency test. It imports sqlexec, so its
+// consumers are external test packages.
 package benchdata
 
 import (
@@ -83,125 +82,6 @@ func BuildDB(rows int) *db.Database {
 	d.MustAddTable(dim)
 	d.MustAddForeignKey(db.ForeignKey{FromTable: "fact", FromColumn: "k", ToTable: "dims", ToColumn: "k"})
 	return d
-}
-
-// AppendFactRows stages and commits n rows into the fact table, drawn from
-// the same distributions as BuildDB, as one sealed block — the unit of the
-// append-heavy incremental-maintenance workload (cmd/benchcube -delta).
-func AppendFactRows(d *db.Database, n int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	avals := []string{"p", "q", "r", "s"}
-	bvals := []string{"u", "v", "w"}
-	cvals := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
-	kvals := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
-	rows := make([][]any, n)
-	for i := range rows {
-		var a any = avals[rng.Intn(len(avals))]
-		if rng.Intn(20) == 0 {
-			a = nil
-		}
-		var x any = float64(rng.Intn(1000))
-		if rng.Intn(20) == 0 {
-			x = nil
-		}
-		rows[i] = []any{
-			a,
-			bvals[rng.Intn(len(bvals))],
-			cvals[rng.Intn(len(cvals))],
-			float64(rng.Intn(6)),
-			float64(rng.Intn(4)),
-			float64(rng.Intn(5)),
-			x,
-			rng.Float64() * 100,
-			// Appended rows continue the clustered columns with values the
-			// seed rows never carry, so zone maps can prune the sealed
-			// prefix for append-band queries (and vice versa).
-			"zapp",
-			float64(1 << 30),
-			kvals[rng.Intn(len(kvals))],
-		}
-	}
-	if err := d.Append("fact", rows...); err != nil {
-		return err
-	}
-	_, err := d.Commit()
-	return err
-}
-
-// ScanCase is one direct-scan benchmark configuration: a single query
-// evaluated with a dedicated scan, the workload of Table 6's naive row and
-// the planner's small-group fallback.
-type ScanCase struct {
-	Name  string
-	Query sqlexec.Query
-	// Prunable marks cases whose literals cluster in few zones: the
-	// zone-mapped pipeline must record pruned blocks on them (benchcube
-	// -scan hard-fails otherwise).
-	Prunable bool
-}
-
-// ScanCases returns the direct-scan matrix: hot predicates zone maps
-// cannot prune (isolating the vectorized-selection-vector win over the
-// retired closure matchers), clustered string and numeric predicates
-// (isolating the zone-pruning win), and a pruned ratio query whose
-// denominator still covers every row. Prunable is asserted only at table
-// sizes where a clustered literal is guaranteed to miss at least one
-// whole zone (bands shorter than a zone can straddle every zone boundary
-// of a tiny table, making the cold cases legitimately unprunable).
-func ScanCases(rows int) []ScanCase {
-	fc := func(c string) sqlexec.ColumnRef { return sqlexec.ColumnRef{Table: "fact", Column: c} }
-	band := rows / scanBands
-	if band == 0 {
-		band = 1
-	}
-	// A mid-table band touches at most band/ZoneRows+2 zones; some zone is
-	// provably band-free once the table holds a few more zones than that.
-	bandPrunable := rows/db.ZoneRows > band/db.ZoneRows+2
-	// A single point value touches one zone; any second zone can prune.
-	pointPrunable := rows > 2*db.ZoneRows
-	midT := strconv.Itoa(band*(scanBands/2) + band/2) // one t value, mid-table
-	return []ScanCase{
-		{
-			Name: "count-2pred-hot",
-			Query: sqlexec.Query{Agg: sqlexec.Count, Preds: []sqlexec.Predicate{
-				{Col: fc("a"), Value: "p"}, {Col: fc("b"), Value: "u"},
-			}},
-		},
-		{
-			Name: "sum-1pred-hot",
-			Query: sqlexec.Query{Agg: sqlexec.Sum, AggCol: fc("x"), Preds: []sqlexec.Predicate{
-				{Col: fc("a"), Value: "p"},
-			}},
-		},
-		{
-			Name: "count-band-cold",
-			Query: sqlexec.Query{Agg: sqlexec.Count, Preds: []sqlexec.Predicate{
-				{Col: fc("z"), Value: "z" + strconv.Itoa(scanBands/2)},
-			}},
-			Prunable: bandPrunable,
-		},
-		{
-			Name: "sum-band-cold",
-			Query: sqlexec.Query{Agg: sqlexec.Sum, AggCol: fc("x"), Preds: []sqlexec.Predicate{
-				{Col: fc("z"), Value: "z" + strconv.Itoa(scanBands/2)},
-			}},
-			Prunable: bandPrunable,
-		},
-		{
-			Name: "count-time-point",
-			Query: sqlexec.Query{Agg: sqlexec.Count, Preds: []sqlexec.Predicate{
-				{Col: fc("t"), Value: midT},
-			}},
-			Prunable: pointPrunable,
-		},
-		{
-			Name: "pct-band-cold",
-			Query: sqlexec.Query{Agg: sqlexec.Percentage, Preds: []sqlexec.Predicate{
-				{Col: fc("z"), Value: "z" + strconv.Itoa(scanBands/2)},
-			}},
-			Prunable: bandPrunable,
-		},
-	}
 }
 
 // Case is one cube-pass benchmark configuration.

@@ -521,7 +521,6 @@ type Stats struct {
 // the page table, and that is visible here.
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	s := Stats{
 		Dir:           st.dir,
 		Version:       st.version,
@@ -540,7 +539,13 @@ func (st *Store) Stats() Stats {
 	for _, m := range st.maps {
 		s.MappedBytes += int64(len(m))
 	}
-	s.ResidentBytes = residentBytes(st.maps)
+	// Publish takes st.mu under the database's commit lock, so the smaps
+	// walk runs on a copy after the lock is released: a status poll must
+	// not stall a refresh. residentBytes only takes the mappings'
+	// addresses, so a concurrent Close cannot fault it.
+	maps := append([]mappedBytes(nil), st.maps...)
+	st.mu.Unlock()
+	s.ResidentBytes = residentBytes(maps)
 	return s
 }
 

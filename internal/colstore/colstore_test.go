@@ -340,6 +340,43 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
+// TestStatsConcurrentWithPublish polls Stats — whose /proc/self/smaps walk
+// runs outside the store lock, so a status poll cannot stall a refresh —
+// beside a run of commits that publish through the same store.
+func TestStatsConcurrentWithPublish(t *testing.T) {
+	// A reopened store holds mappings for the walk to look up.
+	dir, _ := commitVersions(t)
+	rd, st := openRestore(t, dir)
+	defer st.Close()
+	rows := rd.Snapshot().Table("fact").NumRows()
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if s := st.Stats(); s.MappedBytes <= 0 {
+				t.Errorf("stats lost the mappings: %+v", s)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-polled }()
+	for i := 0; i < 20; i++ {
+		appendFactRows(t, rd, rows+100*i, 100)
+		if _, err := rd.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := st.Stats(); s.Version != rd.Version() {
+		t.Fatalf("stats version = %d, want %d", s.Version, rd.Version())
+	}
+}
+
 func TestOpenRejectsUnknownDir(t *testing.T) {
 	// Opening a path whose parent is a file must fail, not panic.
 	dir := t.TempDir()

@@ -45,7 +45,7 @@ func evictionRace(t *testing.T, shards int) {
 	svc := NewService(WithDefaultConfig(cfg), WithMaxResident(1), WithShards(shards))
 	for _, f := range fixtures {
 		f := f
-		if err := svc.Register(f.name, func(context.Context) (*db.Database, error) { return f.sc.DB, nil }); err != nil {
+		if err := svc.RegisterSource(f.name, db.SourceFunc(func(context.Context) (*db.Database, error) { return f.sc.DB, nil })); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -246,7 +246,7 @@ func TestAuditReportTotals(t *testing.T) {
 func TestStatusReportsCacheStats(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	svc := NewService(WithDefaultConfig(quickCfg()))
-	if err := svc.Register("nfl", OpenFunc(func(context.Context) (*db.Database, error) { return tc.DB, nil })); err != nil {
+	if err := svc.RegisterSource("nfl", db.SourceFunc(func(context.Context) (*db.Database, error) { return tc.DB, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Check(context.Background(), "nfl", tc.Doc); err != nil {

@@ -58,8 +58,7 @@ func WithScanWorkers(n int) CheckOption {
 }
 
 // WithZoneMaps toggles zone-map pruning for this request only. Results are
-// identical either way; pruning off is the benchmark baseline and an
-// operational escape hatch.
+// identical either way; pruning off is an operational escape hatch.
 func WithZoneMaps(on bool) CheckOption {
 	return func(s *checkSettings) { s.exec = append(s.exec, sqlexec.WithZoneMaps(on)) }
 }

@@ -20,14 +20,9 @@ import (
 // request names a database that was never registered.
 var ErrUnknownDatabase = errors.New("unknown database")
 
-// OpenFunc materializes a registered database on first use: loading CSVs,
-// building tables, wiring foreign keys. It runs outside the service lock
-// and should honor ctx for slow sources.
-type OpenFunc func(ctx context.Context) (*db.Database, error)
-
 // Service hosts many named databases behind one verification front end —
 // the multi-tenant face of the package. Databases are registered cheaply
-// (an OpenFunc, no data loaded); the per-database Checker, whose fragment
+// (a db.Source, no data loaded); the per-database Checker, whose fragment
 // catalog and keyword indexes are the expensive per-dataset preprocessing
 // of §4.2, is built lazily on first request. Concurrent first requests for
 // the same database are coalesced onto a single build (singleflight), and
@@ -339,18 +334,6 @@ func (s *Service) RegisterSource(name string, dsrc db.Source, opts ...RegisterOp
 	}
 	s.sources[name] = src
 	return nil
-}
-
-// Register adds a named database whose data is materialized by open on
-// first use.
-//
-// Deprecated: use RegisterSource with a db.Source; plain OpenFuncs cannot
-// refresh incrementally (Refresh falls back to evicting the catalog).
-func (s *Service) Register(name string, open OpenFunc, opts ...RegisterOption) error {
-	if open == nil {
-		return fmt.Errorf("aggchecker: register %q: nil OpenFunc", name)
-	}
-	return s.RegisterSource(name, db.SourceFunc(open), opts...)
 }
 
 // RegisterDatabase adds an already-loaded in-memory database (a

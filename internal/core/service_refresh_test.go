@@ -168,7 +168,7 @@ func TestServiceRefreshSingleflight(t *testing.T) {
 func TestServiceRefreshOpaqueSourceEvicts(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	svc := NewService(WithDefaultConfig(quickCfg()))
-	if err := svc.Register("nfl", func(context.Context) (*db.Database, error) { return tc.DB, nil }); err != nil {
+	if err := svc.RegisterSource("nfl", db.SourceFunc(func(context.Context) (*db.Database, error) { return tc.DB, nil })); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

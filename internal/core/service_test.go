@@ -12,7 +12,7 @@ import (
 	"aggchecker/internal/db"
 )
 
-func nflOpener(t *testing.T, builds *atomic.Int32) OpenFunc {
+func nflOpener(t *testing.T, builds *atomic.Int32) db.SourceFunc {
 	t.Helper()
 	tc := corpus.MustLoad().Cases[0]
 	return func(context.Context) (*db.Database, error) {
@@ -37,10 +37,10 @@ func TestServiceUnknownDatabase(t *testing.T) {
 
 func TestServiceDuplicateRegistration(t *testing.T) {
 	svc := NewService()
-	if err := svc.Register("a", nflOpener(t, nil)); err != nil {
+	if err := svc.RegisterSource("a", nflOpener(t, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Register("a", nflOpener(t, nil)); err == nil {
+	if err := svc.RegisterSource("a", nflOpener(t, nil)); err == nil {
 		t.Fatal("second Register succeeded, want error")
 	}
 }
@@ -48,7 +48,7 @@ func TestServiceDuplicateRegistration(t *testing.T) {
 func TestServiceLazySingleflightBuild(t *testing.T) {
 	var builds atomic.Int32
 	svc := NewService(WithDefaultConfig(quickCfg()))
-	if err := svc.Register("nfl", nflOpener(t, &builds)); err != nil {
+	if err := svc.RegisterSource("nfl", nflOpener(t, &builds)); err != nil {
 		t.Fatal(err)
 	}
 	if got := builds.Load(); got != 0 {
@@ -85,7 +85,7 @@ func TestServiceLRUEviction(t *testing.T) {
 	var builds atomic.Int32
 	svc := NewService(WithDefaultConfig(quickCfg()), WithMaxResident(2))
 	for _, name := range []string{"a", "b", "c"} {
-		if err := svc.Register(name, nflOpener(t, &builds)); err != nil {
+		if err := svc.RegisterSource(name, nflOpener(t, &builds)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,12 +122,12 @@ func TestServiceOpenErrorIsNotCached(t *testing.T) {
 	fail := true
 	tc := corpus.MustLoad().Cases[0]
 	svc := NewService(WithDefaultConfig(quickCfg()))
-	err := svc.Register("flaky", func(context.Context) (*db.Database, error) {
+	err := svc.RegisterSource("flaky", db.SourceFunc(func(context.Context) (*db.Database, error) {
 		if fail {
 			return nil, fmt.Errorf("source offline")
 		}
 		return tc.DB, nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

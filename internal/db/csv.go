@@ -142,13 +142,8 @@ func buildCSVTable(tableName string, header []string, rows [][]string, opts CSVO
 	return NewTable(tableName, cols...)
 }
 
-// LoadCSVFile loads a table from a CSV file; the table name defaults to the
-// file's base name without extension.
-func LoadCSVFile(path, tableName string) (*Table, error) {
-	return LoadCSVFileOptions(path, tableName, CSVOptions{})
-}
-
-// LoadCSVFileOptions is LoadCSVFile with explicit parsing options.
+// LoadCSVFileOptions loads a table from a CSV file (see LoadCSVOptions);
+// the table name defaults to the file's base name without extension.
 func LoadCSVFileOptions(path, tableName string, opts CSVOptions) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -20,7 +20,7 @@ func newTestServer(t *testing.T, opts Options) (*httptest.Server, *corpus.TestCa
 	t.Helper()
 	tc := corpus.MustLoad().Cases[0]
 	svc := core.NewService()
-	if err := svc.Register("nfl", func(context.Context) (*db.Database, error) { return tc.DB, nil }); err != nil {
+	if err := svc.RegisterSource("nfl", db.SourceFunc(func(context.Context) (*db.Database, error) { return tc.DB, nil })); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(svc, opts))

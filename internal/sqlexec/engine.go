@@ -309,7 +309,7 @@ type Engine struct {
 	pushdown atomic.Bool
 	// zoneMaps enables zone-map pruning in the scan pipeline (on by
 	// default); WithZoneMaps(false) is the operational escape hatch and the
-	// benchmark baseline toggle.
+	// scan differential tests' oracle.
 	zoneMaps atomic.Bool
 	// scanWorkers bounds intra-pass parallelism (morsels in flight on the
 	// shared scheduler, or private row-range partials without one); <= 0
@@ -392,9 +392,6 @@ func (e *Engine) CacheUsage() (entries int, bytes int64) {
 // PushdownEnabled reports whether the batch planner may merge
 // predicate-sharing queries into filtered cube passes.
 func (e *Engine) PushdownEnabled() bool { return e.pushdown.Load() }
-
-// ZoneMapsEnabled reports whether zone-map pruning is active.
-func (e *Engine) ZoneMapsEnabled() bool { return e.zoneMaps.Load() }
 
 // CachingEnabled reports whether cube results are cached.
 func (e *Engine) CachingEnabled() bool { return e.caching.Load() }

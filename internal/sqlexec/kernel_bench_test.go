@@ -1,9 +1,8 @@
 package sqlexec_test
 
-// External test package: the benchmark drives the exported engine surface
-// so it can share the schema and case matrix with cmd/benchcube through
-// internal/benchdata (which imports sqlexec and therefore cannot be used
-// from the in-package tests).
+// External test package: the benchmark takes its schema and case matrix
+// from internal/benchdata, which imports sqlexec and therefore cannot be
+// used from the in-package tests.
 
 import (
 	"context"

@@ -9,8 +9,7 @@ import (
 // functional-options type configures an engine at construction
 // (NewEngine(d, opts...)), retunes it atomically at runtime
 // (Engine.Tune(opts...)), and — for the per-request subset — overrides a
-// single request through its context (ContextWithOptions). It replaces the
-// Set* mutator sprawl; the old methods survive as thin deprecated wrappers.
+// single request through its context (ContextWithOptions).
 
 // execOptions collects the knobs an ExecOption list sets. Pointer fields
 // distinguish "not mentioned" from an explicit value, so Tune only touches
@@ -41,18 +40,21 @@ func WithScanWorkers(n int) ExecOption {
 	return func(o *execOptions) { o.scanWorkers = &n }
 }
 
-// WithZoneMaps toggles zone-map pruning in the shared scan pipeline. With
-// pruning off, direct scans and cube passes process every block; results
-// are identical either way (pruning only skips provably irrelevant rows).
-// Honored per request by ContextWithOptions.
+// WithZoneMaps toggles zone-map pruning in the shared scan pipeline (on by
+// default). With pruning off, direct scans and cube passes process every
+// block; results are identical either way (pruning only skips provably
+// irrelevant rows), so off is the oracle of the scan differential tests
+// and a per-request escape hatch. Honored per request by
+// ContextWithOptions.
 func WithZoneMaps(on bool) ExecOption {
 	return func(o *execOptions) { o.zoneMaps = &on }
 }
 
-// WithScalarKernel routes cube passes to the legacy scalar interpreter
+// WithScalarKernel routes cube passes to the scalar interpreter
 // (row-at-a-time, map-keyed cell store) instead of the vectorized columnar
-// kernel — the differential-testing oracle and operational escape hatch;
-// both kernels produce identical results.
+// kernel. Both kernels produce identical results: the scalar one is the
+// oracle of the kernel differential tests and the yardstick of
+// BenchmarkCubeKernel.
 func WithScalarKernel(on bool) ExecOption {
 	return func(o *execOptions) { o.scalarKernel = &on }
 }
@@ -68,8 +70,8 @@ func WithCaching(on bool) ExecOption {
 // planner (on by default): queries sharing an equality predicate may merge
 // into one filtered cube pass whose kernel compacts each scan segment
 // through the shared predicate's selection vector before accumulating.
-// Results are bit-for-bit identical either way — turning it off is the
-// operational escape hatch and the benchmark baseline toggle.
+// Results are bit-for-bit identical either way — off is the oracle of the
+// pushdown differential tests.
 func WithSelectionPushdown(on bool) ExecOption {
 	return func(o *execOptions) { o.pushdown = &on }
 }
@@ -206,14 +208,3 @@ func (e *Engine) resolveScanWorkers(raw int) int {
 	}
 	return w
 }
-
-// ScanWorkers returns the effective per-scan worker bound an engine-level
-// request resolves to right now — the number benchmark records should
-// report for "auto" (0) settings.
-func (e *Engine) ScanWorkers() int {
-	return e.resolveScanWorkers(int(e.scanWorkers.Load()))
-}
-
-// Scheduler returns the shared morsel scheduler the engine submits to, or
-// nil when it runs private per-pass pools.
-func (e *Engine) Scheduler() *Scheduler { return e.sched.Load() }

@@ -6,9 +6,9 @@ import (
 )
 
 // Benchmarks compare the three flavors of each primitive on one
-// kernel-block of rows (4096, matching sqlexec's kernelBlockRows).
-// cmd/benchcube -kernels runs the same shapes and records ns/row to
-// BENCH_kernel.json; these exist so `go test -bench` smoke keeps all
+// kernel-block of rows (4096, matching sqlexec's kernelBlockRows). This
+// is the primitive table: `go test -run '^$' -bench . ./internal/vec`
+// prints ns/op per primitive and flavor, and `make bench-smoke` keeps all
 // variants executing.
 const benchRows = 4096
 
