@@ -12,12 +12,15 @@ build:
 test:
 	$(GO) test -count=1 ./...
 
-# flake-guard hammers the two tests that have flaked on tier-1: the
+# flake-guard hammers the two tests that have flaked on tier-1 — the
 # compaction trigger under the race detector, and the lattice-pool steady
 # state without it (that test skips itself under -race, where sync.Pool
-# drops puts at random).
+# drops puts at random) — plus the two concurrency tests of the one-pool
+# path under the race detector: batches nesting morsel jobs on one
+# scheduler, and one parsed document checked from two goroutines.
 flake-guard:
-	$(GO) test -race -count=20 -run TestServicePersistentRefreshAndCompaction ./internal/core
+	$(GO) test -race -count=20 -run 'TestServicePersistentRefreshAndCompaction|TestConcurrentChecksShareDocument' ./internal/core
+	$(GO) test -race -count=20 -run TestRunBatchNestedOnScheduler ./internal/sqlexec
 	$(GO) test -count=20 -run TestSchedulerPassPoolsPartials ./internal/sqlexec
 
 # test-noasm runs the suite with the assembly kernels compiled out, so the

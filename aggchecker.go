@@ -24,16 +24,16 @@
 // events so callers can watch per-claim probabilities refine, and Service
 // hosts many named databases with lazily built checkers behind singleflight
 // and an LRU residency bound. Per-request tuning uses functional options
-// (WithMode, WithWorkers, WithScanWorkers, WithZoneMaps, WithDeadline,
-// WithTopK) instead of Config mutation. cmd/aggcheckd serves the same
-// surface over HTTP.
+// (WithMode, WithWorkers, WithZoneMaps, WithDeadline, WithTopK) instead of
+// Config mutation. cmd/aggcheckd serves the same surface over HTTP.
 //
-// Scan execution is morsel-driven: cube passes and direct scans decompose
-// into zone-aligned morsels executed on a Scheduler — one shared worker
-// pool spanning every concurrent request, with per-request fair queuing.
-// NewService(WithScheduler(NewScheduler(n))) installs one pool per
-// process; engine-construction knobs (Config.Exec) use ExecOption
-// constructors (ExecScanWorkers, ExecScheduler, ExecCubeCacheBudget).
+// Execution runs on one worker pool, a Scheduler: a batch's cube passes
+// and direct scans, and the zone-aligned morsels large ones split into,
+// share it with every concurrent request under per-request fair queuing.
+// Its width is the only parallelism setting. Engines use a process-wide
+// GOMAXPROCS-wide pool unless NewService(WithScheduler(NewScheduler(n)))
+// or, for one engine, Config.Exec's ExecScheduler installs another;
+// ExecCubeCacheBudget is the other engine-construction knob.
 //
 // Storage is snapshot-versioned: databases are opened from pluggable
 // Sources (CSV, JSONL, in-memory builders), rows appended between checks
@@ -173,15 +173,15 @@ type CacheStats = core.CacheStats
 // how many claim batches may park awaiting merge and the flush deadline.
 type WindowConfig = sqlexec.WindowConfig
 
-// Scheduler is a process-wide morsel scheduler: one worker pool shared by
-// every cube pass and direct scan submitted through it, with round-robin
-// fairness across concurrent requests. Create with NewScheduler, install
-// with WithScheduler (services) or ExecScheduler (Config.Exec), and Close
-// when the process is done with it.
+// Scheduler is a worker pool shared by every batch, cube pass, direct scan
+// and morsel submitted through it, with round-robin fairness across
+// concurrent requests. Create with NewScheduler, install with
+// WithScheduler (services) or ExecScheduler (Config.Exec), and Close when
+// the process is done with it.
 type Scheduler = sqlexec.Scheduler
 
-// ExecOption configures engine construction (Config.Exec): scan-worker
-// bound, scheduler attachment, and cube-cache budget.
+// ExecOption configures engine construction (Config.Exec): scheduler
+// attachment and cube-cache budget.
 type ExecOption = sqlexec.ExecOption
 
 // Event is one element of a verification stream; concrete types are
@@ -261,7 +261,8 @@ func WithDatabaseShards(k int, keys map[string]string) RegisterOption {
 // WithMode selects the evaluation strategy for one request.
 func WithMode(m EvalMode) CheckOption { return core.WithMode(m) }
 
-// WithWorkers bounds the engine-side worker pool for one request.
+// WithWorkers caps, for one request, how many cube passes and direct scans
+// of one claim batch run at once on the scheduler.
 func WithWorkers(n int) CheckOption { return core.WithWorkers(n) }
 
 // WithDeadline bounds one request's wall-clock time.
@@ -270,11 +271,6 @@ func WithDeadline(d time.Duration) CheckOption { return core.WithDeadline(d) }
 // WithTopK sets how many ranked query translations are kept per claim for
 // one request.
 func WithTopK(k int) CheckOption { return core.WithTopK(k) }
-
-// WithScanWorkers bounds, for one request, how many scheduler workers any
-// single cube pass or direct scan of that request may occupy at once;
-// n ≤ 0 restores the engine default.
-func WithScanWorkers(n int) CheckOption { return core.WithScanWorkers(n) }
 
 // WithZoneMaps toggles zone-map pruning for one request (results are
 // identical either way).
@@ -301,20 +297,17 @@ func WithAuditCheckOptions(opts ...CheckOption) AuditOption {
 	return core.WithAuditCheckOptions(opts...)
 }
 
-// NewScheduler creates a morsel scheduler with the given worker count
-// (≤ 0 uses GOMAXPROCS). The calling goroutine of each scan always
-// participates, so workers=1 spawns no helpers and executes scans exactly
+// NewScheduler creates a worker pool with the given width (≤ 0 uses
+// GOMAXPROCS). The submitting goroutine of each job always participates,
+// so workers=1 spawns no helpers and executes everything exactly
 // single-threaded.
 func NewScheduler(workers int) *Scheduler { return sqlexec.NewScheduler(workers) }
 
-// WithScheduler installs one shared morsel scheduler on every engine a
-// Service builds — one worker pool per process, not per database.
+// WithScheduler installs one scheduler on every engine a Service builds —
+// one worker pool per process, not per database.
 func WithScheduler(s *Scheduler) ServiceOption { return core.WithScheduler(s) }
 
-// ExecScanWorkers sets an engine's default per-scan worker bound.
-func ExecScanWorkers(n int) ExecOption { return sqlexec.WithScanWorkers(n) }
-
-// ExecScheduler attaches a shared morsel scheduler to one engine.
+// ExecScheduler attaches a scheduler to one engine.
 func ExecScheduler(s *Scheduler) ExecOption { return sqlexec.WithScheduler(s) }
 
 // ExecCubeCacheBudget bounds the cube cache's resident bytes: once

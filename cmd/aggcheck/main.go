@@ -42,7 +42,7 @@ func main() {
 	demo := flag.Bool("demo", false, "run the embedded NFL example")
 	markup := flag.Bool("markup", false, "print the article with inline verdict markup")
 	mode := flag.String("mode", "cached", "evaluation strategy: cached, merged, or naive (Table 6 rows)")
-	scanWorkers := flag.Int("scan-workers", 0, "scan scheduler worker pool size (0 = GOMAXPROCS, 1 = single-threaded scans)")
+	scanWorkers := flag.Int("scan-workers", 0, "worker pool width for passes and scans (0 = GOMAXPROCS, 1 = single-threaded)")
 	shards := flag.Int("shards", 0, "partition fact tables into K shards and evaluate by scatter-gather (0/1 = unsharded)")
 	shardKeys := flag.String("shard-keys", "", "hash-placement columns for sharding: table=column[,table2=column2...]")
 	timeout := flag.Duration("timeout", 0, "abort the check after this long (0 = no limit)")

@@ -15,12 +15,13 @@
 //	POST /v1/databases/{name}/check/stream  returns NDJSON of EM-iteration events
 //
 // Query parameters on the check endpoints: mode=cached|merged|naive,
-// topk=N, workers=N, scan_workers=N, zone_maps=BOOL, timeout=DURATION.
-// Scans execute on one shared morsel scheduler spanning every request
-// (-scan-workers sizes it); scan_workers bounds how much of that pool a
-// single request's scans may occupy. -demo registers the embedded
-// reproduction corpus (the paper's NFL running example as "nfl" plus the
-// generated articles), which doubles as the CI smoke target.
+// topk=N, workers=N, zone_maps=BOOL, timeout=DURATION. Cube passes, direct
+// scans and their morsels execute on one scheduler spanning every request;
+// -scan-workers sizes it, and that width is the daemon's only parallelism
+// setting (workers only caps one batch's passes in flight). -demo
+// registers the embedded reproduction corpus (the paper's NFL running
+// example as "nfl" plus the generated articles), which doubles as the CI
+// smoke target.
 //
 // -db databases are registered as refreshable CSV sources: POST
 // /v1/databases/{name}/refresh appends rows that grew onto the backing
@@ -70,8 +71,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	demo := flag.Bool("demo", false, "register the embedded reproduction corpus databases")
 	mode := flag.String("mode", "cached", "default evaluation mode: cached, merged, or naive")
-	workers := flag.Int("workers", 0, "default engine worker bound per request (0 = GOMAXPROCS)")
-	scanWorkers := flag.Int("scan-workers", 0, "size of the shared scan scheduler pool spanning all requests (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "default cap on one claim batch's passes in flight on the pool (0 = pool width)")
+	scanWorkers := flag.Int("scan-workers", 0, "width of the one worker pool every request's passes and scans share (0 = GOMAXPROCS)")
 	reqTimeout := flag.Duration("timeout", 2*time.Minute, "per-request verification timeout (0 = none)")
 	maxConcurrent := flag.Int("max-concurrent", 16, "max simultaneous verification requests (0 = unlimited)")
 	maxResident := flag.Int("max-resident", 8, "max resident database catalogs, LRU-evicted (0 = unlimited)")
@@ -97,9 +98,9 @@ func main() {
 	cfg.DataDir = *dataDir
 	cfg.CompactAfter = *compactAfter
 
-	// One morsel scheduler for the whole process: every database's cube
-	// passes and direct scans share this pool, so concurrent requests
-	// contend fairly instead of oversubscribing private pools.
+	// One scheduler for the whole process: every database's batches, cube
+	// passes, direct scans and morsels share this pool, so concurrent
+	// requests contend fairly instead of oversubscribing the machine.
 	sched := sqlexec.NewScheduler(*scanWorkers)
 	defer sched.Close()
 

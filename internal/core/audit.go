@@ -60,20 +60,24 @@ type CacheStats struct {
 	AdmitRejects int64 `json:"admit_rejects"`
 }
 
-// cacheStatsOf snapshots an engine's cube-cache economics.
-func cacheStatsOf(e *sqlexec.Engine) *CacheStats {
-	entries, bytes := e.CacheUsage()
-	cs := &CacheStats{
-		Entries:      entries,
-		Bytes:        bytes,
-		Budget:       e.CubeCacheBudget(),
-		Hits:         e.Stats.CacheHits.Load(),
-		Misses:       e.Stats.CacheMisses.Load(),
-		NsSaved:      e.Stats.CubeCacheNsSaved.Load(),
-		BytesSaved:   e.Stats.CubeCacheBytesSaved.Load(),
-		Evictions:    e.Stats.CubeCacheEvictions.Load(),
-		EvictedBytes: e.Stats.CubeCacheEvictedBytes.Load(),
-		AdmitRejects: e.Stats.CubeCacheAdmitRejects.Load(),
+// cacheStats snapshots the cube-cache economics of the engines that hold
+// the checker's cubes: the front engine plus, on a sharded checker, every
+// in-process partition engine, summed. Remote partitions (ShardEndpoints)
+// cache in their peers, so there only the front engine is counted. Budget
+// is the per-engine bound.
+func (c *Checker) cacheStats() *CacheStats {
+	cs := &CacheStats{Budget: c.Engine.CubeCacheBudget()}
+	for _, e := range append([]*sqlexec.Engine{c.Engine}, c.partitions...) {
+		entries, bytes := e.CacheUsage()
+		cs.Entries += entries
+		cs.Bytes += bytes
+		cs.Hits += e.Stats.CacheHits.Load()
+		cs.Misses += e.Stats.CacheMisses.Load()
+		cs.NsSaved += e.Stats.CubeCacheNsSaved.Load()
+		cs.BytesSaved += e.Stats.CubeCacheBytesSaved.Load()
+		cs.Evictions += e.Stats.CubeCacheEvictions.Load()
+		cs.EvictedBytes += e.Stats.CubeCacheEvictedBytes.Load()
+		cs.AdmitRejects += e.Stats.CubeCacheAdmitRejects.Load()
 	}
 	if tot := cs.Hits + cs.Misses; tot > 0 {
 		cs.HitRate = float64(cs.Hits) / float64(tot)
@@ -97,7 +101,8 @@ type AuditReport struct {
 	// window_batches, window_flushes, shared_passes, and the cube-cache
 	// economics counters accumulated by the run.
 	Stats map[string]int64
-	// Cache is the engine's cube-cache state after the audit.
+	// Cache is the cube-cache state after the audit, summed over the
+	// partition engines on a sharded checker (see Checker.cacheStats).
 	Cache *CacheStats
 }
 
@@ -236,7 +241,7 @@ func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOptio
 	}
 	rep.TotalTime = time.Since(start)
 	rep.Stats = diffStats(before, c.Engine.Stats.Snapshot())
-	rep.Cache = cacheStatsOf(c.Engine)
+	rep.Cache = c.cacheStats()
 	return rep, ctx.Err()
 }
 

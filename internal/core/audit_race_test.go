@@ -8,7 +8,6 @@ import (
 
 	"aggchecker/internal/corpus"
 	"aggchecker/internal/db"
-	"aggchecker/internal/document"
 )
 
 // TestServiceEvictionRacesCheckAndAudit stresses the Service LRU under
@@ -78,9 +77,8 @@ func evictionRace(t *testing.T, shards int) {
 		}()
 		go func() {
 			defer wg.Done()
-			// Its own parse: a Document fills its token and phrase-tree caches
-			// lazily, so one parsed value must not be checked concurrently.
-			doc := document.ParseHTML(f.sc.Docs[0].HTML)
+			// The same *Document the auditor checks, concurrently.
+			doc := f.sc.Docs[0].Doc
 			for r := 0; r < rounds; r++ {
 				if _, err := svc.Check(ctx, f.name, doc); err != nil {
 					t.Errorf("check %s: %v", f.name, err)

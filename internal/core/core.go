@@ -70,14 +70,15 @@ type Config struct {
 	Context   keywords.ContextConfig
 	Model     model.Config
 	Mode      EvalMode
-	// Workers bounds the engine-side worker pool that executes the merged
-	// cube passes of each document-level batch; ≤ 0 uses GOMAXPROCS.
+	// Workers caps how many cube passes and direct scans of one claim batch
+	// run at once on the engine's scheduler; ≤ 0 leaves the pool width as
+	// the only bound.
 	Workers int
 	// Exec configures every engine this config builds (the checker's cached
-	// engine and the fresh per-request engines of merged/naive modes):
-	// scan-worker bounds, zone maps, kernel selection, and — installed by
-	// core.WithScheduler at the service layer — the process-wide shared
-	// morsel scheduler. See sqlexec's ExecOption.
+	// engine and the fresh per-request engines of merged/naive modes): zone
+	// maps, kernel selection, cache budget, and the scheduler — installed by
+	// core.WithScheduler at the service layer, the process-wide default
+	// pool otherwise. See sqlexec's ExecOption.
 	Exec []sqlexec.ExecOption
 	// Shards > 1 partitions the database's fact tables into that many
 	// independent snapshot-versioned partitions at checker build time and
@@ -137,6 +138,9 @@ type Checker struct {
 	// isolation).
 	shards *db.Sharder
 	coord  *shard.Coordinator
+	// partitions are coord's in-process partition engines, which hold a
+	// sharded checker's cubes (nil unsharded or with ShardEndpoints).
+	partitions []*sqlexec.Engine
 
 	// store is the persistent block store behind DB when Config.DataDir is
 	// set (service-built checkers only); compacting serializes background
@@ -161,26 +165,27 @@ func NewChecker(d *db.Database, cfg Config) *Checker {
 	if cfg.Shards > 1 {
 		if sh, err := db.NewSharder(d, cfg.Shards, db.ShardOptions{Keys: cfg.ShardKeys}); err == nil {
 			c.shards = sh
-			c.coord = shard.NewCoordinator(c.buildShardWorkers(cfg, false), c.Engine)
+			var workers []shard.Worker
+			workers, c.partitions = c.buildShardWorkers(cfg, false)
+			c.coord = shard.NewCoordinator(workers, c.Engine)
 		}
 	}
 	return c
 }
 
 // buildShardWorkers wraps each partition in a worker: an in-process engine
-// built with the config's Exec options (so partitions share the service's
-// morsel scheduler when one is installed), or — with ShardEndpoints — an
-// HTTP client against the consistent-hash-placed peer serving the
+// built with the config's Exec options (so partitions share the front
+// engine's scheduler), returned in engines too, or — with ShardEndpoints —
+// an HTTP client against the consistent-hash-placed peer serving the
 // partition's database. Remote workers manage their own caching, so
 // noCache only applies in process.
-func (c *Checker) buildShardWorkers(cfg Config, noCache bool) []shard.Worker {
-	workers := make([]shard.Worker, 0, c.shards.NumShards())
+func (c *Checker) buildShardWorkers(cfg Config, noCache bool) (workers []shard.Worker, engines []*sqlexec.Engine) {
 	if len(cfg.ShardEndpoints) > 0 {
 		ring := shard.NewRing(cfg.ShardEndpoints)
 		for i, p := range c.shards.Partitions() {
 			workers = append(workers, &shard.Client{Base: ring.NodeForShard(i), Database: p.Name})
 		}
-		return workers
+		return workers, nil
 	}
 	for _, p := range c.shards.Partitions() {
 		e := sqlexec.NewEngine(p, cfg.Exec...)
@@ -188,8 +193,9 @@ func (c *Checker) buildShardWorkers(cfg Config, noCache bool) []shard.Worker {
 			e.Tune(sqlexec.WithCaching(false))
 		}
 		workers = append(workers, &shard.LocalWorker{Engine: e})
+		engines = append(engines, e)
 	}
-	return workers
+	return workers, engines
 }
 
 // Sharder exposes the checker's partitioned storage, or nil when the
@@ -319,8 +325,8 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 			ctx = sqlexec.WithSnapshot(ctx, p.Snapshot())
 		}
 	}
-	// Per-request execution overrides (WithScanWorkers, WithZoneMaps) ride
-	// the context: the shared engine is never retuned for one request.
+	// Per-request execution overrides (WithZoneMaps) ride the context: the
+	// shared engine is never retuned for one request.
 	if len(set.exec) > 0 {
 		ctx = sqlexec.ContextWithOptions(ctx, set.exec...)
 	}
@@ -381,7 +387,8 @@ func (c *Checker) evaluatorFor(cfg Config) (*evaluate.CubeEvaluator, *sqlexec.En
 		engine.Tune(sqlexec.WithCaching(false))
 		run = engine
 		if c.shards != nil {
-			run = shard.NewCoordinator(c.buildShardWorkers(cfg, true), engine)
+			workers, _ := c.buildShardWorkers(cfg, true)
+			run = shard.NewCoordinator(workers, engine)
 		}
 	}
 	ev := evaluate.NewCubeEvaluator(engine)

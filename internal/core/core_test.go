@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"aggchecker/internal/corpus"
@@ -45,6 +46,35 @@ func TestCheckNFLEndToEnd(t *testing.T) {
 	}
 	if report.Stats["rows_scanned"] == 0 {
 		t.Error("engine statistics not recorded")
+	}
+}
+
+// TestConcurrentChecksShareDocument checks one parsed *Document from two
+// goroutines at once. Run under -race it pins that the document's lazily
+// built headline tokens and phrase trees are safe to fill concurrently; both
+// reports must match a check of a separately parsed copy.
+func TestConcurrentChecksShareDocument(t *testing.T) {
+	tc := corpus.MustLoad().Cases[0]
+	checker := NewChecker(tc.DB, quickCfg())
+	want := mustCheck(t, checker, document.ParseHTML(tc.HTML))
+
+	doc := document.ParseHTML(tc.HTML)
+	reps := make([]*Report, 2)
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = checker.Check(context.Background(), doc)
+		}(i)
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		assertReportsIdentical(t, "shared document", want, rep)
 	}
 }
 

@@ -18,8 +18,8 @@ type checkSettings struct {
 	cfg      Config
 	deadline time.Duration
 	observer model.Observer
-	// exec carries per-request engine overrides (scan workers, zone maps)
-	// into the request context via sqlexec.ContextWithOptions.
+	// exec carries per-request engine overrides (zone maps) into the
+	// request context via sqlexec.ContextWithOptions.
 	exec []sqlexec.ExecOption
 	// window, when non-nil, pools this request's claim batches with those of
 	// the other documents Audit is checking concurrently (cached mode only:
@@ -43,18 +43,11 @@ func WithMode(m EvalMode) CheckOption {
 	return func(s *checkSettings) { s.cfg.Mode = m }
 }
 
-// WithWorkers bounds the engine-side worker pool for this request; n ≤ 0
-// uses GOMAXPROCS.
+// WithWorkers caps, for this request, how many cube passes and direct
+// scans of one claim batch run at once on the engine's scheduler; n ≤ 0
+// leaves the pool width as the only bound.
 func WithWorkers(n int) CheckOption {
 	return func(s *checkSettings) { s.cfg.Workers = n }
-}
-
-// WithScanWorkers bounds, for this request only, how many workers any one
-// of its cube passes or direct scans may occupy at once on the engine's
-// scheduler (or private pool); n ≤ 0 restores the engine default. The
-// shared engine is not retuned — the bound rides the request context.
-func WithScanWorkers(n int) CheckOption {
-	return func(s *checkSettings) { s.exec = append(s.exec, sqlexec.WithScanWorkers(n)) }
 }
 
 // WithZoneMaps toggles zone-map pruning for this request only. Results are

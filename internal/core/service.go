@@ -32,9 +32,9 @@ var ErrUnknownDatabase = errors.New("unknown database")
 type Service struct {
 	defaultCfg  Config
 	maxResident int
-	// sched, when set, is the process-wide morsel scheduler every checker
-	// engine of this service shares: one pool spans all databases and all
-	// concurrent requests, instead of each engine sizing private pools.
+	// sched, when set, is the scheduler every checker engine of this service
+	// runs on: one pool spans all databases and all concurrent requests.
+	// Unset, engines run on the process-wide default pool.
 	sched *sqlexec.Scheduler
 
 	mu      sync.Mutex
@@ -106,7 +106,8 @@ type Status struct {
 	// when memory-only or not resident).
 	Store *StoreStatus `json:"store,omitempty"`
 	// Cache reports the cube cache's residency and cost-aware economics
-	// (nil when not resident). Populated in and outside audit mode alike.
+	// (nil when not resident), summed over the partition engines of a
+	// sharded database. Populated in and outside audit mode alike.
 	Cache *CacheStats `json:"cache,omitempty"`
 }
 
@@ -170,11 +171,11 @@ type ScanStats struct {
 	DirectVectorScans int64 `json:"direct_vector_scans"`
 	SelvecReuses      int64 `json:"selvec_reuses"`
 	DeltaScans        int64 `json:"delta_scans"`
-	// MorselsDispatched counts morsels this engine's scans executed on the
-	// shared scheduler; StealCount the subset run by shared-pool helpers
-	// rather than the submitting goroutine; QueueWaits the submissions that
-	// found every helper busy and queued fairly behind other requests. All
-	// zero when the service runs without a scheduler.
+	// MorselsDispatched counts the scheduler tasks this engine ran — scan
+	// morsels and batch passes alike; StealCount the subset run by pool
+	// helpers rather than the submitting goroutine; QueueWaits the
+	// submissions that found every helper busy and queued fairly behind
+	// other requests.
 	MorselsDispatched int64 `json:"morsels_dispatched"`
 	QueueWaits        int64 `json:"queue_waits"`
 	StealCount        int64 `json:"steal_count"`
@@ -208,7 +209,7 @@ func statusOf(name string, ck *Checker) Status {
 		scan.PruneRate = float64(scan.BlocksPruned) / float64(tot)
 	}
 	st.Scan = scan
-	st.Cache = cacheStatsOf(ck.Engine)
+	st.Cache = ck.cacheStats()
 	if sh := ck.Sharder(); sh != nil {
 		st.Shard = &ShardStatus{
 			Shards:     sh.NumShards(),
@@ -252,12 +253,12 @@ func WithMaxResident(n int) ServiceOption {
 	return func(s *Service) { s.maxResident = n }
 }
 
-// WithScheduler installs one shared morsel scheduler for every database the
-// service hosts: cube passes and large direct scans of all concurrent
-// requests decompose into zone-aligned morsels dispatched fairly from the
-// scheduler's pool — one pool per process, not per database. The service
-// does not own the scheduler; whoever created it calls Close after the
-// service is done.
+// WithScheduler installs one scheduler for every database the service
+// hosts: the cube passes, direct scans and morsels of all concurrent
+// requests share its pool fairly — one pool per process, not per database.
+// Without it engines use the process-wide default pool. The service does
+// not own the scheduler; whoever created it calls Close after the service
+// is done.
 func WithScheduler(sched *sqlexec.Scheduler) ServiceOption {
 	return func(s *Service) { s.sched = sched }
 }
@@ -634,13 +635,14 @@ func (s *Service) refresh(ctx context.Context, src *source, ck *Checker) (Status
 		// and Engine, so readers mid-check on the old struct stay consistent.
 		cat, _ := ck.Catalog.Extend()
 		fresh := &Checker{
-			DB:      ck.DB,
-			Catalog: cat,
-			Engine:  ck.Engine,
-			Config:  ck.Config,
-			shards:  ck.shards,
-			coord:   ck.coord,
-			store:   ck.store,
+			DB:         ck.DB,
+			Catalog:    cat,
+			Engine:     ck.Engine,
+			Config:     ck.Config,
+			shards:     ck.shards,
+			coord:      ck.coord,
+			partitions: ck.partitions,
+			store:      ck.store,
 
 			compactDone: ck.compactDone,
 		}

@@ -203,6 +203,59 @@ func TestUnshardedConfigUntouched(t *testing.T) {
 	}
 }
 
+// TestShardedAuditReportsPartitionCache pins that a sharded checker's cache
+// report reads the partition engines, which hold its cubes: after an audit
+// on a Shards: 3 checker, AuditReport.Cache and Service.Status's Cache both
+// count exactly the entries and bytes the partitions' CacheUsage reports.
+func TestShardedAuditReportsPartitionCache(t *testing.T) {
+	sc, err := corpus.GenerateSharedCorpus("sports", 5, 3, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg()
+	cfg.Shards = 3
+	svc := NewService(WithDefaultConfig(cfg))
+	if err := svc.RegisterDatabase("sports", sc.DB); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := svc.Audit(context.Background(), "sports", auditDocsOf(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := svc.Checker(context.Background(), "sports")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.partitions) != 3 {
+		t.Fatalf("%d partition engines, want 3", len(ck.partitions))
+	}
+	var entries int
+	var bytes int64
+	for _, e := range ck.partitions {
+		n, b := e.CacheUsage()
+		entries += n
+		bytes += b
+	}
+	if front, _ := ck.Engine.CacheUsage(); front != 0 {
+		t.Fatalf("front engine caches %d cubes; the partitions should hold them all", front)
+	}
+	if rep.Cache.Entries == 0 || rep.Cache.Entries != entries || rep.Cache.Bytes != bytes {
+		t.Fatalf("audit cache = %d entries / %d bytes, partitions hold %d / %d",
+			rep.Cache.Entries, rep.Cache.Bytes, entries, bytes)
+	}
+	if rep.Cache.Misses == 0 {
+		t.Error("audit cache reports no misses although the partitions built cubes")
+	}
+	st, err := svc.Status("sports")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Entries != entries || st.Cache.Bytes != bytes {
+		t.Fatalf("status cache = %d entries / %d bytes, partitions hold %d / %d",
+			st.Cache.Entries, st.Cache.Bytes, entries, bytes)
+	}
+}
+
 // newShardPeerHandler adapts a Service to the shard worker protocol the way
 // httpapi's shard endpoints do; the in-package core test cannot import
 // httpapi (cycle), so the routing is reimplemented here.

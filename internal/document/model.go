@@ -6,6 +6,8 @@
 package document
 
 import (
+	"sync"
+
 	"aggchecker/internal/nlp"
 )
 
@@ -26,14 +28,19 @@ type Section struct {
 	Children   []*Section
 	Paragraphs []*Paragraph
 
+	headlineOnce   sync.Once
 	headlineTokens []nlp.Token
 }
 
-// HeadlineTokens returns the tokenized headline (cached).
+// HeadlineTokens returns the tokenized headline, built on first use. Safe
+// for concurrent use: one parsed document may be checked by several
+// goroutines at once.
 func (s *Section) HeadlineTokens() []nlp.Token {
-	if s.headlineTokens == nil && s.Headline != "" {
-		s.headlineTokens = nlp.Tokenize(s.Headline)
-	}
+	s.headlineOnce.Do(func() {
+		if s.Headline != "" {
+			s.headlineTokens = nlp.Tokenize(s.Headline)
+		}
+	})
 	return s.headlineTokens
 }
 
@@ -62,14 +69,14 @@ type Sentence struct {
 	IndexInPara int
 	GlobalIndex int
 
-	tree *nlp.PhraseTree
+	treeOnce sync.Once
+	tree     *nlp.PhraseTree
 }
 
-// Tree returns the phrase tree of the sentence (built lazily).
+// Tree returns the phrase tree of the sentence, built on first use. Safe
+// for concurrent use, like HeadlineTokens.
 func (s *Sentence) Tree() *nlp.PhraseTree {
-	if s.tree == nil {
-		s.tree = nlp.BuildPhraseTree(s.Tokens)
-	}
+	s.treeOnce.Do(func() { s.tree = nlp.BuildPhraseTree(s.Tokens) })
 	return s.tree
 }
 

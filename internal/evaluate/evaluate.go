@@ -1,9 +1,9 @@
 // Package evaluate adapts §6 of the paper — massive-scale evaluation of
 // candidate queries — to the EM loop. There is one batch loop,
 // sqlexec.RunBatch (deduplicate, plan into merged cube passes, run them on
-// a bounded pool, answer each query from its cell, fall back to a scan),
-// and every way of executing a document is a point in the product of three
-// independent axes that nest around it:
+// the engine's scheduler, answer each query from its cell, fall back to a
+// scan), and every way of executing a document is a point in the product
+// of three independent axes that nest around it:
 //
 //   - strategy, the rows of Table 6: naive plans every candidate as its own
 //     scan (NewNaiveEvaluator); merged plans cube passes with InOrDefault
@@ -33,7 +33,8 @@ import (
 // when no pool is provided.
 type CubeEvaluator struct {
 	Engine *sqlexec.Engine
-	// Workers bounds the worker pool per batch; ≤ 0 uses GOMAXPROCS.
+	// Workers caps how many of a batch's passes and scans run at once on
+	// the engine's scheduler; ≤ 0 leaves the pool width as the only bound.
 	Workers int
 	// Runner, when non-nil, executes the batches instead of the engine
 	// directly: a shard.Coordinator scatter-gathers them over partitions, a

@@ -286,7 +286,7 @@ func PrintTable6(w io.Writer, rows []Table6Row) {
 		}
 		// Dedup counts coalesced concurrent duplicates, cube and join-view
 		// alike: within one document's batch the planner already dedups
-		// cube signatures, so view coalescing inside the worker pool is
+		// cube signatures, so view coalescing among a batch's passes is
 		// the common case and cube coalescing appears when several
 		// documents share one engine.
 		//
@@ -300,11 +300,11 @@ func PrintTable6(w io.Writer, rows []Table6Row) {
 		// merged modes); SelReuse the segments that filtered through a
 		// reused selection-vector buffer.
 		//
-		// Morsels/QWait/Steal profile the shared scan scheduler: morsels
-		// dispatched across all scans, submissions that found no idle
-		// worker, and morsels helper workers stole from other requests'
-		// queues. All zero when scans run on private pools (no scheduler
-		// installed) or below the parallel threshold.
+		// Morsels/QWait/Steal profile the engine's scheduler: tasks run on
+		// it (batch passes and direct scans, plus the morsels of passes and
+		// scans past the parallel threshold), submissions that found no
+		// idle worker, and tasks helper workers stole from the submitters'
+		// queues.
 		//
 		// Fanout/MergeMs/Straggl profile sharded scatter-gather: fan-outs
 		// issued to shard workers, cumulative partial-merge time, and

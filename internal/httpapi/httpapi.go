@@ -45,10 +45,11 @@ type Options struct {
 //
 // The request body is the document itself: HTML-lite when it looks like
 // markup, markdown-lite plain text otherwise. Per-request knobs arrive as
-// query parameters: mode (cached|merged|naive), topk, workers, timeout
-// (Go duration, capped by Options.RequestTimeout), scan_workers (0..256,
-// per-scan worker bound on the shared scheduler; 0 = engine default), and
-// zone_maps (true|false, zone-map pruning for this request).
+// query parameters: mode (cached|merged|naive), topk, workers (passes of
+// one claim batch in flight on the shared scheduler), timeout (Go
+// duration, capped by Options.RequestTimeout), and zone_maps (true|false,
+// zone-map pruning for this request). How wide the scheduler is, is a
+// deployment setting, not a request parameter.
 type Server struct {
 	svc  *core.Service
 	opts Options
@@ -123,11 +124,6 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, st)
 }
-
-// maxScanWorkersParam bounds the scan_workers query parameter: a request
-// may narrow its own scans or widen them up to a sane ceiling, but not
-// spawn unbounded per-request parallelism.
-const maxScanWorkersParam = 256
 
 // acquire claims a verification slot, honoring ctx while queued. An
 // already-expired ctx always fails (the select would otherwise pick
@@ -231,14 +227,6 @@ func (s *Server) parseCheckParams(w http.ResponseWriter, r *http.Request) (opts 
 			}
 			opts = append(opts, opt(n))
 		}
-	}
-	if v := q.Get("scan_workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 || n > maxScanWorkersParam {
-			httpError(w, http.StatusBadRequest, "bad scan_workers %q (want 0..%d)", v, maxScanWorkersParam)
-			return nil, 0, false
-		}
-		opts = append(opts, core.WithScanWorkers(n))
 	}
 	if v := q.Get("zone_maps"); v != "" {
 		on, err := strconv.ParseBool(v)

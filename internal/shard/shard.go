@@ -66,13 +66,15 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over the shard workers. front is the
-// engine over the unpartitioned source database. It runs nothing; it
+// engine over the unpartitioned source database. It scans nothing; it
 // supplies what is not physical: the counter block — fan-out, partial,
 // merge-time and straggler counters are recorded there so they surface in
 // Report.Stats, Table 6, and service status alongside the ordinary
-// execution counters — the default table, and the plan policy (small groups
-// merge into cube passes only while front caches, which is how core marks
-// partitions that cache).
+// execution counters — the default table, the scheduler a batch's passes
+// run on, and the plan policy (small groups merge into cube passes only
+// while front caches, which is how core marks partitions that cache). The
+// per-worker fan-out itself stays on plain goroutines: a remote worker
+// blocks on HTTP and must not hold a pool slot.
 func NewCoordinator(workers []Worker, front *sqlexec.Engine) *Coordinator {
 	return &Coordinator{workers: workers, front: front}
 }
@@ -184,8 +186,7 @@ func (c *Coordinator) Cube(ctx context.Context, req sqlexec.CubeRequest) (*sqlex
 // and direct scan is one fan-out. Selections are never pushed down — the
 // wire CubeRequest carries no filter.
 func (c *Coordinator) EvaluateBatch(ctx context.Context, queries []sqlexec.Query, opts sqlexec.BatchOptions) []float64 {
-	return sqlexec.RunBatch(ctx, c, &c.front.Stats, c.front.DefaultTable(),
-		sqlexec.PlanOptions{MergeSmall: c.front.CachingEnabled()}, queries, opts)
+	return sqlexec.RunBatch(ctx, c, c.front, sqlexec.PlanOptions{MergeSmall: c.front.CachingEnabled()}, queries, opts)
 }
 
 // CubePass implements sqlexec.Backend.

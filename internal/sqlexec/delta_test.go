@@ -132,7 +132,7 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 			if scalar {
 				want, err = computeCubeScalar(ctx, view, sc.tables, dims, trackedColsFor(reqs))
 			} else {
-				want, err = computeCubeVectorized(ctx, view, sc.tables, dims, trackedColsFor(reqs), passConfig{workers: 1, zones: true})
+				want, err = computeCubeVectorized(ctx, view, sc.tables, dims, trackedColsFor(reqs), passConfig{zones: true})
 			}
 			if err != nil {
 				t.Fatalf("%s: rebuild: %v", label, err)

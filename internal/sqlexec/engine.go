@@ -80,12 +80,12 @@ type Stats struct {
 	PushdownCubes       atomic.Int64
 	PushdownRowsSkipped atomic.Int64
 
-	// Morsel-scheduler counters. MorselsDispatched counts morsels executed
-	// for this engine's jobs on the shared scheduler (owner and helpers
-	// alike); StealCount the subset executed by shared-pool helper workers
-	// rather than the submitting goroutine; QueueWaits the job submissions
-	// that found no idle helper and queued behind other requests (always 0
-	// on a pool of width 1, which has no helpers).
+	// Scheduler counters. MorselsDispatched counts tasks executed for this
+	// engine's jobs on its scheduler — batch passes and scan morsels alike,
+	// owner and helpers alike; StealCount the subset executed by pool
+	// helper workers rather than the submitting goroutine; QueueWaits the
+	// job submissions that found no idle helper and queued behind other
+	// requests (always 0 on a pool of width 1, which has no helpers).
 	MorselsDispatched atomic.Int64
 	QueueWaits        atomic.Int64
 	StealCount        atomic.Int64
@@ -311,14 +311,10 @@ type Engine struct {
 	// default); WithZoneMaps(false) is the operational escape hatch and the
 	// scan differential tests' oracle.
 	zoneMaps atomic.Bool
-	// scanWorkers bounds intra-pass parallelism (morsels in flight on the
-	// shared scheduler, or private row-range partials without one); <= 0
-	// means the scheduler's pool width, or min(GOMAXPROCS,
-	// defaultScanWorkers) when no scheduler is installed.
-	scanWorkers atomic.Int64
-	// sched, when set, is the shared morsel scheduler cube passes and
-	// large direct scans submit to instead of sizing private pools. The
-	// engine does not own it (its creator calls Close).
+	// sched is the pool the engine's batches, cube passes and large direct
+	// scans run on: the one WithScheduler installed, or the process-wide
+	// default. Never nil; the engine does not own it (its creator calls
+	// Close).
 	sched atomic.Pointer[Scheduler]
 
 	// cubeCacheBudget bounds the cube cache's estimated resident bytes
@@ -349,6 +345,9 @@ func NewEngine(d *db.Database, opts ...ExecOption) *Engine {
 	e.pushdown.Store(true)
 	e.cubeCacheBudget.Store(defaultCubeCacheBudget)
 	e.Tune(opts...)
+	if e.sched.Load() == nil {
+		e.sched.Store(defaultScheduler())
+	}
 	return e
 }
 
@@ -926,7 +925,7 @@ func (e *Engine) runCubeDelta(ctx context.Context, view *db.JoinView, tables []s
 		return nil, err
 	}
 	e.Stats.RowsScanned.Add(int64(hi - lo))
-	pc := passConfig{stats: &e.Stats, workers: 1, scalar: e.scalarKernel.Load(), zones: e.zoneMapsFor(ctx), filter: filter}
+	pc := passConfig{stats: &e.Stats, scalar: e.scalarKernel.Load(), zones: e.zoneMapsFor(ctx), filter: filter}
 	return computeCubeRange(ctx, view, tables, dims, cols, lo, hi, pc)
 }
 
@@ -957,19 +956,14 @@ func (e *Engine) runCube(ctx context.Context, view *db.JoinView, tables []string
 		e.Stats.PushdownCubes.Add(1)
 	}
 	pc := passConfig{
-		stats:   &e.Stats,
-		workers: e.resolveScanWorkers(e.rawScanWorkersFor(ctx)),
-		scalar:  e.scalarKernel.Load(),
-		zones:   e.zoneMapsFor(ctx),
-		sched:   e.sched.Load(),
-		filter:  filter,
+		stats:  &e.Stats,
+		scalar: e.scalarKernel.Load(),
+		zones:  e.zoneMapsFor(ctx),
+		sched:  e.sched.Load(),
+		filter: filter,
 	}
 	return computeCube(ctx, view, tables, dims, cols, pc)
 }
-
-// defaultScanWorkers caps intra-pass parallelism when SetScanWorkers was
-// not called.
-const defaultScanWorkers = 4
 
 // trackedColsFor deduplicates aggregate requests into tracked columns.
 func trackedColsFor(reqs []AggRequest) []trackedCol {

@@ -33,8 +33,8 @@ import (
 //  3. Sum/count/min/max accumulate in struct-of-arrays batch loops; exact
 //     distinct counts use per-cell dictionary-code bitsets for string
 //     columns and per-cell hash sets for numeric columns.
-//  4. Large scans split into row-range partials executed by a bounded set
-//     of workers and merged deterministically at the end, so one cube pass
+//  4. Large scans split into zone-aligned morsels executed on the engine's
+//     scheduler and merged deterministically at the end, so one cube pass
 //     parallelizes internally, not just across passes.
 //
 // Block reads go through the db block-access contract: zero-copy column
@@ -76,15 +76,14 @@ func flatLatticeSize(dims []DimSpec) int {
 }
 
 // passConfig bundles the resolved execution settings of one cube pass or
-// delta scan: the stats sink, the per-pass worker bound, kernel and
-// zone-map selection, and the shared morsel scheduler (nil: private
-// goroutine pool, the pre-scheduler behavior).
+// delta scan: the stats sink, kernel and zone-map selection, and the
+// scheduler a large pass splits its morsels onto (nil for delta scans,
+// which always scan their range in one piece).
 type passConfig struct {
-	stats   *Stats
-	workers int
-	scalar  bool
-	zones   bool
-	sched   *Scheduler
+	stats  *Stats
+	scalar bool
+	zones  bool
+	sched  *Scheduler
 	// filter is the shared predicate of a selection-pushdown pass (nil for
 	// ordinary passes): the kernel compacts every segment through the
 	// filter's selection vector before coding or accumulating anything, and
@@ -987,19 +986,18 @@ func (k *vecKernel) fill(r *CubeResult, pt *vecPartial) {
 }
 
 // computeCubeVectorized runs one vectorized cube pass over the joined view.
-// pc.workers bounds how many row-range partials scan concurrently; small
-// views always scan single-threaded.
+// Views of at least kernelParallelMinRows rows split into morsels on
+// pc.sched; smaller views scan single-threaded.
 func computeCubeVectorized(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, pc passConfig) (*CubeResult, error) {
 	return computeCubeVectorizedRange(ctx, view, tables, dims, cols, 0, view.NumRows(), pc)
 }
 
 // computeCubeVectorizedRange is computeCubeVectorized restricted to joined
 // rows [rangeLo, rangeHi) — the full pass with rangeLo=0, rangeHi=NumRows,
-// or a delta scan over just the appended rows. Large ranges split into
-// row-range partials merged in range order: zone-aligned morsels on the
-// shared scheduler when one is installed, a private goroutine pool
-// otherwise. Either way the decomposition is fixed up front and partials
-// merge in range order, so results do not depend on scheduling.
+// or a delta scan over just the appended rows. The range scans as one
+// piece or as zone-aligned morsels on pc.sched (see scanMorsels); the
+// decomposition is fixed up front and partials merge in range order, so
+// results do not depend on scheduling.
 func computeCubeVectorizedRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, rangeLo, rangeHi int, pc passConfig) (*CubeResult, error) {
 	r, err := newCubeResultWithCols(tables, dims, cols)
 	if err != nil {
@@ -1019,90 +1017,20 @@ func computeCubeVectorizedRange(ctx context.Context, view *db.JoinView, tables [
 	}
 	r.filter = pc.filter
 
-	n := rangeHi - rangeLo
-	splittable := pc.workers > 1 && n >= kernelParallelMinRows
-
-	if pc.sched != nil && splittable {
-		ranges := morselRanges(k.spans, rangeLo, rangeHi, pc.workers)
-		if len(ranges) > 1 {
-			partials := make([]*vecPartial, len(ranges))
-			err := pc.sched.Run(ctx, pc.stats, len(ranges), pc.workers, func(i int) error {
-				pt, err := k.scanRange(ctx, ranges[i].lo, ranges[i].hi)
-				if err != nil {
-					return err
-				}
-				partials[i] = pt
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			root := partials[0]
-			for _, pt := range partials[1:] {
-				root.merge(pt)
-				k.releasePartial(pt)
-			}
-			if pc.stats != nil {
-				pc.stats.PartialsMerged.Add(int64(len(partials) - 1))
-			}
-			k.fill(r, root)
-			r.baseRows = root.baseRows
-			k.releasePartial(root)
-			return r, nil
-		}
+	partials, err := scanMorsels(ctx, pc.sched, pc.stats, k.spans, rangeLo, rangeHi, func(lo, hi int) (*vecPartial, error) {
+		return k.scanRange(ctx, lo, hi)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	parts := 1
-	if splittable && pc.sched == nil {
-		parts = pc.workers
-		// Each partial should cover at least two blocks, or the merge
-		// overhead (size-proportional array walks) beats the scan savings.
-		if mx := n / (2 * kernelBlockRows); parts > mx {
-			parts = mx
-		}
-		if parts < 1 {
-			parts = 1
-		}
+	root := partials[0]
+	for _, pt := range partials[1:] {
+		root.merge(pt)
+		k.releasePartial(pt)
 	}
-
-	var root *vecPartial
-	if parts <= 1 {
-		if root, err = k.scanRange(ctx, rangeLo, rangeHi); err != nil {
-			return nil, err
-		}
-	} else {
-		partials := make([]*vecPartial, parts)
-		errs := make([]error, parts)
-		chunk := (n + parts - 1) / parts
-		var wg sync.WaitGroup
-		for p := 0; p < parts; p++ {
-			lo := rangeLo + p*chunk
-			hi := lo + chunk
-			if hi > rangeHi {
-				hi = rangeHi
-			}
-			wg.Add(1)
-			go func(p, lo, hi int) {
-				defer wg.Done()
-				partials[p], errs[p] = k.scanRange(ctx, lo, hi)
-			}(p, lo, hi)
-		}
-		wg.Wait()
-		for _, perr := range errs {
-			if perr != nil {
-				return nil, perr
-			}
-		}
-		root = partials[0]
-		for _, pt := range partials[1:] {
-			root.merge(pt)
-			k.releasePartial(pt)
-		}
-		if pc.stats != nil {
-			pc.stats.PartialsMerged.Add(int64(parts - 1))
-		}
+	if pc.stats != nil && len(partials) > 1 {
+		pc.stats.PartialsMerged.Add(int64(len(partials) - 1))
 	}
-
 	k.fill(r, root)
 	r.baseRows = root.baseRows
 	k.releasePartial(root)

@@ -28,9 +28,10 @@ func BenchmarkCubeKernel(bm *testing.B) {
 			bm.Fatal(err)
 		}
 		run := func(b *testing.B, scalar bool) {
-			e := sqlexec.NewEngine(d)
+			serial := sqlexec.NewScheduler(1) // isolate kernel throughput
+			defer serial.Close()
+			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(serial))
 			e.Tune(sqlexec.WithCaching(false))
-			e.Tune(sqlexec.WithScanWorkers(1)) // isolate kernel throughput
 			e.Tune(sqlexec.WithScalarKernel(scalar))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -47,9 +48,9 @@ func BenchmarkCubeKernel(bm *testing.B) {
 	}
 }
 
-// BenchmarkCubeKernelParallel measures intra-pass partial parallelism on a
-// view large enough to split (the single-threaded vectorized kernel is the
-// baseline).
+// BenchmarkCubeKernelParallel measures intra-pass morsel parallelism on a
+// view large enough to split (a width-1 scheduler, the single-threaded
+// vectorized kernel, is the baseline).
 func BenchmarkCubeKernelParallel(bm *testing.B) {
 	ctx := context.Background()
 	d := benchdata.BuildDB(1 << 17)
@@ -61,9 +62,10 @@ func BenchmarkCubeKernelParallel(bm *testing.B) {
 	for _, workers := range []int{1, 4} {
 		name := map[int]string{1: "workers1", 4: "workers4"}[workers]
 		bm.Run(name, func(b *testing.B) {
-			e := sqlexec.NewEngine(d)
+			sched := sqlexec.NewScheduler(workers)
+			defer sched.Close()
+			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(sched))
 			e.Tune(sqlexec.WithCaching(false))
-			e.Tune(sqlexec.WithScanWorkers(workers))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.CubeForContext(ctx, tc.Tables, tc.Dims, tc.Reqs); err != nil {

@@ -280,7 +280,7 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols, passConfig{workers: 1, zones: true})
+		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols, passConfig{zones: true})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}
@@ -289,12 +289,16 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 }
 
 // TestKernelDifferentialParallelPartials lowers the parallelism threshold
-// so multi-partial scans and their merge path run on small inputs. Data is
-// integer-valued, so sums are exact under any partial association order and
-// bit-for-bit comparison remains valid.
+// so passes split into morsels on a width-4 scheduler and the multi-partial
+// merge path runs on small inputs. Data is integer-valued, so sums are
+// exact under any partial association order and bit-for-bit comparison
+// remains valid.
 func TestKernelDifferentialParallelPartials(t *testing.T) {
 	defer func(old int) { kernelParallelMinRows = old }(kernelParallelMinRows)
 	kernelParallelMinRows = 64
+	sched := NewScheduler(4)
+	defer sched.Close()
+	var stats Stats
 
 	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
@@ -312,11 +316,14 @@ func TestKernelDifferentialParallelPartials(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols, passConfig{workers: 4, zones: true})
+		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols, passConfig{stats: &stats, zones: true, sched: sched})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}
 		requireCubesIdentical(t, want, got, label)
+	}
+	if stats.PartialsMerged.Load() == 0 {
+		t.Fatal("no pass split into morsels: the multi-partial merge went untested")
 	}
 }
 
@@ -339,7 +346,7 @@ func TestKernelEmptyView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := computeCubeVectorized(context.Background(), view, []string{"e"}, dims, cols, passConfig{workers: 4, zones: true})
+	got, err := computeCubeVectorized(context.Background(), view, []string{"e"}, dims, cols, passConfig{zones: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +454,7 @@ func TestKernelCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = computeCubeVectorized(ctx, view, []string{"t"}, stressDims(), nil, passConfig{workers: 4, zones: true})
+	_, err = computeCubeVectorized(ctx, view, []string{"t"}, stressDims(), nil, passConfig{zones: true})
 	if err != context.Canceled {
 		t.Errorf("cancelled vectorized pass returned %v, want context.Canceled", err)
 	}

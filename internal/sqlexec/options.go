@@ -1,9 +1,6 @@
 package sqlexec
 
-import (
-	"context"
-	"runtime"
-)
+import "context"
 
 // This file is the unified execution-options surface of the engine: one
 // functional-options type configures an engine at construction
@@ -15,7 +12,6 @@ import (
 // distinguish "not mentioned" from an explicit value, so Tune only touches
 // the knobs its options name.
 type execOptions struct {
-	scanWorkers     *int
 	zoneMaps        *bool
 	scalarKernel    *bool
 	caching         *bool
@@ -26,19 +22,9 @@ type execOptions struct {
 }
 
 // ExecOption configures engine execution: accepted by NewEngine, applied
-// atomically at runtime by Engine.Tune, and (WithScanWorkers, WithZoneMaps
-// only) carried per request by ContextWithOptions.
+// atomically at runtime by Engine.Tune, and (WithZoneMaps only) carried per
+// request by ContextWithOptions.
 type ExecOption func(*execOptions)
-
-// WithScanWorkers bounds how many workers one cube pass or direct scan may
-// occupy at once (its morsels in flight on the shared scheduler, or its
-// private row-range partials without one). n <= 0 restores the default:
-// the scheduler's pool width when one is installed, min(GOMAXPROCS,
-// defaultScanWorkers) otherwise. Honored per request by
-// ContextWithOptions.
-func WithScanWorkers(n int) ExecOption {
-	return func(o *execOptions) { o.scanWorkers = &n }
-}
 
 // WithZoneMaps toggles zone-map pruning in the shared scan pipeline (on by
 // default). With pruning off, direct scans and cube passes process every
@@ -87,12 +73,13 @@ func WithCubeCacheBudget(n int64) ExecOption {
 	return func(o *execOptions) { o.cubeCacheBudget = &n }
 }
 
-// WithScheduler installs a shared morsel scheduler: the engine's cube
-// passes and large direct scans then decompose into zone-aligned morsels
-// dispatched on the scheduler's pool — shared fairly with every other
-// engine using it — instead of sizing private goroutine pools. nil
-// detaches the engine (private pools again). The engine does not own the
-// scheduler; whoever created it calls Close.
+// WithScheduler sets the pool the engine runs on: its batches' cube passes
+// and direct scans, and the zone-aligned morsels large passes and scans
+// split into, all share it fairly with every other engine using it. The
+// pool's width is the engine's only parallelism setting. nil (and an
+// engine built without this option) selects the process-wide default pool,
+// GOMAXPROCS wide. The engine does not own the scheduler; whoever created
+// it calls Close.
 func WithScheduler(s *Scheduler) ExecOption {
 	return func(o *execOptions) { o.scheduler = s; o.schedulerSet = true }
 }
@@ -105,9 +92,6 @@ func (e *Engine) Tune(opts ...ExecOption) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.scanWorkers != nil {
-		e.scanWorkers.Store(int64(*o.scanWorkers))
-	}
 	if o.zoneMaps != nil {
 		e.zoneMaps.Store(*o.zoneMaps)
 	}
@@ -118,6 +102,9 @@ func (e *Engine) Tune(opts ...ExecOption) {
 		e.pushdown.Store(*o.pushdown)
 	}
 	if o.schedulerSet {
+		if o.scheduler == nil {
+			o.scheduler = defaultScheduler()
+		}
 		e.sched.Store(o.scheduler)
 	}
 	if o.cubeCacheBudget != nil {
@@ -132,79 +119,31 @@ func (e *Engine) Tune(opts ...ExecOption) {
 	}
 }
 
-// execCtxKey carries per-request execution overrides through a context.
-type execCtxKey struct{}
-
-// execOverride is the per-request subset of the execution options: the two
-// knobs that are safe to vary between concurrent requests on one shared
-// engine (they parameterize a single scan, not shared cache state).
-type execOverride struct {
-	scanWorkers *int
-	zoneMaps    *bool
-}
+// zoneMapsCtxKey carries a per-request zone-map override through a context.
+type zoneMapsCtxKey struct{}
 
 // ContextWithOptions returns a context overriding execution options for
-// every engine read under it. Only WithScanWorkers and WithZoneMaps are
-// honored — the per-request knobs; kernel, caching, and scheduler options
-// configure shared engine state and are ignored here. Overrides stack:
-// unset knobs fall through to an enclosing override, then to the engine.
+// every engine read under it. Only WithZoneMaps is honored — the one knob
+// that is safe to vary between concurrent requests on a shared engine (it
+// parameterizes a single scan, not shared cache state); kernel, caching,
+// and scheduler options are ignored here. Without a WithZoneMaps option the
+// enclosing override, if any, stays in force.
 func ContextWithOptions(ctx context.Context, opts ...ExecOption) context.Context {
 	var o execOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ov := &execOverride{scanWorkers: o.scanWorkers, zoneMaps: o.zoneMaps}
-	if prev, ok := ctx.Value(execCtxKey{}).(*execOverride); ok && prev != nil {
-		if ov.scanWorkers == nil {
-			ov.scanWorkers = prev.scanWorkers
-		}
-		if ov.zoneMaps == nil {
-			ov.zoneMaps = prev.zoneMaps
-		}
+	if o.zoneMaps == nil {
+		return ctx
 	}
-	return context.WithValue(ctx, execCtxKey{}, ov)
-}
-
-// overrideFor extracts the request's execution override, if any.
-func overrideFor(ctx context.Context) *execOverride {
-	ov, _ := ctx.Value(execCtxKey{}).(*execOverride)
-	return ov
+	return context.WithValue(ctx, zoneMapsCtxKey{}, *o.zoneMaps)
 }
 
 // zoneMapsFor resolves zone-map pruning for one request: the context
 // override when present, the engine setting otherwise.
 func (e *Engine) zoneMapsFor(ctx context.Context) bool {
-	if ov := overrideFor(ctx); ov != nil && ov.zoneMaps != nil {
-		return *ov.zoneMaps
+	if on, ok := ctx.Value(zoneMapsCtxKey{}).(bool); ok {
+		return on
 	}
 	return e.zoneMaps.Load()
-}
-
-// rawScanWorkersFor resolves the request's scan-worker bound before
-// defaulting (<= 0 means "use the default").
-func (e *Engine) rawScanWorkersFor(ctx context.Context) int {
-	if ov := overrideFor(ctx); ov != nil && ov.scanWorkers != nil {
-		return *ov.scanWorkers
-	}
-	return int(e.scanWorkers.Load())
-}
-
-// resolveScanWorkers turns a raw bound into the effective one. With a
-// shared scheduler the default is the pool width (the scheduler is the
-// global throttle, so a pass may occupy the whole pool when it is idle);
-// without one it stays min(GOMAXPROCS, defaultScanWorkers) — private
-// per-pass pools under a saturated batch pool must stay small or
-// goroutines and partial accumulators multiply quadratically.
-func (e *Engine) resolveScanWorkers(raw int) int {
-	if raw > 0 {
-		return raw
-	}
-	if s := e.sched.Load(); s != nil {
-		return s.Workers()
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > defaultScanWorkers {
-		w = defaultScanWorkers
-	}
-	return w
 }

@@ -472,10 +472,10 @@ func (ds *directScan) scanRange(ctx context.Context, lo, hi int) (*directPartial
 // evaluateDirect runs one query with a dedicated vectorized scan over the
 // view. Results are bit-for-bit identical to a row-at-a-time scan: zone
 // pruning only skips rows that contribute to neither the numerator nor the
-// denominator, and all accumulation runs in row order. Large views on an
-// engine with a shared scheduler decompose into zone-aligned morsels whose
-// partial accumulators merge in range order — deterministic for any worker
-// count, bit-for-bit identical to the single-threaded scan for
+// denominator, and all accumulation runs in row order. Large views
+// decompose into zone-aligned morsels on the engine's scheduler whose
+// partial accumulators merge in range order — deterministic for a given
+// pool width, bit-for-bit identical to the single-threaded scan for
 // integer-valued data (float sums regroup at morsel boundaries).
 func (e *Engine) evaluateDirect(ctx context.Context, view *db.JoinView, q Query) (float64, error) {
 	ds, err := newDirectScan(view, q, e.zoneMapsFor(ctx))
@@ -490,39 +490,20 @@ func (e *Engine) evaluateDirect(ctx context.Context, view *db.JoinView, q Query)
 }
 
 // runDirect executes a compiled direct scan over the whole view — morsel
-// split on the shared scheduler when wide enough, single-threaded otherwise
-// — records the pipeline stats, and returns the merged partial. Shared by
-// evaluateDirect (which finalizes) and ScanPartialContext (which exports
-// the partial to a shard coordinator).
+// split on the engine's scheduler when wide enough, single-threaded
+// otherwise — records the pipeline stats, and returns the merged partial.
+// Shared by evaluateDirect (which finalizes) and ScanPartialContext (which
+// exports the partial to a shard coordinator).
 func (e *Engine) runDirect(ctx context.Context, view *db.JoinView, ds *directScan) (*directPartial, error) {
-	n := view.NumRows()
-	var total *directPartial
-	sched := e.sched.Load()
-	if workers := e.resolveScanWorkers(e.rawScanWorkersFor(ctx)); sched != nil && workers > 1 && n >= kernelParallelMinRows {
-		if ranges := morselRanges(ds.spans, 0, n, workers); len(ranges) > 1 {
-			partials := make([]*directPartial, len(ranges))
-			err := sched.Run(ctx, &e.Stats, len(ranges), workers, func(i int) error {
-				pt, err := ds.scanRange(ctx, ranges[i].lo, ranges[i].hi)
-				if err != nil {
-					return err
-				}
-				partials[i] = pt
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			total = partials[0]
-			for _, pt := range partials[1:] {
-				total.merge(pt)
-			}
-		}
+	partials, err := scanMorsels(ctx, e.sched.Load(), &e.Stats, ds.spans, 0, view.NumRows(), func(lo, hi int) (*directPartial, error) {
+		return ds.scanRange(ctx, lo, hi)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if total == nil {
-		var err error
-		if total, err = ds.scanRange(ctx, 0, n); err != nil {
-			return nil, err
-		}
+	total := partials[0]
+	for _, pt := range partials[1:] {
+		total.merge(pt)
 	}
 
 	e.Stats.DirectVectorScans.Add(1)

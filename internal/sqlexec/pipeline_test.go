@@ -551,7 +551,7 @@ func TestCubeZoneMapPruningRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, []string{"t"}, dims, cols, passConfig{workers: 1, zones: true})
+		got, err := computeCubeVectorized(ctx, view, []string{"t"}, dims, cols, passConfig{zones: true})
 		if err != nil {
 			t.Fatalf("%s: vectorized+zones: %v", label, err)
 		}

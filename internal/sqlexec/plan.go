@@ -3,17 +3,15 @@ package sqlexec
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file implements the batch planning layer of §6.2–6.3: a batch of
 // candidate queries — typically every unevaluated candidate of every claim
 // of a document in one EM iteration — is merged into as few cube passes as
-// the m ≤ maxCubeDims limit allows, and the passes are executed by a
-// bounded worker pool over the shared engine. Cross-claim deduplication
+// the m ≤ maxCubeDims limit allows, and the passes run as one job on the
+// engine's scheduler. Cross-claim deduplication
 // happens twice: identical queries collapse before planning, and identical
 // concurrent cube requests coalesce inside the engine (singleflight).
 
@@ -50,8 +48,9 @@ type BatchOptions struct {
 	// signatures stable across claims and EM iterations; batch literals are
 	// always included as well.
 	Pool map[string][]string
-	// Workers bounds the worker pool executing cube passes and direct
-	// scans; ≤ 0 uses GOMAXPROCS.
+	// Workers caps how many of the batch's cube passes and direct scans run
+	// at once on the engine's scheduler; ≤ 0 leaves the pool width as the
+	// only bound.
 	Workers int
 	// Naive skips planning and answers every query with its own scan (the
 	// "Naive" row of Table 6).
@@ -518,8 +517,8 @@ func sameTables(a, b []string) bool {
 // Backend is where a planned batch physically runs. *Engine runs both
 // operations locally; shard.Coordinator fans each out to its partitions and
 // merges the partials. Everything else about a batch — deduplication,
-// planning, the worker pool, answering from cells, the direct-scan fallback
-// — is RunBatch, once, for every backend.
+// planning, scheduling, answering from cells, the direct-scan fallback — is
+// RunBatch, once, for every backend.
 type Backend interface {
 	// CubePass runs one planned cube pass.
 	CubePass(ctx context.Context, p *CubePlan) (*CubeResult, error)
@@ -527,20 +526,26 @@ type Backend interface {
 	DirectScan(ctx context.Context, q Query) (float64, error)
 }
 
-// RunBatch answers every query of the batch, positionally, on backend b.
+// RunBatch answers every query of the batch, positionally, on backend b for
+// engine e: e's counters record the batch, e's default table anchors
+// queries that reference no column, and e's scheduler runs the work.
 // Duplicate queries (by canonical key) are evaluated once; the remainder is
-// planned under policy (Pool comes from opts) into merged cube passes that
-// a bounded worker pool executes concurrently, and each query is answered
-// from its cube cell. Queries a cube pass cannot answer (planner fallback,
-// cube errors) are evaluated with direct scans, as is the whole batch under
-// opts.Naive. NaN marks undefined results. stats receives the batch
-// counters; table anchors queries that reference no column.
+// planned under policy (Pool comes from opts) into merged cube passes, and
+// each query is answered from its cube cell. Queries a cube pass cannot
+// answer (planner fallback, cube errors) are evaluated with direct scans,
+// as is the whole batch under opts.Naive. NaN marks undefined results.
+//
+// The passes and scans are one job on the scheduler, at most opts.Workers
+// of them in flight. A pass that splits into morsels owns that nested job
+// and, like every owner, can finish it alone, so nesting never waits for a
+// free helper.
 //
 // Cancellation is checked before every cube pass and direct scan, and
 // periodically inside scans: once ctx is done the remaining work is skipped
 // and the corresponding slots are NaN. Callers that need to distinguish
 // cancellation from undefined results must check ctx.Err() afterwards.
-func RunBatch(ctx context.Context, b Backend, stats *Stats, table string, policy PlanOptions, queries []Query, opts BatchOptions) []float64 {
+func RunBatch(ctx context.Context, b Backend, e *Engine, policy PlanOptions, queries []Query, opts BatchOptions) []float64 {
+	stats := &e.Stats
 	out := make([]float64, len(queries))
 	if len(queries) == 0 {
 		return out
@@ -570,7 +575,7 @@ func RunBatch(ctx context.Context, b Backend, stats *Stats, table string, policy
 		}
 	} else {
 		policy.Pool = opts.Pool
-		plan = PlanCubesOpt(uniq, table, policy)
+		plan = PlanCubesOpt(uniq, e.DefaultTable(), policy)
 		stats.PlannedCubes.Add(int64(len(plan.Cubes)))
 	}
 	if opts.observe != nil {
@@ -590,16 +595,18 @@ func RunBatch(ctx context.Context, b Backend, stats *Stats, table string, policy
 		}
 		res[i] = v
 	}
-	// Each task writes disjoint slots of res, so no lock is needed.
-	task := func(t int) {
+	// Each task writes disjoint slots of res, so no lock is needed. The
+	// scheduler skips the tasks left once ctx is done; their slots stay NaN.
+	tasks := len(plan.Cubes) + len(plan.Direct)
+	_ = e.sched.Load().Run(ctx, stats, tasks, opts.Workers, func(t int) error {
 		if t >= len(plan.Cubes) {
 			direct(plan.Direct[t-len(plan.Cubes)])
-			return
+			return nil
 		}
 		p := plan.Cubes[t]
 		cube, err := b.CubePass(ctx, p)
 		if err != nil && ctx.Err() != nil {
-			return // slots stay NaN
+			return nil // slots stay NaN
 		}
 		for _, i := range p.QueryIdx {
 			if err == nil {
@@ -611,40 +618,8 @@ func RunBatch(ctx context.Context, b Backend, stats *Stats, table string, policy
 			}
 			direct(i)
 		}
-	}
-
-	tasks := len(plan.Cubes) + len(plan.Direct)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	// Stop feeding once the request is cancelled; workers drain what was
-	// already queued (each task re-checks ctx and is a no-op).
-	if workers <= 1 {
-		for t := 0; t < tasks && ctx.Err() == nil; t++ {
-			task(t)
-		}
-	} else {
-		ch := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range ch {
-					task(t)
-				}
-			}()
-		}
-		for t := 0; t < tasks && ctx.Err() == nil; t++ {
-			ch <- t
-		}
-		close(ch)
-		wg.Wait()
-	}
+		return nil
+	})
 
 	for i := range out {
 		out[i] = res[slot[i]]
@@ -656,8 +631,7 @@ func RunBatch(ctx context.Context, b Backend, stats *Stats, table string, policy
 // the context-pinned snapshot, merging is amortized by the cube cache when
 // caching is on, and the planner may push shared selections down.
 func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64 {
-	return RunBatch(ctx, e, &e.Stats, e.DefaultTable(),
-		PlanOptions{MergeSmall: e.CachingEnabled(), Pushdown: e.PushdownEnabled()}, queries, opts)
+	return RunBatch(ctx, e, e, PlanOptions{MergeSmall: e.CachingEnabled(), Pushdown: e.PushdownEnabled()}, queries, opts)
 }
 
 // CubePass implements Backend.

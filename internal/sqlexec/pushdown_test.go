@@ -52,7 +52,7 @@ func TestFilteredKernelDifferentialRandomized(t *testing.T) {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
 		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols,
-			passConfig{workers: 1, zones: true, filter: filter})
+			passConfig{zones: true, filter: filter})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}
@@ -72,11 +72,15 @@ func TestFilteredKernelDifferentialRandomized(t *testing.T) {
 }
 
 // TestFilteredKernelParallelPartials runs the filtered kernel across
-// multiple partials (integer data, so merges are exact) and checks the
-// merged result — including the summed baseRows — against the oracle.
+// morsels on a width-4 scheduler (integer data, so merges are exact) and
+// checks the merged result — including the summed baseRows — against the
+// oracle.
 func TestFilteredKernelParallelPartials(t *testing.T) {
 	defer func(old int) { kernelParallelMinRows = old }(kernelParallelMinRows)
 	kernelParallelMinRows = 64
+	sched := NewScheduler(4)
+	defer sched.Close()
+	var stats Stats
 
 	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
@@ -97,7 +101,7 @@ func TestFilteredKernelParallelPartials(t *testing.T) {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
 		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols,
-			passConfig{workers: 4, zones: true, filter: filter})
+			passConfig{stats: &stats, zones: true, sched: sched, filter: filter})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}
@@ -105,6 +109,9 @@ func TestFilteredKernelParallelPartials(t *testing.T) {
 		if want.BaseRows() != got.BaseRows() {
 			t.Fatalf("%s: baseRows %d vs %d", label, want.BaseRows(), got.BaseRows())
 		}
+	}
+	if stats.PartialsMerged.Load() == 0 {
+		t.Fatal("no filtered pass split into morsels: the multi-partial merge went untested")
 	}
 }
 

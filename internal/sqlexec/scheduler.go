@@ -8,24 +8,26 @@ import (
 	"aggchecker/internal/db"
 )
 
-// This file implements the process-wide morsel scheduler: cube passes and
-// direct scans decompose into zone-aligned row-range morsels (small enough
-// that a heavy pass yields frequently, large enough that per-morsel
-// accumulator state stays amortized) and submit them to one shared worker
-// pool spanning all concurrent requests. Scheduling is morsel-driven in the
-// HyPer sense: workers pull the next morsel from a per-request fair queue
-// instead of each pass sizing a private goroutine pool, so fifty light
-// checks are never starved behind one heavy document.
+// This file implements the scheduler, the one worker pool of the execution
+// layer. Two kinds of job run on it: a batch's cube passes and direct scans
+// (RunBatch submits them as one job), and the zone-aligned row-range
+// morsels a large pass or scan splits into (small enough that a heavy pass
+// yields frequently, large enough that per-morsel accumulator state stays
+// amortized). Scheduling is morsel-driven in the HyPer sense: workers pull
+// the next task from a per-request fair queue, so fifty light checks are
+// never starved behind one heavy document.
 //
 // Two structural decisions carry the correctness story:
 //
 //   - Owner participation. The goroutine that submits a job always executes
-//     its own job's morsels; the pool's helper goroutines (workers-1 of
-//     them) assist whichever job round-robin points at. A scheduler of
-//     width 1 therefore has no helpers at all and degenerates to exactly
-//     the single-threaded scan, and a light request always makes progress
-//     at its submitter's own pace even when every helper is busy — the
-//     fairness floor does not depend on queue position.
+//     its own job's tasks; the pool's helper goroutines (workers-1 of them)
+//     assist whichever job round-robin points at. A scheduler of width 1
+//     therefore has no helpers at all and degenerates to exactly the
+//     single-threaded scan, and a light request always makes progress at its
+//     submitter's own pace even when every helper is busy — the fairness
+//     floor does not depend on queue position. It also makes nesting safe: a
+//     batch task that splits its pass owns the nested morsel job and can
+//     always finish it alone, so no job ever waits for a free helper.
 //
 //   - Deterministic merging. The scheduler never merges anything: callers
 //     decompose into a fixed morsel list (a pure function of the row range
@@ -35,10 +37,10 @@ import (
 //     to the single-threaded scan (float sums regroup at morsel
 //     boundaries, where addition is not associative).
 
-// Scheduler is a shared morsel-execution pool. One Scheduler serves every
-// engine of a process (core.Service installs one per service, daemons one
-// per process); it is safe for concurrent use and Run may be called from
-// many goroutines at once.
+// Scheduler is a shared worker pool. One Scheduler serves every engine of a
+// process (daemons install one sized by -scan-workers; engines built
+// without WithScheduler share the process-wide default); it is safe for
+// concurrent use and Run may be called from many goroutines at once.
 type Scheduler struct {
 	workers int
 
@@ -85,6 +87,10 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
+// defaultScheduler is the pool of every engine built without WithScheduler:
+// GOMAXPROCS wide, created on first use and never closed.
+var defaultScheduler = sync.OnceValue(func() *Scheduler { return NewScheduler(0) })
+
 // Workers returns the pool width (helpers + one submitter slot).
 func (s *Scheduler) Workers() int { return s.workers }
 
@@ -99,14 +105,15 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// Run executes morsels 0..n-1 through the pool and returns after all of
-// them finished or were skipped. The submitting goroutine participates,
-// executing its own job's morsels; idle helpers steal morsels concurrently,
-// at most maxConc at a time per job (<=0: no per-job cap beyond the pool
-// width). On the first morsel error or context cancellation the remaining
-// morsels are skipped, in-flight ones are waited for, and the first error
-// (or ctx.Err()) is returned. stats, when non-nil, attributes the morsel
-// counters to the submitting engine.
+// Run executes tasks 0..n-1 (a scan's morsels, or a batch's passes)
+// through the pool and returns after all of them finished or were skipped.
+// The submitting goroutine participates, executing its own job's tasks;
+// idle helpers steal tasks concurrently, at most maxConc at a time per job
+// (<=0: no per-job cap beyond the pool width). A task may itself call Run.
+// On the first task error or context cancellation the remaining tasks are
+// skipped, in-flight ones are waited for, and the first error (or
+// ctx.Err()) is returned. stats, when non-nil, attributes the task counters
+// (morsels_dispatched, steal_count, queue_waits) to the submitting engine.
 func (s *Scheduler) Run(ctx context.Context, stats *Stats, n int, maxConc int, run func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -114,7 +121,8 @@ func (s *Scheduler) Run(ctx context.Context, stats *Stats, n int, maxConc int, r
 	job := &schedJob{ctx: ctx, stats: stats, run: run, n: n, maxConc: maxConc, finish: make(chan struct{})}
 
 	s.mu.Lock()
-	if !s.closed && s.workers > 1 {
+	if !s.closed && s.workers > 1 && n > 1 {
+		// A single task is never published: its owner takes it at once.
 		// A submission that finds no idle helper queues behind the jobs
 		// already draining the pool (it still progresses via its owner).
 		if s.idle == 0 && stats != nil {
@@ -309,4 +317,27 @@ func morselRanges(spans []db.ZoneSpan, lo, hi, workers int) []rowRange {
 		out = append(out, rowRange{curLo, hi})
 	}
 	return out
+}
+
+// scanMorsels scans rows [lo, hi) with scan and returns the partials in
+// range order: one range scanned inline, or — when sched is wider than one
+// worker and the range holds at least kernelParallelMinRows rows —
+// zone-aligned morsels run on sched, at most its width in flight. A nil
+// sched always scans one range.
+func scanMorsels[P any](ctx context.Context, sched *Scheduler, stats *Stats, spans []db.ZoneSpan, lo, hi int, scan func(lo, hi int) (P, error)) ([]P, error) {
+	ranges := []rowRange{{lo, hi}}
+	if sched != nil && sched.Workers() > 1 && hi-lo >= kernelParallelMinRows {
+		ranges = morselRanges(spans, lo, hi, sched.Workers())
+	}
+	parts := make([]P, len(ranges))
+	if len(ranges) == 1 {
+		var err error
+		parts[0], err = scan(lo, hi)
+		return parts, err
+	}
+	err := sched.Run(ctx, stats, len(ranges), sched.Workers(), func(i int) (err error) {
+		parts[i], err = scan(ranges[i].lo, ranges[i].hi)
+		return err
+	})
+	return parts, err
 }

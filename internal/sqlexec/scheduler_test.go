@@ -260,10 +260,10 @@ func TestSchedulerEngineMatchesSingleThreaded(t *testing.T) {
 	kernelParallelMinRows = 64
 
 	d := stressDB(t, 40000)
-	serial := NewEngine(d, WithCaching(false), WithScanWorkers(1))
+	serial := NewEngine(d, WithCaching(false), WithScheduler(NewScheduler(1)))
 	sched := NewScheduler(4)
 	defer sched.Close()
-	par := NewEngine(d, WithScheduler(sched), WithCaching(false), WithScanWorkers(4))
+	par := NewEngine(d, WithScheduler(sched), WithCaching(false))
 
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
 	avals := []string{"p", "q", "r", "s", ""}
@@ -333,7 +333,7 @@ func TestSchedulerPassPoolsPartials(t *testing.T) {
 	d := stressDB(t, 40000)
 	sched := NewScheduler(4)
 	defer sched.Close()
-	e := NewEngine(d, WithScheduler(sched), WithCaching(false), WithScanWorkers(4))
+	e := NewEngine(d, WithScheduler(sched), WithCaching(false))
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
 	dims := []DimSpec{
 		{Col: cr("a"), Literals: []string{"p", "q", "r", "s"}},
@@ -387,7 +387,7 @@ func TestSchedulerSharedStress(t *testing.T) {
 	defer sched.Close()
 	heavyEng := NewEngine(d, WithScheduler(sched), WithCaching(false))
 	lightEng := NewEngine(d, WithScheduler(sched), WithCaching(false))
-	serial := NewEngine(d, WithScanWorkers(1))
+	serial := NewEngine(d, WithScheduler(NewScheduler(1)))
 
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
 	lightQ := Query{Agg: Sum, AggCol: cr("x"), Preds: []Predicate{{Col: cr("b"), Value: "v"}}}
@@ -442,31 +442,81 @@ func TestSchedulerSharedStress(t *testing.T) {
 	}
 }
 
-// TestPerRequestScanWorkerOverride checks the context-carried request
-// override: WithScanWorkers(1) on the context must force that request's
-// scans off the scheduler (single-threaded), without retuning the engine.
-func TestPerRequestScanWorkerOverride(t *testing.T) {
+// TestRunBatchNestedOnScheduler drives the one-pool path end to end: batch
+// tasks run on a width-2 scheduler and, with the split threshold lowered,
+// every cube pass and direct scan inside them owns a nested morsel job on
+// the same pool. Four goroutines submit batches concurrently while a fifth
+// batch is cancelled mid-run. Answers must be bit-identical to a
+// NewScheduler(1) engine (integer-valued data), the cancelled batch must
+// read NaN in every slot with ctx.Err() set, and no goroutine may survive
+// Close.
+func TestRunBatchNestedOnScheduler(t *testing.T) {
 	defer func(old int) { kernelParallelMinRows = old }(kernelParallelMinRows)
 	kernelParallelMinRows = 64
 
-	d := stressDB(t, 40000)
-	sched := NewScheduler(4)
-	defer sched.Close()
+	base := runtime.NumGoroutine()
+	d := stressDB(t, 20000)
+	serial := NewEngine(d, WithCaching(false), WithScheduler(NewScheduler(1)))
+	sched := NewScheduler(2)
 	e := NewEngine(d, WithScheduler(sched), WithCaching(false))
-	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
-	q := Query{Agg: Sum, AggCol: cr("x"), Preds: []Predicate{{Col: cr("b"), Value: "u"}}}
 
-	ctx := ContextWithOptions(context.Background(), WithScanWorkers(1))
-	if _, err := e.EvaluateContext(ctx, q); err != nil {
-		t.Fatal(err)
+	batch := benchBatch(60, 11)
+	variants := []BatchOptions{{Workers: 2}, {Workers: 2, Naive: true}, {Naive: true}}
+	want := make([][]float64, len(variants))
+	for v, opts := range variants {
+		want[v] = serial.EvaluateBatch(context.Background(), batch, opts)
 	}
-	if got := e.Stats.MorselsDispatched.Load(); got != 0 {
-		t.Fatalf("morsels_dispatched = %d under a scan_workers=1 override, want 0", got)
+
+	// The cancelled batch runs on its own caching engine over the same
+	// pool, so its passes are cube passes the hook can interrupt.
+	cancelEng := NewEngine(d, WithScheduler(sched))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelEng.testHookBeforeCubePass = cancel
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				v := (g + r) % len(variants)
+				got := e.EvaluateBatch(context.Background(), batch, variants[v])
+				for i := range got {
+					if !bitIdentical(got[i], want[v][i]) {
+						t.Errorf("goroutine %d variant %d: %s = %v, single-threaded %v", g, v, batch[i].Key(), got[i], want[v][i])
+						return
+					}
+				}
+			}
+		}(g)
 	}
-	if _, err := e.EvaluateContext(context.Background(), q); err != nil {
-		t.Fatal(err)
+	var cancelled []float64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cancelled = cancelEng.EvaluateBatch(ctx, batch, BatchOptions{Workers: 2})
+	}()
+	wg.Wait()
+
+	if ctx.Err() != context.Canceled {
+		t.Fatalf("cancelled batch: ctx.Err() = %v, want context.Canceled", ctx.Err())
 	}
-	if got := e.Stats.MorselsDispatched.Load(); got == 0 {
-		t.Fatal("no morsels dispatched without the override: scheduler not in use")
+	for i, v := range cancelled {
+		if !math.IsNaN(v) {
+			t.Fatalf("cancelled batch slot %d = %v, want NaN", i, v)
+		}
+	}
+	if e.Stats.PartialsMerged.Load() == 0 {
+		t.Error("no cube pass split into morsels: batch tasks never nested a job")
+	}
+
+	sched.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > base {
+		t.Errorf("goroutines after Close: %d, baseline %d", now, base)
 	}
 }

@@ -47,7 +47,6 @@ type Window struct {
 	stats      *Stats
 	maxPending int
 	flushDelay time.Duration
-	workers    int
 
 	mu      sync.Mutex
 	active  int // participants between Join and Leave
@@ -66,9 +65,6 @@ type WindowConfig struct {
 	// FlushDelay bounds how long a parked batch waits for co-travellers
 	// before a partial window flushes anyway (default 10ms).
 	FlushDelay time.Duration
-	// Workers, when > 0, overrides the worker bound of merged executions;
-	// otherwise the widest member bound wins.
-	Workers int
 }
 
 const (
@@ -96,7 +92,6 @@ func NewWindow(r BatchRunner, stats *Stats, cfg WindowConfig) *Window {
 		stats:      stats,
 		maxPending: cfg.MaxPending,
 		flushDelay: cfg.FlushDelay,
-		workers:    cfg.Workers,
 		groups:     make(map[string]*windowGroup),
 	}
 	if w.maxPending <= 0 {
@@ -235,19 +230,16 @@ func (w *Window) flushGroup(g *windowGroup) {
 		}
 	}
 	offs[len(g.reqs)] = len(all)
-	if w.workers > 0 {
-		workers = w.workers
-	}
 
 	// Execute under a member's context stripped of its cancellation: the
 	// group shares every pinned snapshot by construction, and per-request
-	// scan tuning (scan workers, zone maps) carries over the same way —
-	// audit members share one checker's settings, so the first request is
-	// representative. The merged run is cancelled only when EVERY member
-	// context is done: one cancelled document must not trash the answers
-	// the other members are waiting on. The watcher goroutine is released
-	// through stop when the flush finishes first (member contexts that are
-	// never cancelled must not leak it).
+	// scan tuning (zone maps) carries over the same way — audit members
+	// share one checker's settings, so the first request is representative.
+	// The merged run is cancelled only when EVERY member context is done:
+	// one cancelled document must not trash the answers the other members
+	// are waiting on. The watcher goroutine is released through stop when
+	// the flush finishes first (member contexts that are never cancelled
+	// must not leak it).
 	mctx, cancel := context.WithCancel(context.WithoutCancel(g.reqs[0].ctx))
 	stop := make(chan struct{})
 	go func() {
