@@ -104,6 +104,9 @@ type AuditReport struct {
 	// Cache is the cube-cache state after the audit, summed over the
 	// partition engines on a sharded checker (see Checker.cacheStats).
 	Cache *CacheStats
+	// cacheHits and cacheMisses count the run's cube-cache lookups over the
+	// same engines as Cache.
+	cacheHits, cacheMisses int64
 }
 
 // SharedPasses returns how many merged cube passes served queries from
@@ -111,9 +114,10 @@ type AuditReport struct {
 func (r *AuditReport) SharedPasses() int64 { return r.Stats["shared_passes"] }
 
 // CacheHitRate returns the run's cube-cache hit rate (cross-document reuse
-// included), or 0 when the run performed no cube lookups.
+// included) over every engine that holds the checker's cubes, or 0 when the
+// run performed no cube lookups.
 func (r *AuditReport) CacheHitRate() float64 {
-	h, m := r.Stats["cache_hits"], r.Stats["cache_misses"]
+	h, m := r.cacheHits, r.cacheMisses
 	if h+m == 0 {
 		return 0
 	}
@@ -190,7 +194,7 @@ func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOptio
 	}
 
 	start := time.Now()
-	before := c.Engine.Stats.Snapshot()
+	before, cacheBefore := c.Engine.Stats.Snapshot(), c.cacheStats()
 	rep := &AuditReport{Docs: make([]DocReport, len(docs))}
 
 	win := sqlexec.NewWindow(c.runner(), &c.Engine.Stats, set.window)
@@ -242,6 +246,7 @@ func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOptio
 	rep.TotalTime = time.Since(start)
 	rep.Stats = diffStats(before, c.Engine.Stats.Snapshot())
 	rep.Cache = c.cacheStats()
+	rep.cacheHits, rep.cacheMisses = rep.Cache.Hits-cacheBefore.Hits, rep.Cache.Misses-cacheBefore.Misses
 	return rep, ctx.Err()
 }
 

@@ -207,8 +207,8 @@ func TestAuditCancellation(t *testing.T) {
 	}
 }
 
-// TestAuditReportTotals: corpus totals agree with the per-document reports
-// and the cache snapshot is populated.
+// TestAuditReportTotals: corpus totals agree with the per-document reports,
+// the cache snapshot is populated, and the run's hit rate is the engine's.
 func TestAuditReportTotals(t *testing.T) {
 	sc, err := corpus.GenerateSharedCorpus("reference", 11, 5, 5, 2)
 	if err != nil {
@@ -234,6 +234,9 @@ func TestAuditReportTotals(t *testing.T) {
 	}
 	if rep.Cache.Hits == 0 {
 		t.Error("corpus audit recorded no cache hits")
+	}
+	if h, m := rep.Stats["cache_hits"], rep.Stats["cache_misses"]; rep.CacheHitRate() != float64(h)/float64(h+m) {
+		t.Errorf("hit rate = %v over %d hits and %d misses", rep.CacheHitRate(), h, m)
 	}
 	if rep.Cache.NsSaved <= 0 || rep.Cache.BytesSaved <= 0 {
 		t.Errorf("cache economics empty: ns=%d bytes=%d", rep.Cache.NsSaved, rep.Cache.BytesSaved)

@@ -206,7 +206,8 @@ func TestUnshardedConfigUntouched(t *testing.T) {
 // TestShardedAuditReportsPartitionCache pins that a sharded checker's cache
 // report reads the partition engines, which hold its cubes: after an audit
 // on a Shards: 3 checker, AuditReport.Cache and Service.Status's Cache both
-// count exactly the entries and bytes the partitions' CacheUsage reports.
+// count exactly the entries and bytes the partitions' CacheUsage reports,
+// and AuditReport.CacheHitRate is the partitions' hit rate.
 func TestShardedAuditReportsPartitionCache(t *testing.T) {
 	sc, err := corpus.GenerateSharedCorpus("sports", 5, 3, 4, 1)
 	if err != nil {
@@ -245,6 +246,10 @@ func TestShardedAuditReportsPartitionCache(t *testing.T) {
 	}
 	if rep.Cache.Misses == 0 {
 		t.Error("audit cache reports no misses although the partitions built cubes")
+	}
+	if rep.Cache.Hits == 0 || rep.CacheHitRate() != rep.Cache.HitRate {
+		t.Errorf("audit hit rate = %.3f, partitions recorded %d hits and %d misses",
+			rep.CacheHitRate(), rep.Cache.Hits, rep.Cache.Misses)
 	}
 	st, err := svc.Status("sports")
 	if err != nil {

@@ -27,8 +27,8 @@ type EventIteration struct {
 	// Delta is the maximum prior movement of the maximization step
 	// (0 when priors are disabled or Final).
 	Delta float64
-	// EvaluatedQueries is the running count of distinct candidate queries
-	// evaluated so far.
+	// EvaluatedQueries is the running count of the document's distinct
+	// candidate queries evaluated so far; each is evaluated once per check.
 	EvaluatedQueries int
 	// Claims is the number of claim updates that follow.
 	Claims int

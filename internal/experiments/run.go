@@ -35,7 +35,8 @@ type AccuracyResult struct {
 	Confusion metrics.Confusion
 	TotalTime time.Duration
 	QueryTime time.Duration
-	// EvaluatedQueries counts candidate queries sent to evaluators.
+	// EvaluatedQueries sums, over the cases, each document's distinct
+	// candidate queries sent to its evaluator.
 	EvaluatedQueries int
 	// RowsScanned totals the engine's scan volume across cases.
 	RowsScanned int64

@@ -192,7 +192,7 @@ type Table6Row struct {
 	Name      string
 	Total     time.Duration
 	Query     time.Duration
-	Evaluated int
+	Evaluated int   // #Queries: distinct queries per document, summed over the cases
 	Rows      int64 // rows scanned by the engine
 	Stats     map[string]int64
 }

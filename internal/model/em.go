@@ -2,7 +2,6 @@ package model
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -47,20 +46,32 @@ type Result struct {
 	Claims     []ClaimResult
 	Priors     *Priors
 	Iterations int
-	// EvaluatedQueries counts distinct queries sent to the evaluator
-	// (deduplicated across the claims of the document).
+	// EvaluatedQueries counts the distinct queries of the document sent to
+	// the evaluator: each is sent once per Run, whichever claims and EM
+	// iterations need it.
 	EvaluatedQueries int
 }
 
-// claimState carries per-claim working data across EM iterations; the
-// results map is the claim-level evaluation memo (cube-level caching lives
-// in the engine).
+// queryTable interns the queries of one Run to dense ids. Ids below
+// len(results) are evaluated; the rest form the next batch. A query is
+// never sent twice: its answer does not depend on the batch it rides in.
+type queryTable struct {
+	ids     map[string]int32
+	queries []sqlexec.Query
+	keys    []string
+	results []float64
+}
+
+// claimState carries per-claim working data across EM iterations. queries,
+// ids and matches are index-aligned with top.
 type claimState struct {
 	space   *Space
 	top     []*Candidate
 	queries []sqlexec.Query
-	results map[string]float64
-	// matched indexes top for candidates whose result rounds to the claim.
+	ids     []int32
+	// matches flags the candidates whose result rounds to the claim;
+	// matched indexes them.
+	matches     []bool
 	matched     []int
 	probMatched float64
 }
@@ -79,7 +90,8 @@ type IterationUpdate struct {
 	Delta float64
 	// Claims is the per-claim snapshot, index-aligned with doc.Claims.
 	Claims []ClaimResult
-	// EvaluatedQueries is the running count of distinct queries evaluated.
+	// EvaluatedQueries is the running count of the document's distinct
+	// queries evaluated so far.
 	EvaluatedQueries int
 }
 
@@ -107,8 +119,9 @@ func Run(ctx context.Context, cat *fragments.Catalog, doc *document.Document, sc
 	priors := UniformPriors(cat)
 	states := make([]*claimState, len(doc.Claims))
 	for i := range states {
-		states[i] = &claimState{results: make(map[string]float64)}
+		states[i] = &claimState{}
 	}
+	tab := &queryTable{ids: make(map[string]int32)}
 
 	res := &Result{}
 	iters := cfg.MaxEMIters
@@ -120,12 +133,12 @@ func Run(ctx context.Context, cat *fragments.Catalog, doc *document.Document, sc
 			return nil, err
 		}
 		res.Iterations++
-		eStep(ctx, cat, doc, scores, ev, cfg, pool, priors, states, res)
+		eStep(ctx, cat, doc, scores, ev, cfg, pool, priors, states, tab, res)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if !cfg.UsePriors {
-			notify(obs, res, doc, states, cfg, 0, false)
+			notify(obs, res, doc, states, tab, cfg, 0, false)
 			break
 		}
 		stats := newPriorStats(cat)
@@ -135,7 +148,7 @@ func Run(ctx context.Context, cat *fragments.Catalog, doc *document.Document, sc
 		next := stats.maximize(cfg.PriorAlpha)
 		delta := priors.MaxDelta(next)
 		priors = next
-		notify(obs, res, doc, states, cfg, delta, false)
+		notify(obs, res, doc, states, tab, cfg, delta, false)
 		if delta < cfg.ConvergeEps {
 			break
 		}
@@ -144,7 +157,7 @@ func Run(ctx context.Context, cat *fragments.Catalog, doc *document.Document, sc
 		return nil, err
 	}
 	// Final expectation pass under the converged priors.
-	eStep(ctx, cat, doc, scores, ev, cfg, pool, priors, states, res)
+	eStep(ctx, cat, doc, scores, ev, cfg, pool, priors, states, tab, res)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -152,22 +165,22 @@ func Run(ctx context.Context, cat *fragments.Catalog, doc *document.Document, sc
 	res.Priors = priors
 	res.Claims = make([]ClaimResult, len(doc.Claims))
 	for i := range states {
-		res.Claims[i] = assemble(doc.Claims[i], states[i], cfg)
+		res.Claims[i] = assemble(doc.Claims[i], states[i], tab, cfg)
 	}
-	notify(obs, res, doc, states, cfg, 0, true)
+	notify(obs, res, doc, states, tab, cfg, 0, true)
 	return res, nil
 }
 
 // notify assembles a per-claim snapshot and delivers it to the observer.
 // Assembly only happens when an observer is installed — plain Check runs
 // pay nothing for the streaming hook.
-func notify(obs Observer, res *Result, doc *document.Document, states []*claimState, cfg Config, delta float64, final bool) {
+func notify(obs Observer, res *Result, doc *document.Document, states []*claimState, tab *queryTable, cfg Config, delta float64, final bool) {
 	if obs == nil {
 		return
 	}
 	claims := make([]ClaimResult, len(states))
 	for i := range states {
-		claims[i] = assemble(doc.Claims[i], states[i], cfg)
+		claims[i] = assemble(doc.Claims[i], states[i], tab, cfg)
 	}
 	obs(IterationUpdate{
 		Iteration:        res.Iterations,
@@ -180,68 +193,59 @@ func notify(obs Observer, res *Result, doc *document.Document, states []*claimSt
 
 // eStep rebuilds spaces under the current priors, evaluates the top
 // candidates of every claim, and recomputes match bookkeeping. It runs in
-// three phases: claim workers build candidate spaces and collect the
-// queries still unevaluated; the union of those needs — deduplicated
-// across claims — goes to the evaluator as one document-level batch (§6.3:
-// merged cube passes span the claims of a document); and claim workers
-// redo the match bookkeeping. All accumulation is per-claim, so the
-// outcome is deterministic.
-func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, scores []keywords.Scores, ev Evaluator, cfg Config, pool *LiteralPool, priors *Priors, states []*claimState, res *Result) {
+// three phases: claim workers build candidate spaces and key their top
+// candidates; the keys are interned into the Run's query table in claim
+// order and the queries new to it go to the evaluator as one
+// document-level batch (§6.3: merged cube passes span the claims of a
+// document); and claim workers redo the match flags. All accumulation is
+// per-claim, so the outcome is deterministic.
+func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, scores []keywords.Scores, ev Evaluator, cfg Config, pool *LiteralPool, priors *Priors, states []*claimState, tab *queryTable, res *Result) {
 	workers := runtime.GOMAXPROCS(0)
 
-	// Phase 1: candidate construction and per-claim evaluation needs.
-	needQ := make([][]sqlexec.Query, len(states))
-	needKeys := make([][]string, len(states))
+	// Phase 1: candidate construction, each top candidate keyed once.
+	keys := make([][]string, len(states))
 	runParallel(workers, len(states), func(i int) {
 		st := states[i]
 		st.space = BuildSpace(cat, doc.Claims[i], scores[i], priors, pool, cfg)
 		st.top = st.space.TopCandidates(cfg.EvalBudget, cfg.MaxPreds)
 		st.queries = make([]sqlexec.Query, len(st.top))
+		keys[i] = make([]string, len(st.top))
 		for j, c := range st.top {
-			q := st.space.Query(c)
-			st.queries[j] = q
-			key := q.Key()
-			if _, ok := st.results[key]; !ok {
-				needQ[i] = append(needQ[i], q)
-				needKeys[i] = append(needKeys[i], key)
-				st.results[key] = math.NaN() // reserve to dedupe within the claim
-			}
+			st.queries[j] = st.space.Query(c)
+			keys[i][j] = st.queries[j].Key()
 		}
 	})
 
 	// Phase 2: one cross-claim batch. Claims frequently share candidates
-	// (same table, same salient literals), so the union is deduplicated by
-	// query key before evaluation and results are distributed back to every
-	// claim that asked.
-	var batch []sqlexec.Query
-	batchIdx := make(map[string]int)
-	for i := range states {
-		for k, key := range needKeys[i] {
-			if _, ok := batchIdx[key]; !ok {
-				batchIdx[key] = len(batch)
-				batch = append(batch, needQ[i][k])
+	// (same table, same salient literals), and EM iterations mostly revisit
+	// them, so only the queries the table has not seen are evaluated.
+	for i, st := range states {
+		st.ids = make([]int32, len(st.top))
+		for j, key := range keys[i] {
+			id, ok := tab.ids[key]
+			if !ok {
+				id = int32(len(tab.keys))
+				tab.ids[key] = id
+				tab.keys = append(tab.keys, key)
+				tab.queries = append(tab.queries, st.queries[j])
 			}
+			st.ids[j] = id
 		}
 	}
-	if len(batch) > 0 {
-		vals := ev.EvaluateBatch(ctx, batch)
-		res.EvaluatedQueries += len(batch)
-		for i := range states {
-			st := states[i]
-			for _, key := range needKeys[i] {
-				st.results[key] = vals[batchIdx[key]]
-			}
-		}
+	if batch := tab.queries[len(tab.results):]; len(batch) > 0 {
+		tab.results = append(tab.results, ev.EvaluateBatch(ctx, batch)...)
+		res.EvaluatedQueries = len(tab.results)
 	}
 
 	// Phase 3: match bookkeeping under the fresh results.
 	runParallel(workers, len(states), func(i int) {
 		st := states[i]
+		st.matches = make([]bool, len(st.top))
 		st.matched = st.matched[:0]
 		st.probMatched = 0
 		for j, c := range st.top {
-			r := st.results[st.queries[j].Key()]
-			if Matches(r, doc.Claims[i].Claimed.Value) {
+			st.matches[j] = Matches(tab.results[st.ids[j]], doc.Claims[i].Claimed.Value)
+			if st.matches[j] {
 				st.matched = append(st.matched, j)
 				st.probMatched += c.Prob
 			}
@@ -302,11 +306,10 @@ func posteriorWeight(prob float64, matches bool, cfg Config) float64 {
 
 // mlIndex returns the index (into st.top) of the maximum-likelihood
 // candidate under the posterior.
-func mlIndex(st *claimState, claimed float64, cfg Config) int {
+func mlIndex(st *claimState, cfg Config) int {
 	best, bestW := -1, -1.0
 	for j, c := range st.top {
-		r := st.results[st.queries[j].Key()]
-		w := posteriorWeight(c.Prob, Matches(r, claimed), cfg)
+		w := posteriorWeight(c.Prob, st.matches[j], cfg)
 		if w > bestW {
 			best, bestW = j, w
 		}
@@ -322,9 +325,8 @@ func accumulate(cat *fragments.Catalog, st *claimState, cfg Config, stats *prior
 	if len(st.top) == 0 {
 		return
 	}
-	claimed := st.space.claim.Claimed.Value
 	if !cfg.SoftEM {
-		if j := mlIndex(st, claimed, cfg); j >= 0 {
+		if j := mlIndex(st, cfg); j >= 0 {
 			stats.addQuery(cat, st.queries[j])
 		}
 		return
@@ -365,7 +367,7 @@ func accumulate(cat *fragments.Catalog, st *claimState, cfg Config, stats *prior
 }
 
 // assemble produces the final ranked query list and verdict for a claim.
-func assemble(claim *document.Claim, st *claimState, cfg Config) ClaimResult {
+func assemble(claim *document.Claim, st *claimState, tab *queryTable, cfg Config) ClaimResult {
 	out := ClaimResult{Claim: claim}
 	if len(st.top) == 0 {
 		return out
@@ -375,17 +377,14 @@ func assemble(claim *document.Claim, st *claimState, cfg Config) ClaimResult {
 		j int
 		w float64
 	}
-	seen := make(map[string]bool)
+	seen := make(map[int32]bool)
 	var pool []scored
 	add := func(j int) {
-		key := st.queries[j].Key()
-		if seen[key] {
+		if seen[st.ids[j]] {
 			return
 		}
-		seen[key] = true
-		r := st.results[key]
-		w := posteriorWeight(st.top[j].Prob, Matches(r, claim.Claimed.Value), cfg)
-		pool = append(pool, scored{j: j, w: w})
+		seen[st.ids[j]] = true
+		pool = append(pool, scored{j: j, w: posteriorWeight(st.top[j].Prob, st.matches[j], cfg)})
 	}
 	// Top base candidates plus every matching candidate (whose posterior
 	// is boosted by pT and may overtake).
@@ -403,19 +402,18 @@ func assemble(claim *document.Claim, st *claimState, cfg Config) ClaimResult {
 		if pool[a].w != pool[b].w {
 			return pool[a].w > pool[b].w
 		}
-		return st.queries[pool[a].j].Key() < st.queries[pool[b].j].Key()
+		return tab.keys[st.ids[pool[a].j]] < tab.keys[st.ids[pool[b].j]]
 	})
 	n := cfg.TopQueries
 	if n > len(pool) {
 		n = len(pool)
 	}
 	for _, sc := range pool[:n] {
-		r := st.results[st.queries[sc.j].Key()]
 		out.Ranked = append(out.Ranked, RankedQuery{
 			Query:   st.queries[sc.j],
 			Prob:    sc.w / z,
-			Result:  r,
-			Matches: Matches(r, claim.Claimed.Value),
+			Result:  tab.results[st.ids[sc.j]],
+			Matches: st.matches[sc.j],
 		})
 	}
 	if cfg.UseEvalResults {

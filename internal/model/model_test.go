@@ -382,3 +382,38 @@ func TestPCorrectRange(t *testing.T) {
 		}
 	}
 }
+
+// recordingEval forwards to an Evaluator and records every query it is sent.
+type recordingEval struct {
+	Evaluator
+	keys []string
+}
+
+func (r *recordingEval) EvaluateBatch(ctx context.Context, qs []sqlexec.Query) []float64 {
+	for _, q := range qs {
+		r.keys = append(r.keys, q.Key())
+	}
+	return r.Evaluator.EvaluateBatch(ctx, qs)
+}
+
+// TestRunEvaluatesEachQueryOnce: over all the batches of one Run, no query
+// is sent twice — not within a claim, not across claims, not across EM
+// iterations — and EvaluatedQueries counts exactly what was sent.
+func TestRunEvaluatesEachQueryOnce(t *testing.T) {
+	cat, doc, scores, eng := nflSetup(t)
+	rec := &recordingEval{Evaluator: naiveEval{eng}}
+	res := mustRun(t, cat, doc, scores, rec, testConfig())
+	if res.Iterations < 2 {
+		t.Fatalf("%d EM iterations; the test needs at least two", res.Iterations)
+	}
+	seen := make(map[string]bool, len(rec.keys))
+	for _, k := range rec.keys {
+		if seen[k] {
+			t.Fatalf("query %s evaluated twice", k)
+		}
+		seen[k] = true
+	}
+	if len(rec.keys) != res.EvaluatedQueries {
+		t.Errorf("evaluator was sent %d queries, EvaluatedQueries = %d", len(rec.keys), res.EvaluatedQueries)
+	}
+}
