@@ -24,17 +24,23 @@ flake-guard:
 	$(GO) test -count=20 -run TestSchedulerPassPoolsPartials ./internal/sqlexec
 
 # test-noasm runs the suite with the assembly kernels compiled out, so the
-# pure-Go dispatch fallback (non-amd64 platforms, `-tags noasm` escape
-# hatch) stays correct. internal/vec's property tests compare every
-# primitive against its reference under whichever binding is live.
+# Go loops of the four dispatched internal/vec primitives (the only path
+# on non-amd64 platforms and under the `-tags noasm` escape hatch) carry
+# every cube and scan differential. internal/vec's property tests compare
+# each dispatched primitive against its Go loop under whichever binding
+# is live.
 test-noasm:
 	$(GO) test -count=1 -tags noasm ./...
 
 race:
 	$(GO) test -race -count=1 ./...
 
+# vet also covers the two builds the assembly is absent from: `-tags noasm`
+# and a non-amd64 target (arm64), where the Go loops are the only path.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags noasm ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # fmt fails when any file is not gofmt-clean (CI gate); run `gofmt -w .` to fix.
 fmt:

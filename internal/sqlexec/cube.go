@@ -305,30 +305,17 @@ func newCubeResultWithCols(tables []string, dims []DimSpec, cols []trackedCol) (
 	return r, nil
 }
 
-// computeCubeScalar is the legacy row-at-a-time cube interpreter: one scan
-// over the joined view, accumulating every tracked column at every cell of
-// the cube lattice (2^|dims| hash-map probes and pointer-chased accumulator
-// updates per row). It is kept behind WithScalarKernel as the
-// reference implementation for differential testing, and as the fallback
-// when literal sets make the vectorized kernel's dense lattice too large
-// (see flatLatticeSize in kernel.go).
-func computeCubeScalar(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol) (*CubeResult, error) {
-	return computeCubeScalarRange(ctx, view, tables, dims, cols, 0, view.NumRows(), nil)
-}
-
-// computeCubeScalarFiltered is the scalar interpreter of a full
-// selection-pushdown pass — the differential-testing oracle for the
-// vectorized filtered kernel.
-func computeCubeScalarFiltered(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, filter *Predicate) (*CubeResult, error) {
-	return computeCubeScalarRange(ctx, view, tables, dims, cols, 0, view.NumRows(), filter)
-}
-
-// computeCubeScalarRange is the scalar interpreter restricted to joined
-// rows [lo, hi): the full pass with lo=0, hi=NumRows, or a delta scan over
-// appended rows when the literal pool forced the scalar fallback. A non-nil
-// filter makes it a selection-pushdown pass: rows failing the filter only
-// count into baseRows, in the same per-row scan order the vectorized
-// kernel's compacted segments preserve.
+// computeCubeScalarRange is the row-at-a-time cube interpreter over
+// joined rows [lo, hi): one scan accumulating every tracked column at every
+// cell of the cube lattice (2^|dims| hash-map probes and pointer-chased
+// accumulator updates per row) into a sparse map cell store. It serves the
+// passes whose literal sets make the vectorized kernel's dense lattice too
+// large (see flatLatticeSize in kernel.go), full passes and delta scans
+// alike, and the passes forced onto it by WithScalarKernel, which makes it
+// the oracle of the kernel differential tests. A non-nil filter makes it a
+// selection-pushdown pass: rows failing the filter only count into
+// baseRows, in the same per-row scan order the vectorized kernel's
+// compacted segments preserve.
 func computeCubeScalarRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int, filter *Predicate) (*CubeResult, error) {
 	r, err := newCubeResultWithCols(tables, dims, cols)
 	if err != nil {

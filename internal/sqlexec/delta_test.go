@@ -130,9 +130,9 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 			}
 			var want *CubeResult
 			if scalar {
-				want, err = computeCubeScalar(ctx, view, sc.tables, dims, trackedColsFor(reqs))
+				want, err = computeCubeRange(ctx, view, sc.tables, dims, trackedColsFor(reqs), 0, view.NumRows(), passConfig{scalar: true})
 			} else {
-				want, err = computeCubeVectorized(ctx, view, sc.tables, dims, trackedColsFor(reqs), passConfig{zones: true})
+				want, err = computeCubeRange(ctx, view, sc.tables, dims, trackedColsFor(reqs), 0, view.NumRows(), passConfig{zones: true})
 			}
 			if err != nil {
 				t.Fatalf("%s: rebuild: %v", label, err)

@@ -50,9 +50,9 @@ type Stats struct {
 	// per-column block reads into zero-copy column-slice reads versus
 	// gathers through join-view row maps; PartialsMerged counts row-range
 	// partials merged into cube results beyond the first (0 for
-	// single-threaded passes); ScalarPasses counts cube passes served by
-	// the legacy scalar kernel (forced via SetScalarKernel, or literal sets
-	// too large for the dense lattice).
+	// single-threaded passes); ScalarPasses counts cube passes and delta
+	// scans served by the scalar interpreter (forced via WithScalarKernel,
+	// or literal sets too large for the dense lattice).
 	BlocksScanned    atomic.Int64
 	DirectBlockReads atomic.Int64
 	GatherBlockReads atomic.Int64
@@ -299,8 +299,8 @@ type Engine struct {
 	views   [cacheShards]viewShard
 	cubes   [cacheShards]cubeShard
 
-	// scalarKernel forces cube passes onto the legacy row-at-a-time
-	// interpreter; the vectorized columnar kernel is the default.
+	// scalarKernel forces cube passes onto the row-at-a-time interpreter;
+	// the vectorized columnar kernel is the default.
 	scalarKernel atomic.Bool
 	// pushdown enables selection-vector pushdown: the batch planner may
 	// merge queries sharing a predicate into one filtered cube pass whose
@@ -962,7 +962,7 @@ func (e *Engine) runCube(ctx context.Context, view *db.JoinView, tables []string
 		sched:  e.sched.Load(),
 		filter: filter,
 	}
-	return computeCube(ctx, view, tables, dims, cols, pc)
+	return computeCubeRange(ctx, view, tables, dims, cols, 0, view.NumRows(), pc)
 }
 
 // trackedColsFor deduplicates aggregate requests into tracked columns.

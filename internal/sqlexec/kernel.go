@@ -91,38 +91,28 @@ type passConfig struct {
 	filter *Predicate
 }
 
-// computeCube dispatches one cube pass: the vectorized kernel by default,
-// the scalar interpreter when forced (WithScalarKernel) or when the
-// literal sets blow the dense lattice bound. Both kernels produce
+// computeCubeRange is the one cube-pass entry point: it accumulates joined
+// rows [lo, hi) — every row (lo=0, hi=NumRows) for a full pass, or the
+// rows of blocks sealed after a cached cube's snapshot for a delta scan,
+// whose partial CubeResult.mergeAppend folds into the published result.
+// It is the only place that picks the kernel: the vectorized kernel by
+// default, the scalar interpreter when forced (WithScalarKernel) or when
+// the literal sets blow the dense lattice bound. Both kernels produce
 // bit-for-bit identical CubeResults (asserted by the differential tests in
-// kernel_diff_test.go); pc.zones enables block pruning, which never
-// changes results either.
-func computeCube(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, pc passConfig) (*CubeResult, error) {
-	if pc.scalar || flatLatticeSize(dims) < 0 {
-		if pc.stats != nil {
-			pc.stats.ScalarPasses.Add(1)
-		}
-		return computeCubeScalarRange(ctx, view, tables, dims, cols, 0, view.NumRows(), pc.filter)
-	}
-	return computeCubeVectorized(ctx, view, tables, dims, cols, pc)
-}
-
-// computeCubeRange is the delta-scan entry point: it accumulates only
-// joined rows [lo, hi) — the rows of blocks sealed after a cached cube's
-// snapshot — into a partial CubeResult that CubeResult.mergeAppend folds
-// into the published result. Kernel dispatch matches computeCube, so the
-// partial is produced by exactly the code paths a full rebuild would use —
-// including zone-map pruning: a delta block whose dimension domains miss
-// every tracked literal takes the batched rolled-up update instead of the
-// per-row coding loops (the "delta-aware zone maps" path).
+// kernel_diff_test.go), so a delta partial matches what a full rebuild
+// would accumulate; pc.zones enables block pruning, which never changes
+// results either (a delta block whose dimension domains miss every
+// tracked literal takes the batched rolled-up update instead of the
+// per-row coding loops).
 func computeCubeRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int, pc passConfig) (*CubeResult, error) {
-	if pc.scalar || flatLatticeSize(dims) < 0 {
+	size := flatLatticeSize(dims)
+	if pc.scalar || size < 0 {
 		if pc.stats != nil {
 			pc.stats.ScalarPasses.Add(1)
 		}
 		return computeCubeScalarRange(ctx, view, tables, dims, cols, lo, hi, pc.filter)
 	}
-	return computeCubeVectorizedRange(ctx, view, tables, dims, cols, lo, hi, pc)
+	return computeCubeVectorizedRange(ctx, view, tables, dims, cols, size, lo, hi, pc)
 }
 
 // vecDim codes one dimension column into pre-multiplied lattice offsets.
@@ -985,31 +975,15 @@ func (k *vecKernel) fill(r *CubeResult, pt *vecPartial) {
 	}
 }
 
-// computeCubeVectorized runs one vectorized cube pass over the joined view.
-// Views of at least kernelParallelMinRows rows split into morsels on
-// pc.sched; smaller views scan single-threaded.
-func computeCubeVectorized(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, pc passConfig) (*CubeResult, error) {
-	return computeCubeVectorizedRange(ctx, view, tables, dims, cols, 0, view.NumRows(), pc)
-}
-
-// computeCubeVectorizedRange is computeCubeVectorized restricted to joined
-// rows [rangeLo, rangeHi) — the full pass with rangeLo=0, rangeHi=NumRows,
-// or a delta scan over just the appended rows. The range scans as one
-// piece or as zone-aligned morsels on pc.sched (see scanMorsels); the
-// decomposition is fixed up front and partials merge in range order, so
-// results do not depend on scheduling.
-func computeCubeVectorizedRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, rangeLo, rangeHi int, pc passConfig) (*CubeResult, error) {
+// computeCubeVectorizedRange runs the vectorized kernel over joined rows
+// [rangeLo, rangeHi) with a dense lattice of size cells. The range scans
+// as one piece or as zone-aligned morsels on pc.sched (see scanMorsels);
+// the decomposition is fixed up front and partials merge in range order,
+// so results do not depend on scheduling.
+func computeCubeVectorizedRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, size, rangeLo, rangeHi int, pc passConfig) (*CubeResult, error) {
 	r, err := newCubeResultWithCols(tables, dims, cols)
 	if err != nil {
 		return nil, err
-	}
-	size := flatLatticeSize(dims)
-	if size < 0 {
-		// Defensive: the dispatcher already routed oversized lattices away.
-		if pc.stats != nil {
-			pc.stats.ScalarPasses.Add(1)
-		}
-		return computeCubeScalarRange(ctx, view, tables, dims, cols, rangeLo, rangeHi, pc.filter)
 	}
 	k, err := newVecKernel(view, dims, r, size, pc.stats, pc.zones, pc.filter)
 	if err != nil {

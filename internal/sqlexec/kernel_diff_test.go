@@ -276,11 +276,11 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 		dims, cols := randomCubeSpec(rng, sc)
 		label := fmt.Sprintf("trial %d (joined=%v rows=%d dims=%d cols=%d)",
 			trial, joined, rows, len(dims), len(cols))
-		want, err := computeCubeScalar(ctx, view, sc.tables, dims, cols)
+		want, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols, passConfig{zones: true})
+		got, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{zones: true})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}
@@ -312,11 +312,11 @@ func TestKernelDifferentialParallelPartials(t *testing.T) {
 		}
 		dims, cols := randomCubeSpec(rng, sc)
 		label := fmt.Sprintf("parallel trial %d (joined=%v rows=%d dims=%d)", trial, joined, rows, len(dims))
-		want, err := computeCubeScalar(ctx, view, sc.tables, dims, cols)
+		want, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols, passConfig{stats: &stats, zones: true, sched: sched})
+		got, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{stats: &stats, zones: true, sched: sched})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}
@@ -342,11 +342,11 @@ func TestKernelEmptyView(t *testing.T) {
 	}
 	dims := []DimSpec{{Col: ColumnRef{Table: "e", Column: "s"}, Literals: []string{"x"}}}
 	cols := []trackedCol{{ref: ColumnRef{Table: "e", Column: "n"}, needDistinct: true}}
-	want, err := computeCubeScalar(context.Background(), view, []string{"e"}, dims, cols)
+	want, err := computeCubeRange(context.Background(), view, []string{"e"}, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := computeCubeVectorized(context.Background(), view, []string{"e"}, dims, cols, passConfig{zones: true})
+	got, err := computeCubeRange(context.Background(), view, []string{"e"}, dims, cols, 0, view.NumRows(), passConfig{zones: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +367,16 @@ func TestKernelEmptyView(t *testing.T) {
 
 // TestKernelLatticeFallback drives the dispatcher with a literal pool too
 // large for the dense lattice: the pass must fall back to the scalar kernel
-// (counted in Stats.ScalarPasses) and still be correct.
+// (counted in Stats.ScalarPasses) and still be correct. The cached cube is
+// then advanced over committed appends, and the delta scan takes the same
+// route: one more scalar pass, and a merged cube equal to a fresh rebuild.
 func TestKernelLatticeFallback(t *testing.T) {
 	wide := make([]string, 70)
 	for i := range wide {
 		wide[i] = "L" + strconv.Itoa(i)
 	}
-	e := NewEngine(stressDB(t, 500))
+	d := stressDB(t, 500)
+	e := NewEngine(d)
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
 	dims := []DimSpec{
 		{Col: cr("a"), Literals: wide},
@@ -383,7 +386,8 @@ func TestKernelLatticeFallback(t *testing.T) {
 	if flatLatticeSize(dims) != -1 {
 		t.Fatalf("72^3 lattice should exceed maxFlatCells")
 	}
-	cube, err := e.CubeFor([]string{"t"}, dims, []AggRequest{{Fn: Count, Col: ColumnRef{}}})
+	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
+	cube, err := e.CubeFor([]string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,6 +406,40 @@ func TestKernelLatticeFallback(t *testing.T) {
 	if !eqNaN(v, dv) {
 		t.Errorf("fallback cube = %v, direct = %v", v, dv)
 	}
+
+	rng := rand.New(rand.NewSource(11))
+	rows := make([][]any, 40)
+	for i := range rows {
+		rows[i] = []any{wide[rng.Intn(4)], []string{"u", "v"}[rng.Intn(2)], float64(rng.Intn(100))}
+	}
+	if err := d.Append("t", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.CubeFor([]string{"t"}, dims, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Stats.DeltaScans.Load(); n != 1 {
+		t.Fatalf("delta scans = %d, want 1", n)
+	}
+	if n := e.Stats.FullRebuilds.Load(); n != 0 {
+		t.Fatalf("full rebuilds = %d, want 0", n)
+	}
+	if n := e.Stats.ScalarPasses.Load(); n != 2 {
+		t.Errorf("scalar passes = %d, want 2 (full pass + delta scan)", n)
+	}
+	view, err := db.BuildSnapshotView(d.Snapshot(), []string{"t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := computeCubeRange(context.Background(), view, []string{"t"}, dims, trackedColsFor(reqs), 0, view.NumRows(), passConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCubesIdentical(t, want, got, "lattice fallback delta")
 }
 
 // TestEngineScalarKernelFlag pins the legacy interpreter behind the engine
@@ -454,7 +492,7 @@ func TestKernelCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = computeCubeVectorized(ctx, view, []string{"t"}, stressDims(), nil, passConfig{zones: true})
+	_, err = computeCubeRange(ctx, view, []string{"t"}, stressDims(), nil, 0, view.NumRows(), passConfig{zones: true})
 	if err != context.Canceled {
 		t.Errorf("cancelled vectorized pass returned %v, want context.Canceled", err)
 	}

@@ -547,11 +547,11 @@ func TestCubeZoneMapPruningRandomized(t *testing.T) {
 			}
 		}
 		label := fmt.Sprintf("trial %d (batches=%d rowsPer=%d dims=%d)", trial, batches, rowsPer, len(dims))
-		want, err := computeCubeScalar(ctx, view, []string{"t"}, dims, cols)
+		want, err := computeCubeRange(ctx, view, []string{"t"}, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, []string{"t"}, dims, cols, passConfig{zones: true})
+		got, err := computeCubeRange(ctx, view, []string{"t"}, dims, cols, 0, view.NumRows(), passConfig{zones: true})
 		if err != nil {
 			t.Fatalf("%s: vectorized+zones: %v", label, err)
 		}

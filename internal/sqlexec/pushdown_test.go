@@ -47,12 +47,11 @@ func TestFilteredKernelDifferentialRandomized(t *testing.T) {
 		filter := randomFilter(rng, sc)
 		label := fmt.Sprintf("filtered trial %d (joined=%v rows=%d dims=%d filter=%s)",
 			trial, joined, rows, len(dims), filter.String())
-		want, err := computeCubeScalarFiltered(ctx, view, sc.tables, dims, cols, filter)
+		want, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{scalar: true, filter: filter})
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols,
-			passConfig{zones: true, filter: filter})
+		got, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{zones: true, filter: filter})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}
@@ -96,12 +95,11 @@ func TestFilteredKernelParallelPartials(t *testing.T) {
 		filter := randomFilter(rng, sc)
 		label := fmt.Sprintf("filtered parallel trial %d (joined=%v rows=%d filter=%s)",
 			trial, joined, rows, filter.String())
-		want, err := computeCubeScalarFiltered(ctx, view, sc.tables, dims, cols, filter)
+		want, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{scalar: true, filter: filter})
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", label, err)
 		}
-		got, err := computeCubeVectorized(ctx, view, sc.tables, dims, cols,
-			passConfig{stats: &stats, zones: true, sched: sched, filter: filter})
+		got, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{stats: &stats, zones: true, sched: sched, filter: filter})
 		if err != nil {
 			t.Fatalf("%s: vectorized: %v", label, err)
 		}

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// Benchmarks compare the three flavors of each primitive on one
-// kernel-block of rows (4096, matching sqlexec's kernelBlockRows). This
-// is the primitive table: `go test -run '^$' -bench . ./internal/vec`
-// prints ns/op per primitive and flavor, and `make bench-smoke` keeps all
-// variants executing.
+// Benchmarks time each primitive on one kernel-block of rows (4096,
+// matching sqlexec's kernelBlockRows). This is the primitive table:
+// `go test -run '^$' -bench . ./internal/vec` prints ns/op per primitive,
+// the four dispatched ones as their Go loop ("go") against the live
+// binding (Impl(): "avx2", or "go" again when no assembly is bound), and
+// `make bench-smoke` keeps every benchmark executing.
 const benchRows = 4096
 
 func benchData() (vals []float64, codes []int32, mask []uint64, sel []int32) {
@@ -35,8 +36,7 @@ func BenchmarkCmpEqF64(b *testing.B) {
 			}
 		})
 	}
-	run("ref", CmpEqF64Ref)
-	run("unrolled", CmpEqF64Unrolled)
+	run("go", cmpEqF64Go)
 	run(Impl(), CmpEqF64)
 }
 
@@ -50,24 +50,16 @@ func BenchmarkCmpEqI32(b *testing.B) {
 			}
 		})
 	}
-	run("ref", CmpEqI32Ref)
-	run("unrolled", CmpEqI32Unrolled)
+	run("go", cmpEqI32Go)
 	run(Impl(), CmpEqI32)
 }
 
 func BenchmarkSelFromMask(b *testing.B) {
 	vals, _, mask, sel := benchData()
-	CmpEqF64Ref(vals, 7, mask) // ~1/16 dense
-	run := func(name string, fn func([]uint64, int, []int32) int) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fn(mask, benchRows, sel)
-			}
-		})
+	CmpEqF64(vals, 7, mask) // ~1/16 dense
+	for i := 0; i < b.N; i++ {
+		SelFromMask(mask, benchRows, sel)
 	}
-	run("ref", SelFromMaskRef)
-	run("unrolled", SelFromMaskUnrolled)
-	run(Impl(), SelFromMask)
 }
 
 func BenchmarkGatherF64(b *testing.B) {
@@ -76,51 +68,20 @@ func BenchmarkGatherF64(b *testing.B) {
 		sel[i] = int32((i * 7) % benchRows)
 	}
 	dst := make([]float64, benchRows)
-	run := func(name string, fn func(dst, src []float64, idx []int32)) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows * 8)
-			for i := 0; i < b.N; i++ {
-				fn(dst, vals, sel)
-			}
-		})
+	b.SetBytes(benchRows * 8)
+	for i := 0; i < b.N; i++ {
+		GatherF64(dst, vals, sel)
 	}
-	run("ref", GatherF64Ref)
-	run("unrolled", GatherF64Unrolled)
-	run(Impl(), GatherF64)
 }
 
 func BenchmarkLookupCodes(b *testing.B) {
 	_, codes, _, _ := benchData()
 	lut := make([]int32, 16)
 	dst := make([]int32, benchRows)
-	run := func(name string, fn func(dst, codes, lut []int32, def int32)) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows * 4)
-			for i := 0; i < b.N; i++ {
-				fn(dst, codes, lut, -2)
-			}
-		})
+	b.SetBytes(benchRows * 4)
+	for i := 0; i < b.N; i++ {
+		LookupCodes(dst, codes, lut, -2)
 	}
-	run("ref", LookupCodesRef)
-	run("unrolled", LookupCodesUnrolled)
-	run(Impl(), LookupCodes)
-}
-
-func BenchmarkAndPopcount(b *testing.B) {
-	vals, codes, mask, _ := benchData()
-	m2 := make([]uint64, MaskWords(benchRows))
-	CmpEqF64Ref(vals, 7, mask)
-	CmpEqI32Ref(codes, 3, m2)
-	run := func(name string, fn func(a, b []uint64) int) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fn(mask, m2)
-			}
-		})
-	}
-	run("ref", AndPopcountRef)
-	run("unrolled", AndPopcountUnrolled)
-	run(Impl(), AndPopcount)
 }
 
 func BenchmarkMinMaxF64(b *testing.B) {
@@ -133,8 +94,7 @@ func BenchmarkMinMaxF64(b *testing.B) {
 			}
 		})
 	}
-	run("ref", MinMaxF64Ref)
-	run("unrolled", MinMaxF64Unrolled)
+	run("go", minMaxF64Go)
 	run(Impl(), MinMaxF64)
 }
 
@@ -148,8 +108,7 @@ func BenchmarkCountNonNegI32(b *testing.B) {
 			}
 		})
 	}
-	run("ref", CountNonNegI32Ref)
-	run("unrolled", CountNonNegI32Unrolled)
+	run("go", countNonNegI32Go)
 	run(Impl(), CountNonNegI32)
 }
 
@@ -163,15 +122,8 @@ func BenchmarkAccumulateF64(b *testing.B) {
 	sum := make([]float64, 64)
 	minv := make([]float64, 64)
 	maxv := make([]float64, 64)
-	run := func(name string, fn func([]int32, []float64, []int64, []float64, []float64, []float64)) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows * 8)
-			for i := 0; i < b.N; i++ {
-				fn(offs, vals, nonNull, sum, minv, maxv)
-			}
-		})
+	b.SetBytes(benchRows * 8)
+	for i := 0; i < b.N; i++ {
+		AccumulateF64(offs, vals, nonNull, sum, minv, maxv)
 	}
-	run("ref", AccumulateF64Ref)
-	run("unrolled", AccumulateF64Unrolled)
-	run(Impl(), AccumulateF64)
 }

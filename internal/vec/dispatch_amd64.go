@@ -9,11 +9,10 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // AVX2 kernels (vec_amd64.s). Each processes only whole vector groups;
-// the Go wrappers below handle tails and empty inputs.
+// the Go wrappers below hand tails to the Go loops.
 func cmpEqF64Asm(vals *float64, want float64, mask *uint64, words int)
 func cmpEqI32Asm(codes *int32, want int32, mask *uint64, words int)
 func countNegI32Asm(codes *int32, octs int) int64
-func andPopcountAsm(a, b *uint64, words int) int64
 func minMaxF64Asm(vals *float64, quads int, out *[8]float64)
 
 var asmLevel = "go"
@@ -49,72 +48,28 @@ func init() {
 	asmLevel = "avx2"
 	CmpEqF64 = cmpEqF64AVX2
 	CmpEqI32 = cmpEqI32AVX2
-	CountNonNegI32 = countNonNegI32AVX2
-	AndPopcount = andPopcountAVX2
 	MinMaxF64 = minMaxF64AVX2
+	CountNonNegI32 = countNonNegI32AVX2
 }
 
 func cmpEqF64AVX2(vals []float64, want float64, mask []uint64) {
-	n := len(vals)
-	words := n >> 6
+	words := len(vals) >> 6
 	if words > 0 {
 		cmpEqF64Asm(&vals[0], want, &mask[0], words)
 	}
-	if t := n & 63; t != 0 {
-		var m uint64
-		for i, v := range vals[words<<6:] {
-			if v == want {
-				m |= 1 << uint(i)
-			}
-		}
-		mask[words] = m
-	}
+	cmpEqF64Go(vals[words<<6:], want, mask[words:])
 }
 
 func cmpEqI32AVX2(codes []int32, want int32, mask []uint64) {
-	n := len(codes)
-	words := n >> 6
+	words := len(codes) >> 6
 	if words > 0 {
 		cmpEqI32Asm(&codes[0], want, &mask[0], words)
 	}
-	if t := n & 63; t != 0 {
-		var m uint64
-		for i, c := range codes[words<<6:] {
-			if c == want {
-				m |= 1 << uint(i)
-			}
-		}
-		mask[words] = m
-	}
-}
-
-func countNonNegI32AVX2(codes []int32) int {
-	n := len(codes)
-	octs := n >> 3
-	neg := 0
-	if octs > 0 {
-		neg = int(countNegI32Asm(&codes[0], octs))
-	}
-	for _, c := range codes[octs<<3:] {
-		if c < 0 {
-			neg++
-		}
-	}
-	return n - neg
-}
-
-func andPopcountAVX2(a, b []uint64) int {
-	n := len(a)
-	b = b[:n]
-	if n == 0 {
-		return 0
-	}
-	return int(andPopcountAsm(&a[0], &b[0], n))
+	cmpEqI32Go(codes[words<<6:], want, mask[words:])
 }
 
 func minMaxF64AVX2(vals []float64) (mn, mx float64) {
-	n := len(vals)
-	quads := n >> 2
+	quads := len(vals) >> 2
 	mn, mx = inf, negInf
 	if quads > 0 {
 		out := [8]float64{inf, inf, inf, inf, negInf, negInf, negInf, negInf}
@@ -128,13 +83,21 @@ func minMaxF64AVX2(vals []float64) (mn, mx float64) {
 			}
 		}
 	}
-	for _, v := range vals[quads<<2:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
+	tmn, tmx := minMaxF64Go(vals[quads<<2:])
+	if tmn < mn {
+		mn = tmn
+	}
+	if tmx > mx {
+		mx = tmx
 	}
 	return mn, mx
+}
+
+func countNonNegI32AVX2(codes []int32) int {
+	octs := len(codes) >> 3
+	c := countNonNegI32Go(codes[octs<<3:])
+	if octs > 0 {
+		c += octs<<3 - int(countNegI32Asm(&codes[0], octs))
+	}
+	return c
 }

@@ -4,5 +4,5 @@ package vec
 
 // asmLevel stays "go": no assembly kernels are linked in on non-amd64
 // targets or under the `noasm` build tag, and the dispatched entry
-// points keep their unrolled-Go defaults.
+// points keep their Go loops.
 var asmLevel = "go"

@@ -1,25 +1,18 @@
 // Package vec holds the measured micro-kernel layer under the cube and
 // scan execution paths: the handful of inner loops that dominate per-row
 // cost once zone maps, batching, and scheduling have removed everything
-// else (mask→index selection compaction, SoA accumulate into gathered
-// cells, min/max folds, dictionary-code gather, bitmap AND/popcount,
-// equality compare → bitmask).
+// else (equality compare → bitmask, mask→index selection compaction,
+// selection-vector and dictionary-code gathers, min/max folds, non-NULL
+// counts, SoA accumulate into gathered cells).
 //
-// Every primitive ships in up to three flavors:
-//
-//   - XxxRef: the plain-Go reference loop. Semantics are defined by this
-//     implementation; everything else must match it bit for bit (for
-//     min/max, up to the sign of zero — see MinMaxF64Ref).
-//   - XxxUnrolled: a hand-unrolled, bounds-check-eliminated Go variant.
-//   - AVX2 assembly (amd64 only, vec_amd64.s), reachable only through the
-//     dispatched entry points below.
-//
-// The package-level function variables (CmpEqF64, SelFromMask, ...) are
-// the entry points the engine calls. They default to the unrolled Go
-// variants and are rebound to assembly in init() when the CPU reports
-// AVX2 (+OS ymm state) — unless the binary is built with `-tags noasm`,
-// which removes the assembly and the CPUID probe entirely. Impl()
-// reports which configuration is live.
+// Every primitive has one Go implementation, which defines its semantics.
+// Four of them — CmpEqF64, CmpEqI32, CountNonNegI32 and MinMaxF64 — are
+// package-level function variables that init() rebinds to AVX2 assembly
+// (vec_amd64.s) when the CPU reports AVX2 (+OS ymm state), unless the
+// binary is built with `-tags noasm`, which removes the assembly and the
+// CPUID probe entirely. Their Go loops stay as the portable path and as
+// the test oracle. The other five are plain functions. Impl() reports
+// which configuration is live.
 //
 // Float-sum ordering: primitives that add float64s (AccumulateF64,
 // const folds) are deliberately kept in strict row order and never get
@@ -32,21 +25,13 @@ import (
 	"math/bits"
 )
 
-// Dispatched entry points. Default to the portable unrolled variants;
-// rebound to AVX2 assembly by init() in dispatch_amd64.go when supported.
+// Dispatched entry points. They default to the Go loops and are rebound
+// to AVX2 assembly by init() in dispatch_amd64.go when supported.
 var (
-	CmpEqF64       func(vals []float64, want float64, mask []uint64)                              = CmpEqF64Unrolled
-	CmpEqI32       func(codes []int32, want int32, mask []uint64)                                 = CmpEqI32Unrolled
-	SelFromMask    func(mask []uint64, n int, sel []int32) int                                    = SelFromMaskUnrolled
-	GatherF64      func(dst, src []float64, idx []int32)                                          = GatherF64Unrolled
-	GatherI32      func(dst, src []int32, idx []int32)                                            = GatherI32Unrolled
-	LookupCodes    func(dst, codes, lut []int32, def int32)                                       = LookupCodesUnrolled
-	AndWords       func(dst, src []uint64)                                                        = AndWordsUnrolled
-	AndPopcount    func(a, b []uint64) int                                                        = AndPopcountUnrolled
-	Popcount       func(words []uint64) int                                                       = PopcountUnrolled
-	MinMaxF64      func(vals []float64) (mn, mx float64)                                          = MinMaxF64Unrolled
-	CountNonNegI32 func(codes []int32) int                                                        = CountNonNegI32Unrolled
-	AccumulateF64  func(offs []int32, vals []float64, nonNull []int64, sum, minv, maxv []float64) = AccumulateF64Unrolled
+	CmpEqF64       func(vals []float64, want float64, mask []uint64) = cmpEqF64Go
+	CmpEqI32       func(codes []int32, want int32, mask []uint64)    = cmpEqI32Go
+	MinMaxF64      func(vals []float64) (mn, mx float64)             = minMaxF64Go
+	CountNonNegI32 func(codes []int32) int                           = countNonNegI32Go
 )
 
 // Impl reports the live dispatch configuration: "avx2" when the assembly
@@ -59,14 +44,14 @@ func Impl() string { return asmLevel }
 func MaskWords(n int) int { return (n + 63) >> 6 }
 
 // ---------------------------------------------------------------------------
-// CmpEqF64: float equality compare → bitmask.
+// CmpEqF64 / CmpEqI32: equality compare → bitmask.
 //
-// Sets bit i of mask for every vals[i] == want and clears all other bits
-// in the first MaskWords(len(vals)) words, including the tail bits of the
-// last word. NaN never matches (even NaN want); ±0 compare equal.
+// Set bit i of mask for every vals[i] == want and clear all other bits in
+// the first MaskWords(len(vals)) words, including the tail bits of the
+// last word. For floats NaN never matches (even NaN want) and ±0 compare
+// equal; NULL dictionary codes (negative) never match a non-negative want.
 
-// CmpEqF64Ref is the reference implementation of CmpEqF64.
-func CmpEqF64Ref(vals []float64, want float64, mask []uint64) {
+func cmpEqF64Go(vals []float64, want float64, mask []uint64) {
 	for w := range mask[:MaskWords(len(vals))] {
 		mask[w] = 0
 	}
@@ -77,55 +62,7 @@ func CmpEqF64Ref(vals []float64, want float64, mask []uint64) {
 	}
 }
 
-// CmpEqF64Unrolled builds each mask word in a register from four
-// branchless compare-to-bit lanes per step. Measured tradeoff: at low
-// match density the reference's predicted-not-taken branch is ~1.5x
-// faster, but this variant's cost is independent of selectivity (no
-// mispredict cliff on 50% matches); the real win for this primitive is
-// the AVX2 kernel at 3.5x+ over both.
-func CmpEqF64Unrolled(vals []float64, want float64, mask []uint64) {
-	n := len(vals)
-	words := n >> 6
-	for w := 0; w < words; w++ {
-		blk := vals[w<<6 : w<<6+64 : w<<6+64]
-		var m uint64
-		for i := 0; i < 64; i += 4 {
-			var b0, b1, b2, b3 uint64
-			if blk[i] == want {
-				b0 = 1
-			}
-			if blk[i+1] == want {
-				b1 = 1
-			}
-			if blk[i+2] == want {
-				b2 = 1
-			}
-			if blk[i+3] == want {
-				b3 = 1
-			}
-			m |= b0<<uint(i) | b1<<uint(i+1) | b2<<uint(i+2) | b3<<uint(i+3)
-		}
-		mask[w] = m
-	}
-	if t := n & 63; t != 0 {
-		var m uint64
-		for i, v := range vals[words<<6:] {
-			if v == want {
-				m |= 1 << uint(i)
-			}
-		}
-		mask[words] = m
-	}
-}
-
-// ---------------------------------------------------------------------------
-// CmpEqI32: dictionary-code equality compare → bitmask.
-//
-// Same mask contract as CmpEqF64. NULL codes (negative) never match a
-// non-negative want.
-
-// CmpEqI32Ref is the reference implementation of CmpEqI32.
-func CmpEqI32Ref(codes []int32, want int32, mask []uint64) {
+func cmpEqI32Go(codes []int32, want int32, mask []uint64) {
 	for w := range mask[:MaskWords(len(codes))] {
 		mask[w] = 0
 	}
@@ -136,58 +73,12 @@ func CmpEqI32Ref(codes []int32, want int32, mask []uint64) {
 	}
 }
 
-// CmpEqI32Unrolled builds each mask word in a register with a branchless
-// equal-to-bit conversion (codes[i]^want underflows to the top bit only
-// when equal), four lanes per step.
-func CmpEqI32Unrolled(codes []int32, want int32, mask []uint64) {
-	n := len(codes)
-	words := n >> 6
-	uw := uint32(want)
-	for w := 0; w < words; w++ {
-		blk := codes[w<<6 : w<<6+64 : w<<6+64]
-		var m uint64
-		for i := 0; i < 64; i += 4 {
-			b0 := (uint64(uint32(blk[i])^uw) - 1) >> 63
-			b1 := (uint64(uint32(blk[i+1])^uw) - 1) >> 63
-			b2 := (uint64(uint32(blk[i+2])^uw) - 1) >> 63
-			b3 := (uint64(uint32(blk[i+3])^uw) - 1) >> 63
-			m |= b0<<uint(i) | b1<<uint(i+1) | b2<<uint(i+2) | b3<<uint(i+3)
-		}
-		mask[w] = m
-	}
-	if t := n & 63; t != 0 {
-		var m uint64
-		for i, c := range codes[words<<6:] {
-			if c == want {
-				m |= 1 << uint(i)
-			}
-		}
-		mask[words] = m
-	}
-}
-
-// ---------------------------------------------------------------------------
-// SelFromMask: mask → ascending selection-vector compaction.
-//
-// Appends the index of every set bit among the first n bits of mask to
-// sel[0:] in ascending order and returns the count. sel must have room
-// for n entries. Bits at or beyond n are ignored.
-
-// SelFromMaskRef is the reference implementation of SelFromMask.
-func SelFromMaskRef(mask []uint64, n int, sel []int32) int {
-	c := 0
-	for i := 0; i < n; i++ {
-		if mask[i>>6]>>uint(i&63)&1 == 1 {
-			sel[c] = int32(i)
-			c++
-		}
-	}
-	return c
-}
-
-// SelFromMaskUnrolled extracts set bits a word at a time with
-// trailing-zero counts, skipping empty words entirely.
-func SelFromMaskUnrolled(mask []uint64, n int, sel []int32) int {
+// SelFromMask appends the index of every set bit among the first n bits
+// of mask to sel[0:] in ascending order and returns the count. sel must
+// have room for n entries; bits at or beyond n are ignored. Set bits are
+// extracted a word at a time with trailing-zero counts, so empty words
+// cost one test.
+func SelFromMask(mask []uint64, n int, sel []int32) int {
 	c := 0
 	words := n >> 6
 	for w := 0; w < words; w++ {
@@ -219,61 +110,26 @@ func SelFromMaskUnrolled(mask []uint64, n int, sel []int32) int {
 // dst and src may alias only for in-place compaction with an ascending
 // selection vector (idx[i] >= i for all i, as SelFromMask produces): each
 // source element is then read before position i could have overwritten it.
-// Any other overlap is undefined, and implementations are free to process
-// entries in any order within that contract.
+// Any other overlap is undefined.
 
-// GatherF64Ref is the reference implementation of GatherF64.
-func GatherF64Ref(dst, src []float64, idx []int32) {
+// GatherF64 gathers float64s through a selection vector.
+func GatherF64(dst, src []float64, idx []int32) {
 	for i, r := range idx {
 		dst[i] = src[r]
 	}
 }
 
-// GatherF64Unrolled is the unrolled, bounds-check-eliminated variant.
-func GatherF64Unrolled(dst, src []float64, idx []int32) {
-	n := len(idx)
-	dst = dst[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0, r1, r2, r3 := idx[i], idx[i+1], idx[i+2], idx[i+3]
-		v0, v1, v2, v3 := src[r0], src[r1], src[r2], src[r3]
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = v0, v1, v2, v3
-	}
-	for ; i < n; i++ {
-		dst[i] = src[idx[i]]
-	}
-}
-
-// GatherI32Ref is the reference implementation of GatherI32.
-func GatherI32Ref(dst, src []int32, idx []int32) {
+// GatherI32 gathers int32s through a selection vector.
+func GatherI32(dst, src []int32, idx []int32) {
 	for i, r := range idx {
 		dst[i] = src[r]
 	}
 }
 
-// GatherI32Unrolled is the unrolled, bounds-check-eliminated variant.
-func GatherI32Unrolled(dst, src []int32, idx []int32) {
-	n := len(idx)
-	dst = dst[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0, r1, r2, r3 := idx[i], idx[i+1], idx[i+2], idx[i+3]
-		v0, v1, v2, v3 := src[r0], src[r1], src[r2], src[r3]
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = v0, v1, v2, v3
-	}
-	for ; i < n; i++ {
-		dst[i] = src[idx[i]]
-	}
-}
-
-// ---------------------------------------------------------------------------
-// LookupCodes: dictionary-code gather through a lookup table.
-//
+// LookupCodes is a dictionary-code gather through a lookup table:
 // dst[i] = lut[codes[i]] for codes[i] >= 0, def for NULL (negative)
 // codes. Non-negative codes must be < len(lut).
-
-// LookupCodesRef is the reference implementation of LookupCodes.
-func LookupCodesRef(dst, codes, lut []int32, def int32) {
+func LookupCodes(dst, codes, lut []int32, def int32) {
 	for i, c := range codes {
 		if c >= 0 {
 			dst[i] = lut[c]
@@ -283,115 +139,6 @@ func LookupCodesRef(dst, codes, lut []int32, def int32) {
 	}
 }
 
-// LookupCodesUnrolled is the unrolled, bounds-check-eliminated variant.
-func LookupCodesUnrolled(dst, codes, lut []int32, def int32) {
-	n := len(codes)
-	dst = dst[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		c0, c1, c2, c3 := codes[i], codes[i+1], codes[i+2], codes[i+3]
-		v0, v1, v2, v3 := def, def, def, def
-		if c0 >= 0 {
-			v0 = lut[c0]
-		}
-		if c1 >= 0 {
-			v1 = lut[c1]
-		}
-		if c2 >= 0 {
-			v2 = lut[c2]
-		}
-		if c3 >= 0 {
-			v3 = lut[c3]
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = v0, v1, v2, v3
-	}
-	for ; i < n; i++ {
-		if c := codes[i]; c >= 0 {
-			dst[i] = lut[c]
-		} else {
-			dst[i] = def
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// AndWords / AndPopcount / Popcount: bitmap combination and counting
-// (predicate-mask intersection, distinct-bitset cardinality).
-
-// AndWordsRef is the reference implementation of AndWords
-// (dst[i] &= src[i]; lengths must match).
-func AndWordsRef(dst, src []uint64) {
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-}
-
-// AndWordsUnrolled is the unrolled, bounds-check-eliminated variant.
-func AndWordsUnrolled(dst, src []uint64) {
-	n := len(dst)
-	src = src[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] &= src[i]
-		dst[i+1] &= src[i+1]
-		dst[i+2] &= src[i+2]
-		dst[i+3] &= src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] &= src[i]
-	}
-}
-
-// AndPopcountRef is the reference implementation of AndPopcount
-// (popcount of a AND b; lengths must match).
-func AndPopcountRef(a, b []uint64) int {
-	c := 0
-	for i := range a {
-		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
-}
-
-// AndPopcountUnrolled is the unrolled, bounds-check-eliminated variant.
-func AndPopcountUnrolled(a, b []uint64) int {
-	n := len(a)
-	b = b[:n]
-	c0, c1 := 0, 0
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		c0 += bits.OnesCount64(a[i] & b[i])
-		c1 += bits.OnesCount64(a[i+1] & b[i+1])
-	}
-	for ; i < n; i++ {
-		c0 += bits.OnesCount64(a[i] & b[i])
-	}
-	return c0 + c1
-}
-
-// PopcountRef is the reference implementation of Popcount.
-func PopcountRef(words []uint64) int {
-	c := 0
-	for _, w := range words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// PopcountUnrolled is the unrolled variant with two dependency chains.
-func PopcountUnrolled(words []uint64) int {
-	n := len(words)
-	c0, c1 := 0, 0
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		c0 += bits.OnesCount64(words[i])
-		c1 += bits.OnesCount64(words[i+1])
-	}
-	for ; i < n; i++ {
-		c0 += bits.OnesCount64(words[i])
-	}
-	return c0 + c1
-}
-
 // ---------------------------------------------------------------------------
 // MinMaxF64: NaN-skipping min/max fold (zone-map construction).
 //
@@ -399,11 +146,9 @@ func PopcountUnrolled(words []uint64) int {
 // -0 are present, implementations may return either representation of
 // zero (callers must not depend on the sign of a zero bound; zone-map
 // containment treats them as equal). This is the one primitive whose
-// variants are allowed to differ from the reference below == equality.
+// implementations are allowed to differ below == equality.
 
-// MinMaxF64Ref is the reference implementation of MinMaxF64: a strict
-// first-wins row-order fold.
-func MinMaxF64Ref(vals []float64) (mn, mx float64) {
+func minMaxF64Go(vals []float64) (mn, mx float64) {
 	mn = inf
 	mx = negInf
 	for _, v := range vals {
@@ -420,46 +165,6 @@ func MinMaxF64Ref(vals []float64) (mn, mx float64) {
 	return mn, mx
 }
 
-// MinMaxF64Unrolled folds two independent accumulator pairs to break the
-// compare dependency chain, then merges them.
-func MinMaxF64Unrolled(vals []float64) (mn, mx float64) {
-	mn0, mx0 := inf, negInf
-	mn1, mx1 := inf, negInf
-	n := len(vals)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		v0, v1 := vals[i], vals[i+1]
-		if v0 < mn0 {
-			mn0 = v0
-		}
-		if v0 > mx0 {
-			mx0 = v0
-		}
-		if v1 < mn1 {
-			mn1 = v1
-		}
-		if v1 > mx1 {
-			mx1 = v1
-		}
-	}
-	if i < n {
-		v := vals[i]
-		if v < mn0 {
-			mn0 = v
-		}
-		if v > mx0 {
-			mx0 = v
-		}
-	}
-	if mn1 < mn0 {
-		mn0 = mn1
-	}
-	if mx1 > mx0 {
-		mx0 = mx1
-	}
-	return mn0, mx0
-}
-
 var (
 	inf    = math.Inf(1)
 	negInf = math.Inf(-1)
@@ -469,8 +174,7 @@ var (
 // CountNonNegI32: non-NULL count of a dictionary-code block (NULLs are
 // negative codes).
 
-// CountNonNegI32Ref is the reference implementation of CountNonNegI32.
-func CountNonNegI32Ref(codes []int32) int {
+func countNonNegI32Go(codes []int32) int {
 	c := 0
 	for _, v := range codes {
 		if v >= 0 {
@@ -480,24 +184,7 @@ func CountNonNegI32Ref(codes []int32) int {
 	return c
 }
 
-// CountNonNegI32Unrolled counts sign bits branchlessly.
-func CountNonNegI32Unrolled(codes []int32) int {
-	n := len(codes)
-	neg := 0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		neg += int(uint32(codes[i])>>31) + int(uint32(codes[i+1])>>31) +
-			int(uint32(codes[i+2])>>31) + int(uint32(codes[i+3])>>31)
-	}
-	for ; i < n; i++ {
-		neg += int(uint32(codes[i]) >> 31)
-	}
-	return n - neg
-}
-
-// ---------------------------------------------------------------------------
-// AccumulateF64: SoA sum/count/min/max scatter into gathered cells.
-//
+// AccumulateF64 is the SoA sum/count/min/max scatter into gathered cells.
 // For each row i, in strictly ascending row order:
 //
 //	ix := offs[i]; v := vals[i]
@@ -508,51 +195,9 @@ func CountNonNegI32Unrolled(codes []int32) int {
 // vals entry is NaN. Row order is a hard contract (float sums must match
 // the scalar kernel bit for bit), so no SIMD variant exists and none
 // should be added.
-
-// AccumulateF64Ref is the reference implementation of AccumulateF64.
-func AccumulateF64Ref(offs []int32, vals []float64, nonNull []int64, sum, minv, maxv []float64) {
+func AccumulateF64(offs []int32, vals []float64, nonNull []int64, sum, minv, maxv []float64) {
 	for i, ix := range offs {
 		v := vals[i]
-		nonNull[ix]++
-		sum[ix] += v
-		if v < minv[ix] {
-			minv[ix] = v
-		}
-		if v > maxv[ix] {
-			maxv[ix] = v
-		}
-	}
-}
-
-// AccumulateF64Unrolled keeps strict row order (offsets may repeat, and
-// float sums must not be reassociated) but hoists bounds checks and
-// pre-loads the next row's offset/value to hide scatter latency.
-func AccumulateF64Unrolled(offs []int32, vals []float64, nonNull []int64, sum, minv, maxv []float64) {
-	n := len(offs)
-	vals = vals[:n]
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		ix0, v0 := offs[i], vals[i]
-		ix1, v1 := offs[i+1], vals[i+1]
-		nonNull[ix0]++
-		sum[ix0] += v0
-		if v0 < minv[ix0] {
-			minv[ix0] = v0
-		}
-		if v0 > maxv[ix0] {
-			maxv[ix0] = v0
-		}
-		nonNull[ix1]++
-		sum[ix1] += v1
-		if v1 < minv[ix1] {
-			minv[ix1] = v1
-		}
-		if v1 > maxv[ix1] {
-			maxv[ix1] = v1
-		}
-	}
-	if i < n {
-		ix, v := offs[i], vals[i]
 		nonNull[ix]++
 		sum[ix] += v
 		if v < minv[ix] {

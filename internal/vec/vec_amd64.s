@@ -102,29 +102,6 @@ done_neg:
 	VZEROUPPER
 	RET
 
-// func andPopcountAsm(a, b *uint64, words int) int64
-TEXT ·andPopcountAsm(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ words+16(FP), R10
-	XORQ R8, R8
-
-word_pop:
-	TESTQ   R10, R10
-	JZ      done_pop
-	MOVQ    (SI), AX
-	ANDQ    (DI), AX
-	POPCNTQ AX, AX
-	ADDQ    AX, R8
-	ADDQ    $8, SI
-	ADDQ    $8, DI
-	DECQ    R10
-	JMP     word_pop
-
-done_pop:
-	MOVQ R8, ret+24(FP)
-	RET
-
 // func minMaxF64Asm(vals *float64, quads int, out *[8]float64)
 //
 // Lane-parallel NaN-skipping min/max fold. out arrives seeded with

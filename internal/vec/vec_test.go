@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Lengths straddling every unroll boundary in the package: the 4-wide
-// and 2-wide Go unrolls, the 4/8-lane vector groups, and the 64-row
-// mask words (including multi-word and empty inputs).
+// Lengths straddling every boundary in the package: the 4/8-lane vector
+// groups and the 64-row mask words (including multi-word, unaligned-tail
+// and empty inputs).
 var lengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 66, 127, 128, 129, 191, 192, 193, 255, 256, 257, 300}
 
 func randFloats(rng *rand.Rand, n int) []float64 {
@@ -48,6 +48,14 @@ func maskEq(t *testing.T, name string, n int, got, want []uint64) {
 	}
 }
 
+// garbage fills a mask with set bits, so an implementation that ORs into
+// stale words instead of clearing them fails.
+func garbage(mask []uint64) {
+	for i := range mask {
+		mask[i] = ^uint64(0)
+	}
+}
+
 func TestCmpEqF64Variants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range lengths {
@@ -68,11 +76,13 @@ func TestCmpEqF64Variants(t *testing.T) {
 			}
 			ref := make([]uint64, MaskWords(n)+1)
 			got := make([]uint64, MaskWords(n)+1)
-			CmpEqF64Ref(vals, want, ref)
-			CmpEqF64Unrolled(vals, want, got)
-			maskEq(t, "unrolled", n, got, ref)
-			for i := range got {
-				got[i] = ^uint64(0) // dispatched impl must clear stale bits
+			garbage(ref)
+			garbage(got)
+			cmpEqF64Go(vals, want, ref)
+			for i, v := range vals {
+				if bit := ref[i>>6]>>uint(i&63)&1 == 1; bit != (v == want) {
+					t.Fatalf("go: n=%d row %d (%v == %v): bit %v", n, i, v, want, bit)
+				}
 			}
 			CmpEqF64(vals, want, got)
 			maskEq(t, Impl(), n, got, ref)
@@ -88,11 +98,13 @@ func TestCmpEqI32Variants(t *testing.T) {
 			want := int32(rng.Intn(8) - 1) // includes -1: matching a NULL code is the caller's bug, but compare semantics stay exact
 			ref := make([]uint64, MaskWords(n)+1)
 			got := make([]uint64, MaskWords(n)+1)
-			CmpEqI32Ref(codes, want, ref)
-			CmpEqI32Unrolled(codes, want, got)
-			maskEq(t, "unrolled", n, got, ref)
-			for i := range got {
-				got[i] = ^uint64(0)
+			garbage(ref)
+			garbage(got)
+			cmpEqI32Go(codes, want, ref)
+			for i, c := range codes {
+				if bit := ref[i>>6]>>uint(i&63)&1 == 1; bit != (c == want) {
+					t.Fatalf("go: n=%d row %d (%d == %d): bit %v", n, i, c, want, bit)
+				}
 			}
 			CmpEqI32(codes, want, got)
 			maskEq(t, Impl(), n, got, ref)
@@ -107,30 +119,26 @@ func TestSelFromMaskVariants(t *testing.T) {
 			mask := make([]uint64, MaskWords(n)+1)
 			switch trial {
 			case 0: // empty
-			case 1: // full (plus garbage beyond n that must be ignored)
-				for i := range mask {
-					mask[i] = ^uint64(0)
-				}
+			case 1: // full, plus garbage beyond n that must be ignored
+				garbage(mask)
 			default:
 				for i := range mask {
 					mask[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
 				}
 			}
-			ref := make([]int32, n)
-			got := make([]int32, n)
-			nr := SelFromMaskRef(mask, n, ref)
-			ng := SelFromMaskUnrolled(mask, n, got)
-			if nr != ng {
-				t.Fatalf("n=%d trial=%d: count mismatch ref=%d unrolled=%d", n, trial, nr, ng)
-			}
-			for i := 0; i < nr; i++ {
-				if ref[i] != got[i] {
-					t.Fatalf("n=%d trial=%d: sel[%d] ref=%d unrolled=%d", n, trial, i, ref[i], got[i])
+			sel := make([]int32, n)
+			got := SelFromMask(mask, n, sel)
+			want := 0
+			for i := 0; i < n; i++ {
+				if mask[i>>6]>>uint(i&63)&1 == 1 {
+					if want >= got || sel[want] != int32(i) {
+						t.Fatalf("n=%d trial=%d: selection entry %d should be row %d (got count %d)", n, trial, want, i, got)
+					}
+					want++
 				}
 			}
-			nd := SelFromMask(mask, n, got)
-			if nd != nr {
-				t.Fatalf("n=%d trial=%d: dispatched count %d want %d", n, trial, nd, nr)
+			if got != want {
+				t.Fatalf("n=%d trial=%d: count %d want %d", n, trial, got, want)
 			}
 		}
 	}
@@ -145,34 +153,36 @@ func TestGatherVariants(t *testing.T) {
 		for i := range idx {
 			idx[i] = int32(rng.Intn(len(src)))
 		}
-		ref := make([]float64, n)
 		got := make([]float64, n)
-		GatherF64Ref(ref, src, idx)
-		GatherF64Unrolled(got, src, idx)
-		for i := range ref {
-			if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("GatherF64 n=%d i=%d: %v != %v", n, i, got[i], ref[i])
-			}
-		}
 		GatherF64(got, src, idx)
-		for i := range ref {
-			if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("GatherF64 dispatched n=%d i=%d", n, i)
+		for i, r := range idx {
+			if math.Float64bits(got[i]) != math.Float64bits(src[r]) {
+				t.Fatalf("GatherF64 n=%d i=%d: %v != src[%d]=%v", n, i, got[i], r, src[r])
 			}
 		}
-		refI := make([]int32, n)
 		gotI := make([]int32, n)
-		GatherI32Ref(refI, srcI, idx)
-		GatherI32Unrolled(gotI, srcI, idx)
-		for i := range refI {
-			if refI[i] != gotI[i] {
-				t.Fatalf("GatherI32 n=%d i=%d: %d != %d", n, i, gotI[i], refI[i])
+		GatherI32(gotI, srcI, idx)
+		for i, r := range idx {
+			if gotI[i] != srcI[r] {
+				t.Fatalf("GatherI32 n=%d i=%d: %d != src[%d]=%d", n, i, gotI[i], r, srcI[r])
 			}
 		}
-		GatherI32(gotI, srcI, idx)
-		for i := range refI {
-			if refI[i] != gotI[i] {
-				t.Fatalf("GatherI32 dispatched n=%d i=%d", n, i)
+	}
+	// In-place compaction through an ascending selection vector is the one
+	// aliasing the contract allows.
+	for _, n := range lengths {
+		vals := randFloats(rng, n)
+		orig := append([]float64(nil), vals...)
+		var idx []int32
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				idx = append(idx, int32(i))
+			}
+		}
+		GatherF64(vals, vals, idx)
+		for i, r := range idx {
+			if math.Float64bits(vals[i]) != math.Float64bits(orig[r]) {
+				t.Fatalf("in-place GatherF64 n=%d i=%d: %v != %v", n, i, vals[i], orig[r])
 			}
 		}
 	}
@@ -188,62 +198,15 @@ func TestLookupCodesVariants(t *testing.T) {
 		for _, nullFrac := range []float64{0, 0.5, 1} { // incl. all-NULL blocks
 			codes := randCodes(rng, n, len(lut), nullFrac)
 			def := int32(rng.Intn(100) - 50)
-			ref := make([]int32, n)
 			got := make([]int32, n)
-			LookupCodesRef(ref, codes, lut, def)
-			LookupCodesUnrolled(got, codes, lut, def)
-			for i := range ref {
-				if ref[i] != got[i] {
-					t.Fatalf("n=%d null=%.1f i=%d: %d != %d", n, nullFrac, i, got[i], ref[i])
-				}
-			}
 			LookupCodes(got, codes, lut, def)
-			for i := range ref {
-				if ref[i] != got[i] {
-					t.Fatalf("dispatched n=%d i=%d", n, i)
+			for i, c := range codes {
+				want := def
+				if c >= 0 {
+					want = lut[c]
 				}
-			}
-		}
-	}
-}
-
-func TestBitmapVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, words := range []int{0, 1, 2, 3, 7, 8, 9, 17, 64} {
-		for trial := 0; trial < 10; trial++ {
-			a := make([]uint64, words)
-			b := make([]uint64, words)
-			for i := range a {
-				a[i] = rng.Uint64()
-				b[i] = rng.Uint64()
-				if trial == 0 {
-					b[i] = 0 // NULL-heavy: empty intersection
-				}
-				if trial == 1 {
-					b[i] = ^uint64(0)
-				}
-			}
-			if got, want := AndPopcountUnrolled(a, b), AndPopcountRef(a, b); got != want {
-				t.Fatalf("AndPopcount unrolled words=%d: %d != %d", words, got, want)
-			}
-			if got, want := AndPopcount(a, b), AndPopcountRef(a, b); got != want {
-				t.Fatalf("AndPopcount %s words=%d: %d != %d", Impl(), words, got, want)
-			}
-			if got, want := PopcountUnrolled(a), PopcountRef(a); got != want {
-				t.Fatalf("Popcount words=%d: %d != %d", words, got, want)
-			}
-			if got, want := Popcount(a), PopcountRef(a); got != want {
-				t.Fatalf("Popcount dispatched words=%d: %d != %d", words, got, want)
-			}
-			ad := append([]uint64(nil), a...)
-			AndWordsRef(ad, b)
-			au := append([]uint64(nil), a...)
-			AndWordsUnrolled(au, b)
-			a2 := append([]uint64(nil), a...)
-			AndWords(a2, b)
-			for i := range ad {
-				if ad[i] != au[i] || ad[i] != a2[i] {
-					t.Fatalf("AndWords words=%d i=%d", words, i)
+				if got[i] != want {
+					t.Fatalf("n=%d null=%.1f i=%d code %d: %d != %d", n, nullFrac, i, c, got[i], want)
 				}
 			}
 		}
@@ -252,15 +215,6 @@ func TestBitmapVariants(t *testing.T) {
 
 func TestMinMaxF64Variants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	check := func(name string, vals []float64, mn, mx float64) {
-		t.Helper()
-		rmn, rmx := MinMaxF64Ref(vals)
-		// == treats -0 and +0 as equal, which is exactly the documented
-		// latitude MinMaxF64 variants have.
-		if !(mn == rmn || (math.IsNaN(mn) && math.IsNaN(rmn))) || !(mx == rmx || (math.IsNaN(mx) && math.IsNaN(rmx))) {
-			t.Fatalf("%s: n=%d got (%v,%v) want (%v,%v)", name, len(vals), mn, mx, rmn, rmx)
-		}
-	}
 	for _, n := range lengths {
 		for trial := 0; trial < 15; trial++ {
 			var vals []float64
@@ -283,10 +237,26 @@ func TestMinMaxF64Variants(t *testing.T) {
 			default:
 				vals = randFloats(rng, n)
 			}
-			mn, mx := MinMaxF64Unrolled(vals)
-			check("unrolled", vals, mn, mx)
-			mn, mx = MinMaxF64(vals)
-			check(Impl(), vals, mn, mx)
+			// The Go loop against a per-row expectation: NaN-skipping,
+			// strict < and > so the first of equal values wins.
+			wmn, wmx := math.Inf(1), math.Inf(-1)
+			for _, v := range vals {
+				if v < wmn {
+					wmn = v
+				}
+				if v > wmx {
+					wmx = v
+				}
+			}
+			rmn, rmx := minMaxF64Go(vals)
+			if math.Float64bits(rmn) != math.Float64bits(wmn) || math.Float64bits(rmx) != math.Float64bits(wmx) {
+				t.Fatalf("go: n=%d got (%v,%v) want (%v,%v)", n, rmn, rmx, wmn, wmx)
+			}
+			// == treats -0 and +0 as equal, which is exactly the documented
+			// latitude of the dispatched implementation.
+			if mn, mx := MinMaxF64(vals); mn != rmn || mx != rmx {
+				t.Fatalf("%s: n=%d got (%v,%v) want (%v,%v)", Impl(), n, mn, mx, rmn, rmx)
+			}
 		}
 	}
 }
@@ -294,11 +264,16 @@ func TestMinMaxF64Variants(t *testing.T) {
 func TestCountNonNegI32Variants(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range lengths {
-		for _, nullFrac := range []float64{0, 0.1, 0.9, 1} {
+		for _, nullFrac := range []float64{0, 0.1, 0.9, 1} { // incl. NULL runs and all-NULL blocks
 			codes := randCodes(rng, n, 50, nullFrac)
-			want := CountNonNegI32Ref(codes)
-			if got := CountNonNegI32Unrolled(codes); got != want {
-				t.Fatalf("unrolled n=%d null=%.1f: %d != %d", n, nullFrac, got, want)
+			want := 0
+			for _, c := range codes {
+				if c >= 0 {
+					want++
+				}
+			}
+			if got := countNonNegI32Go(codes); got != want {
+				t.Fatalf("go n=%d null=%.1f: %d != %d", n, nullFrac, got, want)
 			}
 			if got := CountNonNegI32(codes); got != want {
 				t.Fatalf("%s n=%d null=%.1f: %d != %d", Impl(), n, nullFrac, got, want)
@@ -308,8 +283,8 @@ func TestCountNonNegI32Variants(t *testing.T) {
 }
 
 // TestAccumulateF64Variants pins the strict row-order contract: with
-// colliding cells, float sums are only bit-identical if every variant
-// adds rows in exactly the same order.
+// colliding cells, float sums are only bit-identical to the per-row
+// expectation if rows are added in exactly that order.
 func TestAccumulateF64Variants(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const cells = 7 // tiny lattice → heavy collisions
@@ -324,74 +299,73 @@ func TestAccumulateF64Variants(t *testing.T) {
 				// No NaNs: this is the NULL-free fast path by contract.
 				vals[i] = rng.NormFloat64() * float64(rng.Intn(1000))
 			}
-			type state struct {
-				nonNull []int64
-				sum     []float64
-				minv    []float64
-				maxv    []float64
-			}
-			mk := func() *state {
-				s := &state{
-					nonNull: make([]int64, cells),
-					sum:     make([]float64, cells),
-					minv:    make([]float64, cells),
-					maxv:    make([]float64, cells),
-				}
-				for i := 0; i < cells; i++ {
-					s.minv[i] = math.Inf(1)
-					s.maxv[i] = math.Inf(-1)
-				}
-				return s
-			}
-			ref, unr, dis := mk(), mk(), mk()
-			AccumulateF64Ref(offs, vals, ref.nonNull, ref.sum, ref.minv, ref.maxv)
-			AccumulateF64Unrolled(offs, vals, unr.nonNull, unr.sum, unr.minv, unr.maxv)
-			AccumulateF64(offs, vals, dis.nonNull, dis.sum, dis.minv, dis.maxv)
+			nonNull := make([]int64, cells)
+			sum := make([]float64, cells)
+			minv := make([]float64, cells)
+			maxv := make([]float64, cells)
 			for i := 0; i < cells; i++ {
-				for name, s := range map[string]*state{"unrolled": unr, "dispatched": dis} {
-					if s.nonNull[i] != ref.nonNull[i] ||
-						math.Float64bits(s.sum[i]) != math.Float64bits(ref.sum[i]) ||
-						math.Float64bits(s.minv[i]) != math.Float64bits(ref.minv[i]) ||
-						math.Float64bits(s.maxv[i]) != math.Float64bits(ref.maxv[i]) {
-						t.Fatalf("%s n=%d cell %d: (%d,%v,%v,%v) != (%d,%v,%v,%v)", name, n, i,
-							s.nonNull[i], s.sum[i], s.minv[i], s.maxv[i],
-							ref.nonNull[i], ref.sum[i], ref.minv[i], ref.maxv[i])
+				minv[i] = math.Inf(1)
+				maxv[i] = math.Inf(-1)
+			}
+			AccumulateF64(offs, vals, nonNull, sum, minv, maxv)
+			for c := int32(0); c < cells; c++ {
+				var wn int64
+				var ws float64
+				wmn, wmx := math.Inf(1), math.Inf(-1)
+				for i, ix := range offs {
+					if ix != c {
+						continue
 					}
+					wn++
+					ws += vals[i]
+					if vals[i] < wmn {
+						wmn = vals[i]
+					}
+					if vals[i] > wmx {
+						wmx = vals[i]
+					}
+				}
+				if nonNull[c] != wn ||
+					math.Float64bits(sum[c]) != math.Float64bits(ws) ||
+					math.Float64bits(minv[c]) != math.Float64bits(wmn) ||
+					math.Float64bits(maxv[c]) != math.Float64bits(wmx) {
+					t.Fatalf("n=%d cell %d: (%d,%v,%v,%v) != (%d,%v,%v,%v)", n, c,
+						nonNull[c], sum[c], minv[c], maxv[c], wn, ws, wmn, wmx)
 				}
 			}
 		}
 	}
 }
 
-// TestMaskSelRoundTrip composes the compare and compaction primitives the
-// way the pushdown path does: compare → AND → select → gather.
+// TestMaskSelRoundTrip composes the primitives the way the pushdown kernel
+// does: compare → select → gather.
 func TestMaskSelRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range lengths {
 		codes := randCodes(rng, n, 4, 0.2)
 		vals := randFloats(rng, n)
 		mask := make([]uint64, MaskWords(n))
-		m2 := make([]uint64, MaskWords(n))
+		garbage(mask)
 		CmpEqI32(codes, 2, mask)
-		CmpEqF64(vals, 0.0, m2)
-		AndWords(mask, m2)
 		sel := make([]int32, n)
 		cnt := SelFromMask(mask, n, sel)
-		// Oracle: plain double-predicate scan.
+		got := make([]float64, cnt)
+		GatherF64(got, vals, sel[:cnt])
+		// Oracle: plain filtered scan.
 		want := 0
 		for i := 0; i < n; i++ {
-			if codes[i] == 2 && vals[i] == 0.0 {
-				if sel[want] != int32(i) {
-					t.Fatalf("n=%d: sel[%d]=%d want %d", n, want, sel[want], i)
+			if codes[i] == 2 {
+				if want >= cnt || sel[want] != int32(i) {
+					t.Fatalf("n=%d: selection entry %d should be row %d", n, want, i)
+				}
+				if math.Float64bits(got[want]) != math.Float64bits(vals[i]) {
+					t.Fatalf("n=%d: gathered %v for row %d, want %v", n, got[want], i, vals[i])
 				}
 				want++
 			}
 		}
 		if cnt != want {
 			t.Fatalf("n=%d: count %d want %d", n, cnt, want)
-		}
-		if cnt != AndPopcount(mask, mask) {
-			t.Fatalf("n=%d: AndPopcount disagrees with SelFromMask", n)
 		}
 	}
 }
