@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test flake-guard test-noasm race vet fmt bench bench-smoke audit-smoke serve-smoke recovery-smoke ci
+.PHONY: all build test flake-guard test-noasm race vet fmt fuzz-smoke bench bench-smoke audit-smoke serve-smoke recovery-smoke ci
 
 all: build test
 
@@ -46,6 +46,14 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# fuzz-smoke runs each native fuzz target for 30 seconds: the HTML-lite and
+# markdown-lite document parsers, which read every HTTP check body. The
+# seeds under internal/document/testdata/fuzz (and any crasher the fuzzer
+# writes there) also run as plain tests in `make test`.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseHTML$$' -fuzztime=30s ./internal/document
+	$(GO) test -run='^$$' -fuzz='^FuzzParseText$$' -fuzztime=30s ./internal/document
+
 # bench runs the full benchmark suite (Tables 3-6, Figures 8-13).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
@@ -84,4 +92,4 @@ serve-smoke:
 recovery-smoke:
 	$(GO) test -count=1 -run TestAggcheckdCrashRecovery ./cmd/aggcheckd
 
-ci: fmt vet build race flake-guard test-noasm bench-smoke audit-smoke serve-smoke recovery-smoke
+ci: fmt vet build race flake-guard test-noasm fuzz-smoke bench-smoke audit-smoke serve-smoke recovery-smoke

@@ -24,8 +24,10 @@
 // events so callers can watch per-claim probabilities refine, and Service
 // hosts many named databases with lazily built checkers behind singleflight
 // and an LRU residency bound. Per-request tuning uses functional options
-// (WithMode, WithWorkers, WithZoneMaps, WithDeadline, WithTopK) instead of
-// Config mutation. cmd/aggcheckd serves the same surface over HTTP.
+// (WithMode, WithWorkers, WithDeadline, WithTopK) instead of Config
+// mutation; engine settings (Config.Exec) and the shard topology
+// (Config.Shards) are fixed when a checker is built. cmd/aggcheckd serves
+// the same surface over HTTP.
 //
 // Execution runs on one worker pool, a Scheduler: a batch's cube passes
 // and direct scans, and the zone-aligned morsels large ones split into,
@@ -161,17 +163,13 @@ type DocReport = core.DocReport
 // order, corpus totals, and the run's shared-pass and cache economics.
 type AuditReport = core.AuditReport
 
-// AuditOption customizes one Audit call (concurrency, planning window,
-// progress streaming, per-document check options).
+// AuditOption customizes one Audit call (concurrency, progress streaming,
+// per-document check options).
 type AuditOption = core.AuditOption
 
 // CacheStats is the cube cache's residency and cost-aware economics
 // snapshot, reported in Status and AuditReport.
 type CacheStats = core.CacheStats
-
-// WindowConfig tunes the cross-document planning window used by Audit:
-// how many claim batches may park awaiting merge and the flush deadline.
-type WindowConfig = sqlexec.WindowConfig
 
 // Scheduler is a worker pool shared by every batch, cube pass, direct scan
 // and morsel submitted through it, with round-robin fairness across
@@ -242,22 +240,6 @@ func WithMaxResident(n int) ServiceOption { return core.WithMaxResident(n) }
 // WithDatabaseConfig overrides the service default Config for one database.
 func WithDatabaseConfig(cfg Config) RegisterOption { return core.WithDatabaseConfig(cfg) }
 
-// WithShards sets the default shard count for every database a Service
-// hosts: k > 1 partitions fact tables at checker build time and answers
-// candidate queries by scatter-gather over per-shard workers, with results
-// identical to unsharded execution.
-func WithShards(k int) ServiceOption { return core.WithShards(k) }
-
-// WithShardKeys sets the default shard-key mapping (fact-table name ->
-// hash-placement column) used when sharding is enabled; tables without an
-// entry are placed round-robin.
-func WithShardKeys(keys map[string]string) ServiceOption { return core.WithShardKeys(keys) }
-
-// WithDatabaseShards overrides the shard topology for one database.
-func WithDatabaseShards(k int, keys map[string]string) RegisterOption {
-	return core.WithDatabaseShards(k, keys)
-}
-
 // WithMode selects the evaluation strategy for one request.
 func WithMode(m EvalMode) CheckOption { return core.WithMode(m) }
 
@@ -272,18 +254,10 @@ func WithDeadline(d time.Duration) CheckOption { return core.WithDeadline(d) }
 // one request.
 func WithTopK(k int) CheckOption { return core.WithTopK(k) }
 
-// WithZoneMaps toggles zone-map pruning for one request (results are
-// identical either way).
-func WithZoneMaps(on bool) CheckOption { return core.WithZoneMaps(on) }
-
 // WithAuditConcurrency bounds how many documents one Audit call checks
 // concurrently (default 8). More in-flight documents widen the shared-pass
 // planning window.
 func WithAuditConcurrency(n int) AuditOption { return core.WithAuditConcurrency(n) }
-
-// WithAuditWindow tunes the cross-document planning window for one Audit
-// call; zero fields keep the defaults.
-func WithAuditWindow(cfg WindowConfig) AuditOption { return core.WithAuditWindow(cfg) }
 
 // WithAuditProgress installs a per-document completion callback, invoked
 // serially in completion order as the audit proceeds.

@@ -15,8 +15,8 @@
 //	POST /v1/databases/{name}/check/stream  returns NDJSON of EM-iteration events
 //
 // Query parameters on the check endpoints: mode=cached|merged|naive,
-// topk=N, workers=N, zone_maps=BOOL, timeout=DURATION. Cube passes, direct
-// scans and their morsels execute on one scheduler spanning every request;
+// topk=N, workers=N, timeout=DURATION. Cube passes, direct scans and
+// their morsels execute on one scheduler spanning every request;
 // -scan-workers sizes it, and that width is the daemon's only parallelism
 // setting (workers only caps one batch's passes in flight). -demo
 // registers the embedded reproduction corpus (the paper's NFL running
@@ -97,6 +97,10 @@ func main() {
 	cfg.Workers = *workers
 	cfg.DataDir = *dataDir
 	cfg.CompactAfter = *compactAfter
+	if cfg.ShardKeys, err = parseShardKeys(*shardKeys); err != nil {
+		logger.Fatal(err)
+	}
+	cfg.Shards = *shards
 
 	// One scheduler for the whole process: every database's batches, cube
 	// passes, direct scans and morsels share this pool, so concurrent
@@ -104,16 +108,10 @@ func main() {
 	sched := sqlexec.NewScheduler(*scanWorkers)
 	defer sched.Close()
 
-	keys, err := parseShardKeys(*shardKeys)
-	if err != nil {
-		logger.Fatal(err)
-	}
 	svc := core.NewService(
 		core.WithDefaultConfig(cfg),
 		core.WithMaxResident(*maxResident),
 		core.WithScheduler(sched),
-		core.WithShards(*shards),
-		core.WithShardKeys(keys),
 	)
 	registered := 0
 	watched := make(map[string][]string) // database name -> backing files

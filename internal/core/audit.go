@@ -129,7 +129,6 @@ type AuditOption func(*auditSettings)
 
 type auditSettings struct {
 	concurrency int
-	window      sqlexec.WindowConfig
 	onDoc       func(index int, dr DocReport)
 	checkOpts   []CheckOption
 }
@@ -147,12 +146,6 @@ func WithAuditConcurrency(n int) AuditOption {
 	return func(s *auditSettings) { s.concurrency = n }
 }
 
-// WithAuditWindow tunes the cross-document planning window (flush
-// deadline, max parked batches); zero fields keep the defaults.
-func WithAuditWindow(cfg sqlexec.WindowConfig) AuditOption {
-	return func(s *auditSettings) { s.window = cfg }
-}
-
 // WithAuditProgress installs a per-document completion callback, invoked
 // serially (never concurrently) as documents finish — completion order,
 // not input order. The CLI and the bulk endpoint stream progress from it.
@@ -161,7 +154,7 @@ func WithAuditProgress(fn func(index int, dr DocReport)) AuditOption {
 }
 
 // WithAuditCheckOptions forwards per-document check options (deadline,
-// top-k, scan tuning) to every member check of the audit.
+// top-k, mode, workers) to every member check of the audit.
 func WithAuditCheckOptions(opts ...CheckOption) AuditOption {
 	return func(s *auditSettings) { s.checkOpts = append(s.checkOpts, opts...) }
 }
@@ -197,7 +190,7 @@ func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOptio
 	before, cacheBefore := c.Engine.Stats.Snapshot(), c.cacheStats()
 	rep := &AuditReport{Docs: make([]DocReport, len(docs))}
 
-	win := sqlexec.NewWindow(c.runner(), &c.Engine.Stats, set.window)
+	win := sqlexec.NewWindow(c.runner(), &c.Engine.Stats, sqlexec.WindowConfig{})
 	checkOpts := append([]CheckOption{withWindow(win)}, set.checkOpts...)
 
 	var progressMu sync.Mutex

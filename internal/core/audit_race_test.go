@@ -27,6 +27,7 @@ func evictionRace(t *testing.T, shards int) {
 	cfg := quickCfg()
 	cfg.Model.EvalBudget = 150
 	cfg.Model.MaxEMIters = 2
+	cfg.Shards = shards
 
 	type fixture struct {
 		name string
@@ -41,7 +42,7 @@ func evictionRace(t *testing.T, shards int) {
 		fixtures = append(fixtures, fixture{domain, sc})
 	}
 
-	svc := NewService(WithDefaultConfig(cfg), WithMaxResident(1), WithShards(shards))
+	svc := NewService(WithDefaultConfig(cfg), WithMaxResident(1))
 	for _, f := range fixtures {
 		f := f
 		if err := svc.RegisterSource(f.name, db.SourceFunc(func(context.Context) (*db.Database, error) { return f.sc.DB, nil })); err != nil {

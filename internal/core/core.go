@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -74,11 +75,13 @@ type Config struct {
 	// run at once on the engine's scheduler; ≤ 0 leaves the pool width as
 	// the only bound.
 	Workers int
-	// Exec configures every engine this config builds (the checker's cached
-	// engine and the fresh per-request engines of merged/naive modes): zone
-	// maps, kernel selection, cache budget, and the scheduler — installed by
-	// core.WithScheduler at the service layer, the process-wide default
-	// pool otherwise. See sqlexec's ExecOption.
+	// Exec configures every engine this config builds — the checker's
+	// cached engine, its in-process partition engines, and the fresh
+	// per-request engines of merged/naive modes (which also turn caching
+	// off): zone maps, kernel selection, cache budget, and the scheduler —
+	// installed by core.WithScheduler at the service layer, the
+	// process-wide default pool otherwise. An engine's settings are fixed
+	// when it is built. See sqlexec's ExecOption.
 	Exec []sqlexec.ExecOption
 	// Shards > 1 partitions the database's fact tables into that many
 	// independent snapshot-versioned partitions at checker build time and
@@ -166,7 +169,7 @@ func NewChecker(d *db.Database, cfg Config) *Checker {
 		if sh, err := db.NewSharder(d, cfg.Shards, db.ShardOptions{Keys: cfg.ShardKeys}); err == nil {
 			c.shards = sh
 			var workers []shard.Worker
-			workers, c.partitions = c.buildShardWorkers(cfg, false)
+			workers, c.partitions = c.buildShardWorkers(cfg)
 			c.coord = shard.NewCoordinator(workers, c.Engine)
 		}
 	}
@@ -177,9 +180,9 @@ func NewChecker(d *db.Database, cfg Config) *Checker {
 // built with the config's Exec options (so partitions share the front
 // engine's scheduler), returned in engines too, or — with ShardEndpoints —
 // an HTTP client against the consistent-hash-placed peer serving the
-// partition's database. Remote workers manage their own caching, so
-// noCache only applies in process.
-func (c *Checker) buildShardWorkers(cfg Config, noCache bool) (workers []shard.Worker, engines []*sqlexec.Engine) {
+// partition's database. Remote workers manage their own caching, so the
+// Exec options only apply in process.
+func (c *Checker) buildShardWorkers(cfg Config) (workers []shard.Worker, engines []*sqlexec.Engine) {
 	if len(cfg.ShardEndpoints) > 0 {
 		ring := shard.NewRing(cfg.ShardEndpoints)
 		for i, p := range c.shards.Partitions() {
@@ -189,9 +192,6 @@ func (c *Checker) buildShardWorkers(cfg Config, noCache bool) (workers []shard.W
 	}
 	for _, p := range c.shards.Partitions() {
 		e := sqlexec.NewEngine(p, cfg.Exec...)
-		if noCache {
-			e.Tune(sqlexec.WithCaching(false))
-		}
 		workers = append(workers, &shard.LocalWorker{Engine: e})
 		engines = append(engines, e)
 	}
@@ -301,7 +301,15 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 		return nil, err
 	}
 	start := time.Now()
-	scores := keywords.MatchAll(c.Catalog, doc, set.cfg.Context, set.cfg.Model.TopKHits)
+	// Claim by claim rather than keywords.MatchAll, so a deadline expiring
+	// during keyword matching of a long document is honored between claims.
+	scores := make([]keywords.Scores, len(doc.Claims))
+	for i, claim := range doc.Claims {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		scores[i] = keywords.Match(c.Catalog, claim, set.cfg.Context, set.cfg.Model.TopKHits)
+	}
 
 	ev, engine := c.evaluatorFor(set.cfg)
 	if w := set.window; w != nil && set.cfg.Mode == EvalCached {
@@ -324,11 +332,6 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 		for _, p := range c.shards.Partitions() {
 			ctx = sqlexec.WithSnapshot(ctx, p.Snapshot())
 		}
-	}
-	// Per-request execution overrides (WithZoneMaps) ride the context: the
-	// shared engine is never retuned for one request.
-	if len(set.exec) > 0 {
-		ctx = sqlexec.ContextWithOptions(ctx, set.exec...)
 	}
 	// Diff the engine counters around the run so Report.Stats is
 	// per-document even in cached mode, where the checker-lifetime engine
@@ -383,11 +386,13 @@ func (c *Checker) runner() evaluate.BatchRunner {
 func (c *Checker) evaluatorFor(cfg Config) (*evaluate.CubeEvaluator, *sqlexec.Engine) {
 	engine, run := c.Engine, c.runner()
 	if cfg.Mode != EvalCached {
+		// Clip first: appending must not write the shared config's backing
+		// array.
+		cfg.Exec = append(slices.Clip(cfg.Exec), sqlexec.WithCaching(false))
 		engine = sqlexec.NewEngine(c.DB, cfg.Exec...)
-		engine.Tune(sqlexec.WithCaching(false))
 		run = engine
 		if c.shards != nil {
-			workers, _ := c.buildShardWorkers(cfg, true)
+			workers, _ := c.buildShardWorkers(cfg)
 			run = shard.NewCoordinator(workers, engine)
 		}
 	}

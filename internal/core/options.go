@@ -18,9 +18,6 @@ type checkSettings struct {
 	cfg      Config
 	deadline time.Duration
 	observer model.Observer
-	// exec carries per-request engine overrides (zone maps) into the
-	// request context via sqlexec.ContextWithOptions.
-	exec []sqlexec.ExecOption
 	// window, when non-nil, pools this request's claim batches with those of
 	// the other documents Audit is checking concurrently (cached mode only:
 	// merged and naive isolate per-request engines on purpose).
@@ -48,12 +45,6 @@ func WithMode(m EvalMode) CheckOption {
 // leaves the pool width as the only bound.
 func WithWorkers(n int) CheckOption {
 	return func(s *checkSettings) { s.cfg.Workers = n }
-}
-
-// WithZoneMaps toggles zone-map pruning for this request only. Results are
-// identical either way; pruning off is an operational escape hatch.
-func WithZoneMaps(on bool) CheckOption {
-	return func(s *checkSettings) { s.exec = append(s.exec, sqlexec.WithZoneMaps(on)) }
 }
 
 // WithDeadline bounds the request's wall-clock time: the check is cancelled

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,11 +49,6 @@ type source struct {
 	name string
 	src  db.Source
 	cfg  *Config // per-database override; nil uses the service default
-	// shardsSet applies a per-database shard topology on top of whichever
-	// config (default or per-database) is in effect.
-	shardsSet bool
-	shards    int
-	shardKeys map[string]string
 
 	// building is the in-flight singleflight build, nil when idle.
 	building *buildCall
@@ -263,21 +259,6 @@ func WithScheduler(sched *sqlexec.Scheduler) ServiceOption {
 	return func(s *Service) { s.sched = sched }
 }
 
-// WithShards sets the default shard count for every database the service
-// hosts: k > 1 partitions each database's fact tables at checker build time
-// and answers candidate queries by scatter-gather over per-shard workers.
-// Results are identical to unsharded execution; k ≤ 1 runs unsharded.
-func WithShards(k int) ServiceOption {
-	return func(s *Service) { s.defaultCfg.Shards = k }
-}
-
-// WithShardKeys sets the default shard-key mapping (fact-table name →
-// hash-placement column) used when sharding is enabled. Tables without an
-// entry fall back to round-robin placement.
-func WithShardKeys(keys map[string]string) ServiceOption {
-	return func(s *Service) { s.defaultCfg.ShardKeys = keys }
-}
-
 // NewService creates an empty registry with the paper's default Config.
 func NewService(opts ...ServiceOption) *Service {
 	s := &Service{
@@ -299,17 +280,6 @@ type RegisterOption func(*source)
 // WithDatabaseConfig overrides the service default Config for one database.
 func WithDatabaseConfig(cfg Config) RegisterOption {
 	return func(src *source) { src.cfg = &cfg }
-}
-
-// WithDatabaseShards overrides the shard topology for one database: k > 1
-// partitions its fact tables (hash-placed by keys, round-robin without an
-// entry), k ≤ 1 forces unsharded execution even under a WithShards default.
-func WithDatabaseShards(k int, keys map[string]string) RegisterOption {
-	return func(src *source) {
-		src.shardsSet = true
-		src.shards = k
-		src.shardKeys = keys
-	}
 }
 
 // RegisterSource adds a named database materialized from a db.Source on
@@ -427,13 +397,10 @@ func (s *Service) checkerOnce(ctx context.Context, name string) (ck *Checker, er
 	if src.cfg != nil {
 		cfg = *src.cfg
 	}
-	if src.shardsSet {
-		cfg.Shards, cfg.ShardKeys = src.shards, src.shardKeys
-	}
 	if s.sched != nil {
-		// Append onto a copy: the shared default config's option slice
-		// must not grow a backing-array write from a lazy build.
-		cfg.Exec = append(append([]sqlexec.ExecOption{}, cfg.Exec...), sqlexec.WithScheduler(s.sched))
+		// Clip first: a lazy build must not write the shared default
+		// config's backing array.
+		cfg.Exec = append(slices.Clip(cfg.Exec), sqlexec.WithScheduler(s.sched))
 	}
 	var d *db.Database
 	var store *colstore.Store

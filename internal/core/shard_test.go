@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"aggchecker/internal/corpus"
+	"aggchecker/internal/shard"
 	"aggchecker/internal/sqlexec"
 )
 
@@ -111,7 +112,9 @@ func TestShardedHTTPTransportMatchesUnsharded(t *testing.T) {
 func TestShardedRefreshAbsorbs(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	mkService := func(shards int) *Service {
-		svc := NewService(WithDefaultConfig(quickCfg()), WithShards(shards))
+		cfg := quickCfg()
+		cfg.Shards = shards
+		svc := NewService(WithDefaultConfig(cfg))
 		if err := svc.RegisterDatabase("nfl", tc.DB); err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +193,10 @@ func TestUnshardedConfigUntouched(t *testing.T) {
 		}
 	}
 	// Per-database override beats the service default.
-	svc := NewService(WithDefaultConfig(quickCfg()), WithShards(4))
-	if err := svc.RegisterDatabase("plain", tc.DB, WithDatabaseShards(1, nil)); err != nil {
+	sharded := quickCfg()
+	sharded.Shards = 4
+	svc := NewService(WithDefaultConfig(sharded))
+	if err := svc.RegisterDatabase("plain", tc.DB, WithDatabaseConfig(quickCfg())); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := svc.Checker(context.Background(), "plain")
@@ -199,7 +204,54 @@ func TestUnshardedConfigUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ck.Sharder() != nil {
-		t.Fatal("WithDatabaseShards(1) did not override the sharded default")
+		t.Fatal("an unsharded WithDatabaseConfig did not override the sharded default")
+	}
+}
+
+// TestExecReachesEveryEngine pins that Config.Exec configures every engine
+// a checker builds, since engine settings are fixed at construction: the
+// front engine, each in-process partition engine, and the per-request
+// engines of merged and naive mode, which also turn caching off. Building
+// the per-request engines must not write into the spare capacity of the
+// shared config's option slice.
+func TestExecReachesEveryEngine(t *testing.T) {
+	tc := corpus.MustLoad().Cases[0]
+	const budget = 12345
+	cfg := quickCfg()
+	cfg.Shards = 3
+	cfg.Exec = make([]sqlexec.ExecOption, 1, 4)
+	cfg.Exec[0] = sqlexec.WithCubeCacheBudget(budget)
+	ck := NewChecker(tc.DB, cfg)
+	if len(ck.partitions) != cfg.Shards {
+		t.Fatalf("%d partition engines, want %d", len(ck.partitions), cfg.Shards)
+	}
+	for i, e := range append([]*sqlexec.Engine{ck.Engine}, ck.partitions...) {
+		if got := e.CubeCacheBudget(); got != budget {
+			t.Errorf("checker engine %d: budget %d, want %d", i, got, budget)
+		}
+		if !e.CachingEnabled() {
+			t.Errorf("checker engine %d: caching off", i)
+		}
+	}
+	for _, mode := range []EvalMode{EvalMerged, EvalNaive} {
+		req := cfg
+		req.Mode = mode
+		ev, e := ck.evaluatorFor(req)
+		if e == ck.Engine {
+			t.Fatalf("%v: request runs on the checker's cached engine", mode)
+		}
+		if got := e.CubeCacheBudget(); got != budget {
+			t.Errorf("%v: request engine budget %d, want %d", mode, got, budget)
+		}
+		if e.CachingEnabled() {
+			t.Errorf("%v: request engine caches", mode)
+		}
+		if coord, ok := ev.Runner.(*shard.Coordinator); !ok || coord.NumWorkers() != cfg.Shards {
+			t.Errorf("%v: runner %T is not a %d-shard coordinator", mode, ev.Runner, cfg.Shards)
+		}
+	}
+	if spare := cfg.Exec[:cap(cfg.Exec)]; spare[1] != nil {
+		t.Error("a request engine's options were appended into the shared config's slice")
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"aggchecker/internal/corpus"
+	"aggchecker/internal/document"
 	"aggchecker/internal/model"
 )
 
@@ -82,6 +84,28 @@ func TestCheckDeadlineOption(t *testing.T) {
 	rep, err := checker.Check(context.Background(), tc.Doc, WithDeadline(time.Nanosecond))
 	if rep != nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Check = (%v, %v), want (nil, DeadlineExceeded)", rep, err)
+	}
+}
+
+// TestCheckDeadlineBoundsLongDocument pins that WithDeadline holds on a
+// document with many claims: keyword matching and the per-claim phases of
+// an EM step stop at the deadline instead of running every claim to
+// completion first.
+func TestCheckDeadlineBoundsLongDocument(t *testing.T) {
+	tc := corpus.MustLoad().Cases[0]
+	checker := NewChecker(tc.DB, DefaultConfig())
+	doc := document.ParseText(strings.Repeat("There were 4 lifetime bans and 3 suspensions for gambling. ", 250))
+	if len(doc.Claims) != 500 {
+		t.Fatalf("document has %d claims, want 500", len(doc.Claims))
+	}
+	start := time.Now()
+	rep, err := checker.Check(context.Background(), doc, WithDeadline(200*time.Millisecond))
+	elapsed := time.Since(start)
+	if rep != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Check = (%v, %v), want (nil, DeadlineExceeded)", rep, err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("Check with a 200ms deadline returned after %v", elapsed)
 	}
 }
 

@@ -25,6 +25,14 @@ func ParseHTML(src string) *Document {
 		addParagraph(doc, cur, text)
 	}
 
+	// Tags and close tags are matched case-insensitively in lower, an
+	// ASCII-lowercased copy of src whose every offset is an offset into src
+	// (Unicode lowercasing can change a string's byte length). It is built
+	// once: lowering the rest of the input per tag is quadratic.
+	lower := lowerASCII(src)
+	// noTitleEnd records that no "</title>" follows some earlier <title>,
+	// so no later one can find one either and the search is not repeated.
+	noTitleEnd := false
 	i := 0
 	for i < len(src) {
 		lt := strings.IndexByte(src[i:], '<')
@@ -40,11 +48,12 @@ func ParseHTML(src string) *Document {
 			paraBuf.WriteString(src[i:])
 			break
 		}
-		tag := strings.ToLower(strings.TrimSpace(src[i+1 : i+gt]))
-		body := src[i+gt+1:]
+		tag := strings.TrimSpace(lower[i+1 : i+gt])
+		body, lowerBody := src[i+gt+1:], lower[i+gt+1:]
 		switch {
-		case tag == "title":
-			end := strings.Index(strings.ToLower(body), "</title>")
+		case tag == "title" && !noTitleEnd:
+			end := strings.Index(lowerBody, "</title>")
+			noTitleEnd = end < 0
 			if end >= 0 {
 				doc.Title = decodeEntities(strings.TrimSpace(body[:end]))
 				i += gt + 1 + end + len("</title>")
@@ -54,7 +63,7 @@ func ParseHTML(src string) *Document {
 			flushPara()
 			level := int(tag[1] - '0')
 			closeTag := "</" + tag + ">"
-			end := strings.Index(strings.ToLower(body), closeTag)
+			end := strings.Index(lowerBody, closeTag)
 			headline := body
 			consumed := len(body)
 			if end >= 0 {
@@ -151,6 +160,18 @@ func addParagraph(doc *Document, sec *Section, text string) {
 	if len(para.Sentences) > 0 {
 		sec.Paragraphs = append(sec.Paragraphs, para)
 	}
+}
+
+// lowerASCII lowercases the ASCII letters of s byte for byte, leaving every
+// other byte as it is, so the result has the same length and offsets as s.
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 func stripTags(s string) string {

@@ -112,8 +112,7 @@ func TestMergingReducesScans(t *testing.T) {
 	d := testDB(t)
 	naiveEngine := sqlexec.NewEngine(d)
 	naive := NewNaiveEvaluator(naiveEngine)
-	mergedEngine := sqlexec.NewEngine(d)
-	mergedEngine.Tune(sqlexec.WithCaching(false))
+	mergedEngine := sqlexec.NewEngine(d, sqlexec.WithCaching(false))
 	merged := NewCubeEvaluator(mergedEngine)
 
 	batch := testBatch()
@@ -169,8 +168,7 @@ func TestSetPoolStabilizesSignatures(t *testing.T) {
 
 func TestSubsetGroupsShareHostCube(t *testing.T) {
 	d := testDB(t)
-	e := sqlexec.NewEngine(d)
-	e.Tune(sqlexec.WithCaching(false))
+	e := sqlexec.NewEngine(d, sqlexec.WithCaching(false))
 	ev := NewCubeEvaluator(e)
 	// Three column sets: {region}, {product}, {region, product}; the first
 	// two are subsets of the third, so one cube pass suffices.

@@ -62,8 +62,8 @@ const maxAuditConcurrencyParam = 64
 // per finished document (completion order) and a final "done" summary with
 // shared-pass counts and cache economics. The whole audit occupies one
 // verification slot. Check query parameters (mode, topk, workers,
-// zone_maps, timeout) apply to every member document; concurrency (1..64)
-// bounds documents in flight.
+// timeout) apply to every member document; concurrency (1..64) bounds
+// documents in flight.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 

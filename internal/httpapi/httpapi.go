@@ -46,10 +46,11 @@ type Options struct {
 // The request body is the document itself: HTML-lite when it looks like
 // markup, markdown-lite plain text otherwise. Per-request knobs arrive as
 // query parameters: mode (cached|merged|naive), topk, workers (passes of
-// one claim batch in flight on the shared scheduler), timeout (Go
-// duration, capped by Options.RequestTimeout), and zone_maps (true|false,
-// zone-map pruning for this request). How wide the scheduler is, is a
-// deployment setting, not a request parameter.
+// one claim batch in flight on the shared scheduler), and timeout (Go
+// duration, capped by Options.RequestTimeout). Engine settings — how wide
+// the scheduler is, zone-map pruning, the cube cache — are fixed when the
+// service builds a database's checker: deployment settings, not request
+// parameters.
 type Server struct {
 	svc  *core.Service
 	opts Options
@@ -227,14 +228,6 @@ func (s *Server) parseCheckParams(w http.ResponseWriter, r *http.Request) (opts 
 			}
 			opts = append(opts, opt(n))
 		}
-	}
-	if v := q.Get("zone_maps"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad zone_maps %q (want true or false)", v)
-			return nil, 0, false
-		}
-		opts = append(opts, core.WithZoneMaps(on))
 	}
 	timeout = s.opts.RequestTimeout
 	if v := q.Get("timeout"); v != "" {

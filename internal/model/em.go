@@ -198,13 +198,16 @@ func notify(obs Observer, res *Result, doc *document.Document, states []*claimSt
 // order and the queries new to it go to the evaluator as one
 // document-level batch (§6.3: merged cube passes span the claims of a
 // document); and claim workers redo the match flags. All accumulation is
-// per-claim, so the outcome is deterministic.
+// per-claim, so the outcome is deterministic. Once ctx is done the claim
+// workers skip the claims they have not started and eStep returns before
+// its next phase, leaving the states half-built: Run discards them and
+// returns ctx.Err().
 func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, scores []keywords.Scores, ev Evaluator, cfg Config, pool *LiteralPool, priors *Priors, states []*claimState, tab *queryTable, res *Result) {
 	workers := runtime.GOMAXPROCS(0)
 
 	// Phase 1: candidate construction, each top candidate keyed once.
 	keys := make([][]string, len(states))
-	runParallel(workers, len(states), func(i int) {
+	runParallel(ctx, workers, len(states), func(i int) {
 		st := states[i]
 		st.space = BuildSpace(cat, doc.Claims[i], scores[i], priors, pool, cfg)
 		st.top = st.space.TopCandidates(cfg.EvalBudget, cfg.MaxPreds)
@@ -215,6 +218,10 @@ func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, 
 			keys[i][j] = st.queries[j].Key()
 		}
 	})
+
+	if ctx.Err() != nil {
+		return
+	}
 
 	// Phase 2: one cross-claim batch. Claims frequently share candidates
 	// (same table, same salient literals), and EM iterations mostly revisit
@@ -237,8 +244,12 @@ func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, 
 		res.EvaluatedQueries = len(tab.results)
 	}
 
+	if ctx.Err() != nil {
+		return
+	}
+
 	// Phase 3: match bookkeeping under the fresh results.
-	runParallel(workers, len(states), func(i int) {
+	runParallel(ctx, workers, len(states), func(i int) {
 		st := states[i]
 		st.matches = make([]bool, len(st.top))
 		st.matched = st.matched[:0]
@@ -254,13 +265,15 @@ func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, 
 }
 
 // runParallel executes fn(0..n-1) on a bounded worker pool. Each index is
-// processed exactly once; fn must only touch per-index state.
-func runParallel(workers, n int, fn func(int)) {
+// processed at most once, and exactly once unless ctx is done first: then
+// the indexes not yet started are skipped. fn must only touch per-index
+// state.
+func runParallel(ctx context.Context, workers, n int, fn func(int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			fn(i)
 		}
 		return
@@ -276,7 +289,7 @@ func runParallel(workers, n int, fn func(int)) {
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		ch <- i
 	}
 	close(ch)

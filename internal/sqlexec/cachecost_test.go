@@ -90,23 +90,3 @@ func TestCubeCacheAdmitReject(t *testing.T) {
 		t.Errorf("repeat count = %v, want 4", got[0])
 	}
 }
-
-// TestCubeCacheBudgetRetune: WithCubeCacheBudget via Tune shrinks the
-// budget on a live engine and sweeps immediately.
-func TestCubeCacheBudgetRetune(t *testing.T) {
-	e := NewEngine(nflDB(t))
-	for _, batch := range distinctCubeBatches() {
-		e.EvaluateBatch(context.Background(), batch, BatchOptions{})
-	}
-	entries, bytes := e.CacheUsage()
-	if entries == 0 || bytes == 0 {
-		t.Fatalf("nothing cached: %d entries, %d bytes", entries, bytes)
-	}
-	e.Tune(WithCubeCacheBudget(bytes / 2))
-	if _, after := e.CacheUsage(); after > bytes/2 {
-		t.Errorf("resident bytes %d exceed retuned budget %d", after, bytes/2)
-	}
-	if e.Stats.CubeCacheEvictions.Load() == 0 {
-		t.Error("retune below residency evicted nothing")
-	}
-}

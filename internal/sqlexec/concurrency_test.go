@@ -112,8 +112,7 @@ func TestCubeForSingleflight(t *testing.T) {
 func TestConcurrentOverlappingBatchesMatchSerial(t *testing.T) {
 	d := stressDB(t, 2000)
 	shared := NewEngine(d)
-	serial := NewEngine(d)
-	serial.Tune(WithCaching(false))
+	serial := NewEngine(d, WithCaching(false))
 
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
 	avals := []string{"p", "q", "r", "s"}

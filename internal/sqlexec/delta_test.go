@@ -90,8 +90,7 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 		reqs := reqsFor(cols)
 		scalar := trial%3 == 0
 
-		e := NewEngine(sc.d)
-		e.Tune(WithScalarKernel(scalar))
+		e := NewEngine(sc.d, WithScalarKernel(scalar))
 		if _, err := e.CubeFor(sc.tables, dims, reqs); err != nil {
 			t.Fatal(err)
 		}

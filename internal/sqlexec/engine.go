@@ -295,32 +295,35 @@ type Engine struct {
 	DB    *db.Database
 	Stats Stats
 
-	caching atomic.Bool
-	views   [cacheShards]viewShard
-	cubes   [cacheShards]cubeShard
+	views [cacheShards]viewShard
+	cubes [cacheShards]cubeShard
 
+	// The execution settings below are written only by NewEngine (see
+	// options.go) and fixed for the engine's life.
+
+	// caching enables the cube-result cache (on by default).
+	caching bool
 	// scalarKernel forces cube passes onto the row-at-a-time interpreter;
 	// the vectorized columnar kernel is the default.
-	scalarKernel atomic.Bool
+	scalarKernel bool
 	// pushdown enables selection-vector pushdown: the batch planner may
 	// merge queries sharing a predicate into one filtered cube pass whose
 	// kernel compacts each segment through the shared predicate's selection
 	// vector before accumulating (on by default).
-	pushdown atomic.Bool
+	pushdown bool
 	// zoneMaps enables zone-map pruning in the scan pipeline (on by
 	// default); WithZoneMaps(false) is the operational escape hatch and the
 	// scan differential tests' oracle.
-	zoneMaps atomic.Bool
+	zoneMaps bool
 	// sched is the pool the engine's batches, cube passes and large direct
 	// scans run on: the one WithScheduler installed, or the process-wide
 	// default. Never nil; the engine does not own it (its creator calls
 	// Close).
-	sched atomic.Pointer[Scheduler]
-
+	sched *Scheduler
 	// cubeCacheBudget bounds the cube cache's estimated resident bytes
 	// (<= 0: unbounded). Publishes over budget trigger an eviction sweep;
 	// evicting is the CAS guard that keeps the sweep single-flight.
-	cubeCacheBudget atomic.Int64
+	cubeCacheBudget int64
 	evicting        atomic.Bool
 
 	// testHookBeforeCubePass, when non-nil, runs at the start of every cube
@@ -329,24 +332,28 @@ type Engine struct {
 	testHookBeforeCubePass func()
 }
 
-// NewEngine creates an engine with cube-result caching enabled, then
-// applies the given execution options (see options.go; Engine.Tune applies
-// more at runtime).
+// NewEngine creates an engine with cube-result caching, selection
+// pushdown and zone maps on, then applies the given execution options (see
+// options.go). The settings are fixed once NewEngine returns.
 func NewEngine(d *db.Database, opts ...ExecOption) *Engine {
-	e := &Engine{DB: d}
+	e := &Engine{
+		DB:              d,
+		caching:         true,
+		pushdown:        true,
+		zoneMaps:        true,
+		cubeCacheBudget: defaultCubeCacheBudget,
+	}
 	for i := range e.views {
 		e.views[i].entries = make(map[string]*viewEntry)
 	}
 	for i := range e.cubes {
 		e.cubes[i].entries = make(map[string]*cubeEntry)
 	}
-	e.caching.Store(true)
-	e.zoneMaps.Store(true)
-	e.pushdown.Store(true)
-	e.cubeCacheBudget.Store(defaultCubeCacheBudget)
-	e.Tune(opts...)
-	if e.sched.Load() == nil {
-		e.sched.Store(defaultScheduler())
+	for _, opt := range opts {
+		opt(e)
+	}
+	if e.sched == nil {
+		e.sched = defaultScheduler()
 	}
 	return e
 }
@@ -359,7 +366,7 @@ const defaultCubeCacheBudget = 256 << 20
 
 // CubeCacheBudget returns the configured cube-cache byte budget (<= 0:
 // unbounded).
-func (e *Engine) CubeCacheBudget() int64 { return e.cubeCacheBudget.Load() }
+func (e *Engine) CubeCacheBudget() int64 { return e.cubeCacheBudget }
 
 // CacheUsage reports the cube cache's resident entry count and estimated
 // bytes (published states plus parked stale results). It scans the shard
@@ -390,14 +397,14 @@ func (e *Engine) CacheUsage() (entries int, bytes int64) {
 
 // PushdownEnabled reports whether the batch planner may merge
 // predicate-sharing queries into filtered cube passes.
-func (e *Engine) PushdownEnabled() bool { return e.pushdown.Load() }
+func (e *Engine) PushdownEnabled() bool { return e.pushdown }
 
 // CachingEnabled reports whether cube results are cached.
-func (e *Engine) CachingEnabled() bool { return e.caching.Load() }
+func (e *Engine) CachingEnabled() bool { return e.caching }
 
 // ScalarKernel reports whether cube passes are forced onto the scalar
 // interpreter.
-func (e *Engine) ScalarKernel() bool { return e.scalarKernel.Load() }
+func (e *Engine) ScalarKernel() bool { return e.scalarKernel }
 
 // ResetCache drops all cached cube results (join views are kept: they are
 // part of the storage layer, not the evaluation strategy).
@@ -433,7 +440,7 @@ func (e *Engine) cacheHit(ent *cubeEntry, st *cubeState) {
 // never stored (caching it would immediately evict everything else for an
 // entry the next sweep drops anyway).
 func (e *Engine) admit(st *cubeState) bool {
-	if b := e.cubeCacheBudget.Load(); b > 0 && st.bytes > b {
+	if b := e.cubeCacheBudget; b > 0 && st.bytes > b {
 		e.Stats.CubeCacheAdmitRejects.Add(1)
 		return false
 	}
@@ -450,7 +457,7 @@ func (e *Engine) admit(st *cubeState) bool {
 // (published CubeResults are immutable); a publisher racing the sweep at
 // worst stores into an orphaned entry that the GC then collects.
 func (e *Engine) maybeEvict() {
-	budget := e.cubeCacheBudget.Load()
+	budget := e.cubeCacheBudget
 	if budget <= 0 {
 		return
 	}
@@ -707,7 +714,7 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 	}
 	cols := trackedColsFor(reqs)
 	snap := e.snapshotFor(ctx)
-	if !e.caching.Load() {
+	if !e.caching {
 		view, err := e.viewAt(snap, tables)
 		if err != nil {
 			return nil, err
@@ -925,7 +932,7 @@ func (e *Engine) runCubeDelta(ctx context.Context, view *db.JoinView, tables []s
 		return nil, err
 	}
 	e.Stats.RowsScanned.Add(int64(hi - lo))
-	pc := passConfig{stats: &e.Stats, scalar: e.scalarKernel.Load(), zones: e.zoneMapsFor(ctx), filter: filter}
+	pc := passConfig{stats: &e.Stats, scalar: e.scalarKernel, zones: e.zoneMaps, filter: filter}
 	return computeCubeRange(ctx, view, tables, dims, cols, lo, hi, pc)
 }
 
@@ -957,9 +964,9 @@ func (e *Engine) runCube(ctx context.Context, view *db.JoinView, tables []string
 	}
 	pc := passConfig{
 		stats:  &e.Stats,
-		scalar: e.scalarKernel.Load(),
-		zones:  e.zoneMapsFor(ctx),
-		sched:  e.sched.Load(),
+		scalar: e.scalarKernel,
+		zones:  e.zoneMaps,
+		sched:  e.sched,
 		filter: filter,
 	}
 	return computeCubeRange(ctx, view, tables, dims, cols, 0, view.NumRows(), pc)

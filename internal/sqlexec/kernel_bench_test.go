@@ -30,9 +30,7 @@ func BenchmarkCubeKernel(bm *testing.B) {
 		run := func(b *testing.B, scalar bool) {
 			serial := sqlexec.NewScheduler(1) // isolate kernel throughput
 			defer serial.Close()
-			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(serial))
-			e.Tune(sqlexec.WithCaching(false))
-			e.Tune(sqlexec.WithScalarKernel(scalar))
+			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(serial), sqlexec.WithCaching(false), sqlexec.WithScalarKernel(scalar))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -64,8 +62,7 @@ func BenchmarkCubeKernelParallel(bm *testing.B) {
 		bm.Run(name, func(b *testing.B) {
 			sched := sqlexec.NewScheduler(workers)
 			defer sched.Close()
-			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(sched))
-			e.Tune(sqlexec.WithCaching(false))
+			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(sched), sqlexec.WithCaching(false))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.CubeForContext(ctx, tc.Tables, tc.Dims, tc.Reqs); err != nil {

@@ -448,8 +448,7 @@ func TestKernelLatticeFallback(t *testing.T) {
 func TestEngineScalarKernelFlag(t *testing.T) {
 	d := stressDB(t, 3000)
 	vecE := NewEngine(d)
-	sclE := NewEngine(d)
-	sclE.Tune(WithScalarKernel(true))
+	sclE := NewEngine(d, WithScalarKernel(true))
 	if !sclE.ScalarKernel() || vecE.ScalarKernel() {
 		t.Fatal("scalar-kernel flag not plumbed")
 	}

@@ -1,39 +1,21 @@
 package sqlexec
 
-import "context"
-
-// This file is the unified execution-options surface of the engine: one
+// This file is the execution-options surface of the engine: one
 // functional-options type configures an engine at construction
-// (NewEngine(d, opts...)), retunes it atomically at runtime
-// (Engine.Tune(opts...)), and — for the per-request subset — overrides a
-// single request through its context (ContextWithOptions).
+// (NewEngine(d, opts...)), and the settings are fixed for the engine's
+// life. An engine that needs different settings is a different engine.
 
-// execOptions collects the knobs an ExecOption list sets. Pointer fields
-// distinguish "not mentioned" from an explicit value, so Tune only touches
-// the knobs its options name.
-type execOptions struct {
-	zoneMaps        *bool
-	scalarKernel    *bool
-	caching         *bool
-	pushdown        *bool
-	scheduler       *Scheduler
-	schedulerSet    bool
-	cubeCacheBudget *int64
-}
-
-// ExecOption configures engine execution: accepted by NewEngine, applied
-// atomically at runtime by Engine.Tune, and (WithZoneMaps only) carried per
-// request by ContextWithOptions.
-type ExecOption func(*execOptions)
+// ExecOption configures engine execution; NewEngine applies the options in
+// order, so a later option overrides an earlier one.
+type ExecOption func(*Engine)
 
 // WithZoneMaps toggles zone-map pruning in the shared scan pipeline (on by
 // default). With pruning off, direct scans and cube passes process every
 // block; results are identical either way (pruning only skips provably
 // irrelevant rows), so off is the oracle of the scan differential tests
-// and a per-request escape hatch. Honored per request by
-// ContextWithOptions.
+// and an operational escape hatch.
 func WithZoneMaps(on bool) ExecOption {
-	return func(o *execOptions) { o.zoneMaps = &on }
+	return func(e *Engine) { e.zoneMaps = on }
 }
 
 // WithScalarKernel routes cube passes to the scalar interpreter
@@ -42,14 +24,13 @@ func WithZoneMaps(on bool) ExecOption {
 // oracle of the kernel differential tests and the yardstick of
 // BenchmarkCubeKernel.
 func WithScalarKernel(on bool) ExecOption {
-	return func(o *execOptions) { o.scalarKernel = &on }
+	return func(e *Engine) { e.scalarKernel = on }
 }
 
-// WithCaching toggles the cube-result cache (Table 6's "+ Caching" row
-// turns it off to isolate the effect of query merging). Turning it off
-// also drops already-cached results.
+// WithCaching toggles the cube-result cache (on by default; Table 6's
+// "+ Caching" row turns it off to isolate the effect of query merging).
 func WithCaching(on bool) ExecOption {
-	return func(o *execOptions) { o.caching = &on }
+	return func(e *Engine) { e.caching = on }
 }
 
 // WithSelectionPushdown toggles selection-vector pushdown in the batch
@@ -59,7 +40,7 @@ func WithCaching(on bool) ExecOption {
 // Results are bit-for-bit identical either way — off is the oracle of the
 // pushdown differential tests.
 func WithSelectionPushdown(on bool) ExecOption {
-	return func(o *execOptions) { o.pushdown = &on }
+	return func(e *Engine) { e.pushdown = on }
 }
 
 // WithCubeCacheBudget bounds the cube cache's estimated resident bytes
@@ -70,7 +51,7 @@ func WithSelectionPushdown(on bool) ExecOption {
 // budget is served but never cached. Results are identical at any budget —
 // only rebuild work changes.
 func WithCubeCacheBudget(n int64) ExecOption {
-	return func(o *execOptions) { o.cubeCacheBudget = &n }
+	return func(e *Engine) { e.cubeCacheBudget = n }
 }
 
 // WithScheduler sets the pool the engine runs on: its batches' cube passes
@@ -81,69 +62,5 @@ func WithCubeCacheBudget(n int64) ExecOption {
 // GOMAXPROCS wide. The engine does not own the scheduler; whoever created
 // it calls Close.
 func WithScheduler(s *Scheduler) ExecOption {
-	return func(o *execOptions) { o.scheduler = s; o.schedulerSet = true }
-}
-
-// Tune applies options to a live engine. Each knob is an independent
-// atomic: concurrent requests observe either the old or the new value,
-// never a torn mix of one knob.
-func (e *Engine) Tune(opts ...ExecOption) {
-	var o execOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.zoneMaps != nil {
-		e.zoneMaps.Store(*o.zoneMaps)
-	}
-	if o.scalarKernel != nil {
-		e.scalarKernel.Store(*o.scalarKernel)
-	}
-	if o.pushdown != nil {
-		e.pushdown.Store(*o.pushdown)
-	}
-	if o.schedulerSet {
-		if o.scheduler == nil {
-			o.scheduler = defaultScheduler()
-		}
-		e.sched.Store(o.scheduler)
-	}
-	if o.cubeCacheBudget != nil {
-		e.cubeCacheBudget.Store(*o.cubeCacheBudget)
-		e.maybeEvict()
-	}
-	if o.caching != nil {
-		e.caching.Store(*o.caching)
-		if !*o.caching {
-			e.ResetCache()
-		}
-	}
-}
-
-// zoneMapsCtxKey carries a per-request zone-map override through a context.
-type zoneMapsCtxKey struct{}
-
-// ContextWithOptions returns a context overriding execution options for
-// every engine read under it. Only WithZoneMaps is honored — the one knob
-// that is safe to vary between concurrent requests on a shared engine (it
-// parameterizes a single scan, not shared cache state); kernel, caching,
-// and scheduler options are ignored here. Without a WithZoneMaps option the
-// enclosing override, if any, stays in force.
-func ContextWithOptions(ctx context.Context, opts ...ExecOption) context.Context {
-	var o execOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.zoneMaps == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, zoneMapsCtxKey{}, *o.zoneMaps)
-}
-
-// zoneMapsFor resolves zone-map pruning for one request: the context
-// override when present, the engine setting otherwise.
-func (e *Engine) zoneMapsFor(ctx context.Context) bool {
-	if on, ok := ctx.Value(zoneMapsCtxKey{}).(bool); ok {
-		return on
-	}
-	return e.zoneMaps.Load()
+	return func(e *Engine) { e.sched = s }
 }

@@ -309,7 +309,7 @@ func (e *Engine) ScanPartialContext(ctx context.Context, q Query) (*ScanPartial,
 		return nil, err
 	}
 	e.Stats.DirectQueries.Add(1)
-	ds, err := newDirectScan(view, q, e.zoneMapsFor(ctx))
+	ds, err := newDirectScan(view, q, e.zoneMaps)
 	if err != nil {
 		return nil, err
 	}

@@ -478,7 +478,7 @@ func (ds *directScan) scanRange(ctx context.Context, lo, hi int) (*directPartial
 // pool width, bit-for-bit identical to the single-threaded scan for
 // integer-valued data (float sums regroup at morsel boundaries).
 func (e *Engine) evaluateDirect(ctx context.Context, view *db.JoinView, q Query) (float64, error) {
-	ds, err := newDirectScan(view, q, e.zoneMapsFor(ctx))
+	ds, err := newDirectScan(view, q, e.zoneMaps)
 	if err != nil {
 		return math.NaN(), err
 	}
@@ -495,7 +495,7 @@ func (e *Engine) evaluateDirect(ctx context.Context, view *db.JoinView, q Query)
 // Shared by evaluateDirect (which finalizes) and ScanPartialContext (which
 // exports the partial to a shard coordinator).
 func (e *Engine) runDirect(ctx context.Context, view *db.JoinView, ds *directScan) (*directPartial, error) {
-	partials, err := scanMorsels(ctx, e.sched.Load(), &e.Stats, ds.spans, 0, view.NumRows(), func(lo, hi int) (*directPartial, error) {
+	partials, err := scanMorsels(ctx, e.sched, &e.Stats, ds.spans, 0, view.NumRows(), func(lo, hi int) (*directPartial, error) {
 		return ds.scanRange(ctx, lo, hi)
 	})
 	if err != nil {

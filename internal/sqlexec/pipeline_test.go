@@ -201,8 +201,7 @@ func TestDirectScanDifferentialRandomized(t *testing.T) {
 		nullFrac := []float64{0.05, 0.3, 0.9}[rng.Intn(3)]
 		d := bandedDB(t, rng, batches, rowsPerBatch, nullFrac)
 		pruner := NewEngine(d)
-		flat := NewEngine(d)
-		flat.Tune(WithZoneMaps(false))
+		flat := NewEngine(d, WithZoneMaps(false))
 		view, err := db.BuildJoinView(d, []string{"t"})
 		if err != nil {
 			t.Fatal(err)
@@ -484,8 +483,7 @@ func TestCubeZoneMapPruning(t *testing.T) {
 		t.Errorf("cube blocks_scanned = %d, want 1", s["blocks_scanned"])
 	}
 
-	flat := NewEngine(d)
-	flat.Tune(WithZoneMaps(false))
+	flat := NewEngine(d, WithZoneMaps(false))
 	unpruned, err := flat.CubeFor([]string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -495,8 +493,7 @@ func TestCubeZoneMapPruning(t *testing.T) {
 	}
 	requireCubesIdentical(t, unpruned, pruned, "pruned vs unpruned cube")
 
-	scalar := NewEngine(d)
-	scalar.Tune(WithScalarKernel(true))
+	scalar := NewEngine(d, WithScalarKernel(true))
 	want, err := scalar.CubeFor([]string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)

@@ -598,7 +598,7 @@ func RunBatch(ctx context.Context, b Backend, e *Engine, policy PlanOptions, que
 	// Each task writes disjoint slots of res, so no lock is needed. The
 	// scheduler skips the tasks left once ctx is done; their slots stay NaN.
 	tasks := len(plan.Cubes) + len(plan.Direct)
-	_ = e.sched.Load().Run(ctx, stats, tasks, opts.Workers, func(t int) error {
+	_ = e.sched.Run(ctx, stats, tasks, opts.Workers, func(t int) error {
 		if t >= len(plan.Cubes) {
 			direct(plan.Direct[t-len(plan.Cubes)])
 			return nil

@@ -357,8 +357,7 @@ func TestPushdownEndToEndIdentical(t *testing.T) {
 	}
 
 	eOn := NewEngine(sc.d)
-	eOff := NewEngine(sc.d)
-	eOff.Tune(WithSelectionPushdown(false))
+	eOff := NewEngine(sc.d, WithSelectionPushdown(false))
 	if !eOn.PushdownEnabled() || eOff.PushdownEnabled() {
 		t.Fatal("pushdown flag not plumbed")
 	}

@@ -392,8 +392,7 @@ func TestCubeCacheExtension(t *testing.T) {
 }
 
 func TestCubeCachingDisabled(t *testing.T) {
-	e := NewEngine(nflDB(t))
-	e.Tune(WithCaching(false))
+	e := NewEngine(nflDB(t), WithCaching(false))
 	dims := buildNFLDims()
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
 	for i := 0; i < 3; i++ {
