@@ -17,11 +17,15 @@ test:
 # state without it (that test skips itself under -race, where sync.Pool
 # drops puts at random) — plus the two concurrency tests of the one-pool
 # path under the race detector: batches nesting morsel jobs on one
-# scheduler, and one parsed document checked from two goroutines.
+# scheduler, and one parsed document checked from two goroutines. The
+# concurrent audits of the composition differential, cached and uncached,
+# assert shared passes that depend on the planning window's 10 ms flush
+# deadline, so they run ten times too.
 flake-guard:
 	$(GO) test -race -count=20 -run 'TestServicePersistentRefreshAndCompaction|TestConcurrentChecksShareDocument' ./internal/core
 	$(GO) test -race -count=20 -run TestRunBatchNestedOnScheduler ./internal/sqlexec
 	$(GO) test -count=20 -run TestSchedulerPassPoolsPartials ./internal/sqlexec
+	$(GO) test -count=10 -run 'TestExecutorCompositionDifferential/.*/.*/audit$$' ./internal/core
 
 # test-noasm runs the suite with the assembly kernels compiled out, so the
 # Go loops of the four dispatched internal/vec primitives (the only path

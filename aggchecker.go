@@ -24,7 +24,7 @@
 // events so callers can watch per-claim probabilities refine, and Service
 // hosts many named databases with lazily built checkers behind singleflight
 // and an LRU residency bound. Per-request tuning uses functional options
-// (WithMode, WithWorkers, WithDeadline, WithTopK) instead of Config
+// (WithWorkers, WithDeadline, WithTopK) instead of Config
 // mutation; engine settings (Config.Exec) and the shard topology
 // (Config.Shards) are fixed when a checker is built. cmd/aggcheckd serves
 // the same surface over HTTP.
@@ -196,16 +196,6 @@ type EventClaimUpdate = core.EventClaimUpdate
 // EventDone terminates a stream with the final Report or the run's error.
 type EventDone = core.EventDone
 
-// EvalMode selects the candidate evaluation strategy.
-type EvalMode = core.EvalMode
-
-// Evaluation strategies (the rows of the paper's Table 6).
-const (
-	EvalCached = core.EvalCached
-	EvalMerged = core.EvalMerged
-	EvalNaive  = core.EvalNaive
-)
-
 // Aggregation functions supported by the query model.
 const (
 	Count                  = sqlexec.Count
@@ -239,9 +229,6 @@ func WithMaxResident(n int) ServiceOption { return core.WithMaxResident(n) }
 
 // WithDatabaseConfig overrides the service default Config for one database.
 func WithDatabaseConfig(cfg Config) RegisterOption { return core.WithDatabaseConfig(cfg) }
-
-// WithMode selects the evaluation strategy for one request.
-func WithMode(m EvalMode) CheckOption { return core.WithMode(m) }
 
 // WithWorkers caps, for one request, how many cube passes and direct scans
 // of one claim batch run at once on the scheduler.
@@ -289,10 +276,6 @@ func ExecScheduler(s *Scheduler) ExecOption { return sqlexec.WithScheduler(s) }
 // entries first (score = build cost x (1+hits) / bytes, ascending).
 // n ≤ 0 disables the bound.
 func ExecCubeCacheBudget(n int64) ExecOption { return sqlexec.WithCubeCacheBudget(n) }
-
-// ParseEvalMode parses "cached", "merged", or "naive" (plus String() forms)
-// into an EvalMode.
-func ParseEvalMode(s string) (EvalMode, error) { return core.ParseEvalMode(s) }
 
 // DefaultConfig returns the paper's main configuration.
 func DefaultConfig() Config { return core.DefaultConfig() }

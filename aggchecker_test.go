@@ -95,19 +95,19 @@ func ExampleService() {
 }
 
 // Per-request options replace ad-hoc Config mutation: the same Checker can
-// serve different strategies concurrently.
-func ExampleWithMode() {
+// serve requests with different settings concurrently.
+func ExampleWithTopK() {
 	checker := aggchecker.New(exampleDatabase(), aggchecker.DefaultConfig())
 	doc := aggchecker.ParseHTML(article)
 
-	for _, mode := range []aggchecker.EvalMode{aggchecker.EvalCached, aggchecker.EvalNaive} {
-		report, err := checker.Check(context.Background(), doc, aggchecker.WithMode(mode))
+	for _, k := range []int{1, 3} {
+		report, err := checker.Check(context.Background(), doc, aggchecker.WithTopK(k))
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%s: claims=%d\n", mode, len(report.Claims()))
+		fmt.Printf("topk=%d: claims=%d translations=%d\n", k, len(report.Claims()), len(report.Claims()[0].Ranked))
 	}
 	// Output:
-	// merged+cached: claims=3
-	// naive: claims=3
+	// topk=1: claims=3 translations=1
+	// topk=3: claims=3 translations=3
 }

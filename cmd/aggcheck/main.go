@@ -41,7 +41,6 @@ func main() {
 	top := flag.Int("top", 3, "query translations to print per claim")
 	demo := flag.Bool("demo", false, "run the embedded NFL example")
 	markup := flag.Bool("markup", false, "print the article with inline verdict markup")
-	mode := flag.String("mode", "cached", "evaluation strategy: cached, merged, or naive (Table 6 rows)")
 	scanWorkers := flag.Int("scan-workers", 0, "worker pool width for passes and scans (0 = GOMAXPROCS, 1 = single-threaded)")
 	shards := flag.Int("shards", 0, "partition fact tables into K shards and evaluate by scatter-gather (0/1 = unsharded)")
 	shardKeys := flag.String("shard-keys", "", "hash-placement columns for sharding: table=column[,table2=column2...]")
@@ -51,11 +50,6 @@ func main() {
 	audit := flag.String("audit", "", "audit a directory of documents as one corpus (with -data or -demo)")
 	auditConc := flag.Int("audit-concurrency", 0, "documents checked concurrently in -audit mode (0 = default)")
 	flag.Parse()
-
-	evalMode, err := aggchecker.ParseEvalMode(*mode)
-	if err != nil {
-		fatal(err)
-	}
 
 	// Ctrl-C / SIGTERM cancels the in-flight check mid-EM instead of
 	// leaving the process to be killed mid-scan.
@@ -81,7 +75,6 @@ func main() {
 	}
 
 	var checkOpts []aggchecker.CheckOption
-	checkOpts = append(checkOpts, aggchecker.WithMode(evalMode))
 	if *timeout > 0 {
 		checkOpts = append(checkOpts, aggchecker.WithDeadline(*timeout))
 	}

@@ -14,8 +14,8 @@
 //	POST /v1/databases/{name}/check         body = document, returns JSON report
 //	POST /v1/databases/{name}/check/stream  returns NDJSON of EM-iteration events
 //
-// Query parameters on the check endpoints: mode=cached|merged|naive,
-// topk=N, workers=N, timeout=DURATION. Cube passes, direct scans and
+// Query parameters on the check endpoints: topk=N, workers=N,
+// timeout=DURATION; others are ignored. Cube passes, direct scans and
 // their morsels execute on one scheduler spanning every request;
 // -scan-workers sizes it, and that width is the daemon's only parallelism
 // setting (workers only caps one batch's passes in flight). -demo
@@ -70,7 +70,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	demo := flag.Bool("demo", false, "register the embedded reproduction corpus databases")
-	mode := flag.String("mode", "cached", "default evaluation mode: cached, merged, or naive")
 	workers := flag.Int("workers", 0, "default cap on one claim batch's passes in flight on the pool (0 = pool width)")
 	scanWorkers := flag.Int("scan-workers", 0, "width of the one worker pool every request's passes and scans share (0 = GOMAXPROCS)")
 	reqTimeout := flag.Duration("timeout", 2*time.Minute, "per-request verification timeout (0 = none)")
@@ -88,15 +87,11 @@ func main() {
 
 	logger := log.New(os.Stderr, "aggcheckd: ", log.LstdFlags)
 
-	evalMode, err := core.ParseEvalMode(*mode)
-	if err != nil {
-		logger.Fatal(err)
-	}
 	cfg := core.DefaultConfig()
-	cfg.Mode = evalMode
 	cfg.Workers = *workers
 	cfg.DataDir = *dataDir
 	cfg.CompactAfter = *compactAfter
+	var err error
 	if cfg.ShardKeys, err = parseShardKeys(*shardKeys); err != nil {
 		logger.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func WithAuditProgress(fn func(index int, dr DocReport)) AuditOption {
 }
 
 // WithAuditCheckOptions forwards per-document check options (deadline,
-// top-k, mode, workers) to every member check of the audit.
+// top-k, workers) to every member check of the audit.
 func WithAuditCheckOptions(opts ...CheckOption) AuditOption {
 	return func(s *auditSettings) { s.checkOpts = append(s.checkOpts, opts...) }
 }
@@ -165,12 +165,9 @@ func WithAuditCheckOptions(opts ...CheckOption) AuditOption {
 // merged into shared cube passes over the checker's cached engine — or,
 // on a sharded checker, into shared fan-outs over its partition engines.
 // Verdicts are bit-for-bit identical to checking each document alone.
-//
-// The window applies in cached mode (the default); merged and naive
-// requests still audit concurrently but keep their per-request engines,
-// so there is nothing for their passes to be shared through. Cancellation
-// stops feeding new documents and aborts in-flight checks; the report
-// covers whatever completed, and ctx.Err() is returned alongside it.
+// Cancellation stops feeding new documents and aborts in-flight checks;
+// the report covers whatever completed, and ctx.Err() is returned
+// alongside it.
 func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOption) (*AuditReport, error) {
 	var set auditSettings
 	for _, o := range opts {

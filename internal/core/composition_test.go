@@ -31,12 +31,12 @@ func verdictPrints(rep *Report) []string {
 
 // TestExecutorCompositionDifferential runs one corpus through every point
 // of the executor's composition product — topology {local, 3 in-process
-// shards} × strategy {cached, merged, naive} × driver {direct Check, Audit
-// window, Audit window with an append between documents} — and requires
-// the per-claim fingerprints of local × cached × direct Check, bit for bit.
-// Merged and naive keep per-request engines, so their audits run unpooled
-// and only verdicts are compared; cached audits must also show the window
-// at work, on either topology.
+// shards} × strategy {merged+cached, merged: caching on or off through
+// Config.Exec} × driver {direct Check, Audit window, Audit window with an
+// append between documents} — and requires the per-claim fingerprints of
+// local × cached × direct Check, bit for bit. Every audit must also show
+// the window at work and count the rows it scanned, on either topology
+// and either strategy.
 func TestExecutorCompositionDifferential(t *testing.T) {
 	const nDocs, appendAt = 6, 2
 	mk := func() *corpus.SharedCorpus {
@@ -78,13 +78,17 @@ func TestExecutorCompositionDifferential(t *testing.T) {
 	want := map[bool][][]string{false: reference(false), true: reference(true)}
 
 	for _, shards := range []int{0, 3} {
-		for _, mode := range []EvalMode{EvalCached, EvalMerged, EvalNaive} {
+		for _, caching := range []bool{true, false} {
+			strategy := "merged+cached"
+			if !caching {
+				strategy = "merged"
+			}
 			for _, driver := range []string{"check", "audit", "audit+append"} {
-				name := fmt.Sprintf("shards=%d/%s/%s", shards, mode, driver)
+				name := fmt.Sprintf("shards=%d/%s/%s", shards, strategy, driver)
 				t.Run(name, func(t *testing.T) {
 					sc := mk()
 					cfg := quickCfg()
-					cfg.Shards, cfg.Mode = shards, mode
+					cfg.Shards, cfg.Exec = shards, []sqlexec.ExecOption{sqlexec.WithCaching(caching)}
 					ck := NewChecker(sc.DB, cfg)
 					if (ck.Sharder() != nil) != (shards > 1) {
 						t.Fatalf("sharder = %v with Shards = %d", ck.Sharder(), shards)
@@ -126,12 +130,14 @@ func TestExecutorCompositionDifferential(t *testing.T) {
 						for i, dr := range rep.Docs {
 							got[i] = verdictPrints(dr.Report)
 						}
-						pooled := mode == EvalCached
-						if b := rep.Stats["window_batches"]; (b > 0) != pooled {
-							t.Errorf("window_batches = %d in %s mode", b, mode)
+						if b := rep.Stats["window_batches"]; b == 0 {
+							t.Error("window_batches = 0: the audit bypassed its window")
 						}
-						if pooled && !appends && rep.SharedPasses() == 0 {
+						if !appends && rep.SharedPasses() == 0 {
 							t.Errorf("no shared passes across %d concurrent documents", nDocs)
+						}
+						if rep.Stats["rows_scanned"] == 0 {
+							t.Error("audit stats count no scanned rows")
 						}
 					}
 
@@ -155,7 +161,7 @@ func TestExecutorCompositionDifferential(t *testing.T) {
 // TestExecutorCancelledContext pins the cancellation contract of the one
 // batch loop on both backends and both plan policies: a batch under a dead
 // context answers NaN in every slot and leaves ctx.Err() for the caller,
-// and a Check on top of it returns that error whatever the strategy.
+// and a Check on top of it returns that error.
 func TestExecutorCancelledContext(t *testing.T) {
 	sc, err := corpus.GenerateSharedCorpus("economy", 123, 1, 5, 1)
 	if err != nil {
@@ -195,10 +201,8 @@ func TestExecutorCancelledContext(t *testing.T) {
 				t.Fatal("context lost its error")
 			}
 		}
-		for _, mode := range []EvalMode{EvalCached, EvalMerged, EvalNaive} {
-			if _, err := ck.Check(ctx, sc.Docs[0].Doc, WithMode(mode)); !errors.Is(err, context.Canceled) {
-				t.Errorf("shards=%d %s: Check under a cancelled context returned %v", shards, mode, err)
-			}
+		if _, err := ck.Check(ctx, sc.Docs[0].Doc); !errors.Is(err, context.Canceled) {
+			t.Errorf("shards=%d: Check under a cancelled context returned %v", shards, err)
 		}
 	}
 }

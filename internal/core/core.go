@@ -7,9 +7,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -24,64 +21,21 @@ import (
 	"aggchecker/internal/sqlexec"
 )
 
-// EvalMode selects the query evaluation strategy (the rows of Table 6).
-type EvalMode int
-
-const (
-	// EvalCached merges candidates into cube queries and caches cube
-	// results across claims and EM iterations (the paper's full system).
-	EvalCached EvalMode = iota
-	// EvalMerged merges candidates into cube queries but never reuses
-	// results across requests.
-	EvalMerged
-	// EvalNaive evaluates every candidate query with its own scan.
-	EvalNaive
-)
-
-func (m EvalMode) String() string {
-	switch m {
-	case EvalCached:
-		return "merged+cached"
-	case EvalMerged:
-		return "merged"
-	case EvalNaive:
-		return "naive"
-	}
-	return "unknown"
-}
-
-// ParseEvalMode parses a user-supplied evaluation mode name. It accepts the
-// String() forms plus common aliases ("cached", "merged+cached", "merged",
-// "naive"), case-insensitively.
-func ParseEvalMode(s string) (EvalMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "cached", "merged+cached", "merged-cached":
-		return EvalCached, nil
-	case "merged":
-		return EvalMerged, nil
-	case "naive":
-		return EvalNaive, nil
-	}
-	return EvalCached, fmt.Errorf("unknown eval mode %q (want cached, merged, or naive)", s)
-}
-
 // Config aggregates the tunables of every pipeline stage.
 type Config struct {
 	Fragments fragments.Options
 	Context   keywords.ContextConfig
 	Model     model.Config
-	Mode      EvalMode
 	// Workers caps how many cube passes and direct scans of one claim batch
 	// run at once on the engine's scheduler; ≤ 0 leaves the pool width as
 	// the only bound.
 	Workers int
 	// Exec configures every engine this config builds — the checker's
-	// cached engine, its in-process partition engines, and the fresh
-	// per-request engines of merged/naive modes (which also turn caching
-	// off): zone maps, kernel selection, cache budget, and the scheduler —
-	// installed by core.WithScheduler at the service layer, the
-	// process-wide default pool otherwise. An engine's settings are fixed
-	// when it is built. See sqlexec's ExecOption.
+	// engine and its in-process partition engines: caching, zone maps,
+	// kernel selection, cache budget, and the scheduler — installed by
+	// core.WithScheduler at the service layer, the process-wide default
+	// pool otherwise. An engine's settings are fixed when it is built. See
+	// sqlexec's ExecOption.
 	Exec []sqlexec.ExecOption
 	// Shards > 1 partitions the database's fact tables into that many
 	// independent snapshot-versioned partitions at checker build time and
@@ -122,7 +76,6 @@ func DefaultConfig() Config {
 		Fragments: fragments.DefaultOptions(),
 		Context:   keywords.DefaultContext(),
 		Model:     model.DefaultConfig(),
-		Mode:      EvalCached,
 	}
 }
 
@@ -135,10 +88,8 @@ type Checker struct {
 	Config  Config
 
 	// shards and coord are set when Config.Shards > 1: the hash-partitioned
-	// storage and the cached-mode coordinator whose partition engines keep
-	// their cube caches across documents (merged/naive modes build fresh
-	// partition engines per request, mirroring the unsharded strategy
-	// isolation).
+	// storage and the coordinator whose partition engines keep their cube
+	// caches across documents.
 	shards *db.Sharder
 	coord  *shard.Coordinator
 	// partitions are coord's in-process partition engines, which hold a
@@ -169,7 +120,7 @@ func NewChecker(d *db.Database, cfg Config) *Checker {
 		if sh, err := db.NewSharder(d, cfg.Shards, db.ShardOptions{Keys: cfg.ShardKeys}); err == nil {
 			c.shards = sh
 			var workers []shard.Worker
-			workers, c.partitions = c.buildShardWorkers(cfg)
+			workers, c.partitions = c.buildShardWorkers()
 			c.coord = shard.NewCoordinator(workers, c.Engine)
 		}
 	}
@@ -182,16 +133,16 @@ func NewChecker(d *db.Database, cfg Config) *Checker {
 // an HTTP client against the consistent-hash-placed peer serving the
 // partition's database. Remote workers manage their own caching, so the
 // Exec options only apply in process.
-func (c *Checker) buildShardWorkers(cfg Config) (workers []shard.Worker, engines []*sqlexec.Engine) {
-	if len(cfg.ShardEndpoints) > 0 {
-		ring := shard.NewRing(cfg.ShardEndpoints)
+func (c *Checker) buildShardWorkers() (workers []shard.Worker, engines []*sqlexec.Engine) {
+	if len(c.Config.ShardEndpoints) > 0 {
+		ring := shard.NewRing(c.Config.ShardEndpoints)
 		for i, p := range c.shards.Partitions() {
 			workers = append(workers, &shard.Client{Base: ring.NodeForShard(i), Database: p.Name})
 		}
 		return workers, nil
 	}
 	for _, p := range c.shards.Partitions() {
-		e := sqlexec.NewEngine(p, cfg.Exec...)
+		e := sqlexec.NewEngine(p, c.Config.Exec...)
 		workers = append(workers, &shard.LocalWorker{Engine: e})
 		engines = append(engines, e)
 	}
@@ -311,12 +262,15 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 		scores[i] = keywords.Match(c.Catalog, claim, set.cfg.Context, set.cfg.Model.TopKHits)
 	}
 
-	ev, engine := c.evaluatorFor(set.cfg)
-	if w := set.window; w != nil && set.cfg.Mode == EvalCached {
-		// Pooling axis: the window wraps the checker-lifetime runner, so it
-		// applies exactly when this request runs on that runner. Everyone
-		// registered must eventually park a batch or leave, or the other
-		// documents wait out the flush deadline every EM iteration.
+	// The checker's engine answers every batch, through the shard
+	// coordinator on a sharded checker (runner) and, inside an Audit,
+	// through the planning window that wraps that runner.
+	ev := evaluate.NewCubeEvaluator(c.Engine)
+	ev.Workers = set.cfg.Workers
+	ev.Runner = c.runner()
+	if w := set.window; w != nil {
+		// Everyone registered must eventually park a batch or leave, or the
+		// other documents wait out the flush deadline every EM iteration.
 		ev.Runner = w
 		w.Join()
 		defer w.Leave()
@@ -327,19 +281,19 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 	// sharded checker additionally pins every partition snapshot, so shard
 	// workers stay version-consistent across the fan-outs of one check even
 	// while AbsorbShards commits partition deltas concurrently.
-	ctx = sqlexec.WithSnapshot(ctx, engine.DB.Snapshot())
+	ctx = sqlexec.WithSnapshot(ctx, c.Engine.DB.Snapshot())
 	if c.shards != nil {
 		for _, p := range c.shards.Partitions() {
 			ctx = sqlexec.WithSnapshot(ctx, p.Snapshot())
 		}
 	}
 	// Diff the engine counters around the run so Report.Stats is
-	// per-document even in cached mode, where the checker-lifetime engine
-	// is shared across calls. Snapshot reads are atomic loads, so taking
-	// one while other checks or streams are in flight is race-free (the
-	// diff then also includes their interleaved work — the counters are
-	// engine-wide by design).
-	before := engine.Stats.Snapshot()
+	// per-document although the checker-lifetime engine is shared across
+	// calls. Snapshot reads are atomic loads, so taking one while other
+	// checks or streams are in flight is race-free (the diff then also
+	// includes their interleaved work — the counters are engine-wide by
+	// design).
+	before := c.Engine.Stats.Snapshot()
 	queryStart := time.Now()
 	res, err := model.Run(ctx, c.Catalog, doc, scores, ev, set.cfg.Model, set.observer)
 	if err != nil {
@@ -352,7 +306,7 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 		Result:    res,
 		TotalTime: time.Since(start),
 		QueryTime: queryTime,
-		Stats:     diffStats(before, engine.Stats.Snapshot()),
+		Stats:     diffStats(before, c.Engine.Stats.Snapshot()),
 	}, nil
 }
 
@@ -373,36 +327,6 @@ func (c *Checker) runner() evaluate.BatchRunner {
 		return c.coord
 	}
 	return c.Engine
-}
-
-// evaluatorFor composes the executor of one request from its strategy and
-// the checker's topology (check adds the third axis, pooling). Strategy:
-// cached mode runs on the checker-lifetime engine so cube results persist
-// across documents of the same database; merged and naive modes get a fresh
-// non-caching engine (and fresh partition engines) so cached state cannot
-// leak between strategy comparisons, and naive additionally plans every
-// query as its own scan. Topology: a sharded checker puts a coordinator
-// over the partitions in front of whichever engine the strategy chose.
-func (c *Checker) evaluatorFor(cfg Config) (*evaluate.CubeEvaluator, *sqlexec.Engine) {
-	engine, run := c.Engine, c.runner()
-	if cfg.Mode != EvalCached {
-		// Clip first: appending must not write the shared config's backing
-		// array.
-		cfg.Exec = append(slices.Clip(cfg.Exec), sqlexec.WithCaching(false))
-		engine = sqlexec.NewEngine(c.DB, cfg.Exec...)
-		run = engine
-		if c.shards != nil {
-			workers, _ := c.buildShardWorkers(cfg)
-			run = shard.NewCoordinator(workers, engine)
-		}
-	}
-	ev := evaluate.NewCubeEvaluator(engine)
-	if cfg.Mode == EvalNaive {
-		ev = evaluate.NewNaiveEvaluator(engine)
-	}
-	ev.Workers = cfg.Workers
-	ev.Runner = run
-	return ev, engine
 }
 
 // GroundTruth is the hand-built translation of one claim: the matching

@@ -78,29 +78,6 @@ func TestConcurrentChecksShareDocument(t *testing.T) {
 	}
 }
 
-func TestEvalModesAgreeOnVerdicts(t *testing.T) {
-	tc := corpus.MustLoad().Cases[0]
-	var verdicts [][]bool
-	for _, mode := range []EvalMode{EvalCached, EvalMerged, EvalNaive} {
-		cfg := quickCfg()
-		cfg.Mode = mode
-		checker := NewChecker(tc.DB, cfg)
-		report := mustCheck(t, checker, tc.Doc)
-		var v []bool
-		for _, cr := range report.Claims() {
-			v = append(v, cr.Erroneous)
-		}
-		verdicts = append(verdicts, v)
-	}
-	for i := 1; i < len(verdicts); i++ {
-		for j := range verdicts[0] {
-			if verdicts[i][j] != verdicts[0][j] {
-				t.Errorf("mode %d claim %d verdict differs from cached mode", i, j)
-			}
-		}
-	}
-}
-
 func TestCheckHTMLAndText(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	checker := NewChecker(tc.DB, quickCfg())
@@ -165,11 +142,5 @@ func TestRankOf(t *testing.T) {
 		{Col: sqlexec.ColumnRef{Table: "nflsuspensions", Column: "team"}, Value: "nonexistent"}}}
 	if r := RankOf(cr, missing); r != -1 {
 		t.Errorf("missing query rank = %d, want -1", r)
-	}
-}
-
-func TestEvalModeString(t *testing.T) {
-	if EvalCached.String() != "merged+cached" || EvalNaive.String() != "naive" || EvalMerged.String() != "merged" {
-		t.Error("EvalMode strings wrong")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // CheckOption customizes one Check or Stream call. Options are applied to a
 // copy of the checker's Config, so they never mutate shared state and two
-// concurrent requests can use different modes, budgets, or deadlines
+// concurrent requests can use different worker caps, top-k, or deadlines
 // against the same Checker.
 type CheckOption func(*checkSettings)
 
@@ -19,8 +19,7 @@ type checkSettings struct {
 	deadline time.Duration
 	observer model.Observer
 	// window, when non-nil, pools this request's claim batches with those of
-	// the other documents Audit is checking concurrently (cached mode only:
-	// merged and naive isolate per-request engines on purpose).
+	// the other documents Audit is checking concurrently.
 	window *sqlexec.Window
 }
 
@@ -32,12 +31,6 @@ func newCheckSettings(base Config, opts []CheckOption) checkSettings {
 		}
 	}
 	return set
-}
-
-// WithMode selects the candidate evaluation strategy for this request only
-// (Table 6 rows: EvalCached, EvalMerged, EvalNaive).
-func WithMode(m EvalMode) CheckOption {
-	return func(s *checkSettings) { s.cfg.Mode = m }
 }
 
 // WithWorkers caps, for this request, how many cube passes and direct

@@ -151,8 +151,7 @@ type ShardStatus struct {
 }
 
 // ScanStats is the zone-map/scan-pipeline slice of the engine counters,
-// accumulated over the lifetime of the resident checker's cached-mode
-// engine.
+// accumulated over the lifetime of the resident checker's engine.
 type ScanStats struct {
 	// BlocksScanned and BlocksPruned count scan segments processed versus
 	// skipped by zone maps (cube passes, delta scans, and vectorized

@@ -166,17 +166,17 @@ func TestServiceCheckEndToEnd(t *testing.T) {
 
 func TestServicePerDatabaseConfig(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
-	naive := quickCfg()
-	naive.Mode = EvalNaive
+	own := quickCfg()
+	own.Workers = 3
 	svc := NewService(WithDefaultConfig(quickCfg()))
-	if err := svc.RegisterDatabase("nfl", tc.DB, WithDatabaseConfig(naive)); err != nil {
+	if err := svc.RegisterDatabase("nfl", tc.DB, WithDatabaseConfig(own)); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := svc.Checker(context.Background(), "nfl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Config.Mode != EvalNaive {
-		t.Fatalf("checker mode = %v, want naive (per-database config)", ck.Config.Mode)
+	if ck.Config.Workers != own.Workers {
+		t.Fatalf("checker workers = %d, want %d (per-database config)", ck.Config.Workers, own.Workers)
 	}
 }

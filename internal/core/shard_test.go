@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"aggchecker/internal/corpus"
-	"aggchecker/internal/shard"
 	"aggchecker/internal/sqlexec"
 )
 
@@ -210,17 +209,13 @@ func TestUnshardedConfigUntouched(t *testing.T) {
 
 // TestExecReachesEveryEngine pins that Config.Exec configures every engine
 // a checker builds, since engine settings are fixed at construction: the
-// front engine, each in-process partition engine, and the per-request
-// engines of merged and naive mode, which also turn caching off. Building
-// the per-request engines must not write into the spare capacity of the
-// shared config's option slice.
+// front engine and each in-process partition engine.
 func TestExecReachesEveryEngine(t *testing.T) {
 	tc := corpus.MustLoad().Cases[0]
 	const budget = 12345
 	cfg := quickCfg()
 	cfg.Shards = 3
-	cfg.Exec = make([]sqlexec.ExecOption, 1, 4)
-	cfg.Exec[0] = sqlexec.WithCubeCacheBudget(budget)
+	cfg.Exec = []sqlexec.ExecOption{sqlexec.WithCubeCacheBudget(budget)}
 	ck := NewChecker(tc.DB, cfg)
 	if len(ck.partitions) != cfg.Shards {
 		t.Fatalf("%d partition engines, want %d", len(ck.partitions), cfg.Shards)
@@ -232,26 +227,6 @@ func TestExecReachesEveryEngine(t *testing.T) {
 		if !e.CachingEnabled() {
 			t.Errorf("checker engine %d: caching off", i)
 		}
-	}
-	for _, mode := range []EvalMode{EvalMerged, EvalNaive} {
-		req := cfg
-		req.Mode = mode
-		ev, e := ck.evaluatorFor(req)
-		if e == ck.Engine {
-			t.Fatalf("%v: request runs on the checker's cached engine", mode)
-		}
-		if got := e.CubeCacheBudget(); got != budget {
-			t.Errorf("%v: request engine budget %d, want %d", mode, got, budget)
-		}
-		if e.CachingEnabled() {
-			t.Errorf("%v: request engine caches", mode)
-		}
-		if coord, ok := ev.Runner.(*shard.Coordinator); !ok || coord.NumWorkers() != cfg.Shards {
-			t.Errorf("%v: runner %T is not a %d-shard coordinator", mode, ev.Runner, cfg.Shards)
-		}
-	}
-	if spare := cfg.Exec[:cap(cfg.Exec)]; spare[1] != nil {
-		t.Error("a request engine's options were appended into the shared config's slice")
 	}
 }
 

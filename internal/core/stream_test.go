@@ -234,7 +234,7 @@ func TestPerCallStatsAreIndependent(t *testing.T) {
 	if r1.Stats["batch_queries"] == 0 || r2.Stats["batch_queries"] == 0 {
 		t.Fatalf("per-call stats empty: %v / %v", r1.Stats, r2.Stats)
 	}
-	// In cached mode the second document reuses the first's cubes: its
+	// The second document reuses the first's cached cubes: its
 	// per-call counters must reflect only its own work, not engine life-
 	// time totals (the old behavior reported cumulative counters).
 	if r2.Stats["cube_passes"] > r1.Stats["cube_passes"] {
@@ -244,28 +244,5 @@ func TestPerCallStatsAreIndependent(t *testing.T) {
 	if r2.Stats["batch_queries"] >= 2*r1.Stats["batch_queries"] {
 		t.Errorf("second check batch_queries = %d vs first %d; stats look cumulative",
 			r2.Stats["batch_queries"], r1.Stats["batch_queries"])
-	}
-}
-
-func TestParseEvalMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want EvalMode
-		ok   bool
-	}{
-		{"cached", EvalCached, true},
-		{"merged+cached", EvalCached, true},
-		{"Merged", EvalMerged, true},
-		{" naive ", EvalNaive, true},
-		{"", EvalCached, false},
-		{"turbo", EvalCached, false},
-	} {
-		got, err := ParseEvalMode(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseEvalMode(%q) = (%v, %v), want %v", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseEvalMode(%q) succeeded, want error", c.in)
-		}
 	}
 }

@@ -5,11 +5,13 @@
 // scan), and every way of executing a document is a point in the product
 // of three independent axes that nest around it:
 //
-//   - strategy, the rows of Table 6: naive plans every candidate as its own
-//     scan (NewNaiveEvaluator); merged plans cube passes with InOrDefault
-//     literal coding over an engine that does not cache; cached is merged
-//     over an engine whose cube cache carries results across claims, EM
-//     iterations and documents;
+//   - strategy, the rows of Table 6: cached plans cube passes with
+//     InOrDefault literal coding over an engine whose cube cache carries
+//     results across claims, EM iterations and documents, and is how a
+//     checker always runs; merged is the same over an engine built with
+//     caching off (core.Config.Exec); naive plans every candidate as its
+//     own scan (NewNaiveEvaluator), the reference that only Table 6 and
+//     its tests build;
 //   - topology: the Runner is a local *sqlexec.Engine, or a
 //     *shard.Coordinator that fans each pass and scan out to partitions;
 //   - pooling: a *sqlexec.Window wrapped around either runner merges the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aggchecker/internal/baselines"
+	"aggchecker/internal/sqlexec"
 )
 
 // smallOptions keeps experiment tests fast: 8 cases, reduced budgets.
@@ -102,6 +103,27 @@ func TestTable6SpeedupShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	naive, merged, cached := rows[0], rows[1], rows[2]
+	// Exact work pins: the strategies evaluate the same distinct queries
+	// and differ only in how they scan for them. Each figure is
+	// deterministic, independent of GOMAXPROCS.
+	for _, p := range []struct {
+		row                     Table6Row
+		rows                    int64
+		evaluated               int
+		cubePasses, directQuery int64
+	}{
+		{naive, 35_941_564, 66_657, 0, 66_657},
+		{merged, 98_255, 66_657, 181, 2},
+		{cached, 30_840, 66_657, 54, 0},
+	} {
+		r := p.row
+		if r.Rows != p.rows || r.Evaluated != p.evaluated ||
+			r.Stats["cube_passes"] != p.cubePasses || r.Stats["direct_queries"] != p.directQuery {
+			t.Errorf("%s: rows %d evaluated %d cube_passes %d direct_queries %d, want %d %d %d %d",
+				r.Name, r.Rows, r.Evaluated, r.Stats["cube_passes"], r.Stats["direct_queries"],
+				p.rows, p.evaluated, p.cubePasses, p.directQuery)
+		}
+	}
 	// Query merging's structural effect is scan volume: one cube pass
 	// answers hundreds of candidates. (The paper's 62× time speedup also
 	// reflects Postgres per-query overhead that an embedded engine does not
@@ -125,6 +147,32 @@ func TestTable6SpeedupShape(t *testing.T) {
 	PrintTable6(&buf, rows)
 	if buf.Len() == 0 {
 		t.Error("empty render")
+	}
+}
+
+// TestStrategiesAgreeOnVerdicts keeps the naive strategy an end-to-end
+// oracle: naive, merged and cached evaluation must give every claim the
+// same verdict, ground-truth rank and best translation.
+func TestStrategiesAgreeOnVerdicts(t *testing.T) {
+	o := smallOptions()
+	cached := o.BaseConfig()
+	uncached := cached
+	uncached.Exec = []sqlexec.ExecOption{sqlexec.WithCaching(false)}
+	want := RunAutomated(o.Cases, cached)
+	for name, res := range map[string]*AccuracyResult{
+		"naive":  runCases(o.Cases, uncached, naiveCheck),
+		"merged": RunAutomated(o.Cases, uncached),
+	} {
+		if len(res.Outcomes) != len(want.Outcomes) {
+			t.Fatalf("%s: %d outcomes, want %d", name, len(res.Outcomes), len(want.Outcomes))
+		}
+		for i, got := range res.Outcomes {
+			w := want.Outcomes[i]
+			if got.Flagged != w.Flagged || got.Rank != w.Rank || got.BestQuery != w.BestQuery {
+				t.Errorf("%s: case %s claim %d: flagged %t rank %d best %q, cached gives %t %d %q",
+					name, got.Case.Name, got.ClaimIdx, got.Flagged, got.Rank, got.BestQuery, w.Flagged, w.Rank, w.BestQuery)
+			}
+		}
 	}
 }
 

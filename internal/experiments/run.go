@@ -14,6 +14,7 @@ import (
 
 	"aggchecker/internal/core"
 	"aggchecker/internal/corpus"
+	"aggchecker/internal/document"
 	"aggchecker/internal/metrics"
 	"aggchecker/internal/model"
 )
@@ -73,6 +74,14 @@ func (r *AccuracyResult) TopKWhere(k int, correct bool) float64 {
 // checker); per-case results are merged in corpus order so output is
 // deterministic.
 func RunAutomated(cases []*corpus.TestCase, cfg core.Config) *AccuracyResult {
+	return runCases(cases, cfg, func(ck *core.Checker, doc *document.Document) (*core.Report, error) {
+		return ck.Check(context.Background(), doc)
+	})
+}
+
+// runCases is RunAutomated with the way one document is checked on its
+// case's fresh checker left to the caller.
+func runCases(cases []*corpus.TestCase, cfg core.Config, check func(*core.Checker, *document.Document) (*core.Report, error)) *AccuracyResult {
 	type caseResult struct {
 		outcomes  []ClaimOutcome
 		totalTime time.Duration
@@ -91,7 +100,7 @@ func RunAutomated(cases []*corpus.TestCase, cfg core.Config) *AccuracyResult {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			checker := core.NewChecker(tc.DB, cfg)
-			report, err := checker.Check(context.Background(), tc.Doc)
+			report, err := check(checker, tc.Doc)
 			if err != nil {
 				// Unreachable with a background context; guard anyway.
 				panic(err)

@@ -61,9 +61,9 @@ const maxAuditConcurrencyParam = 64
 // The body is a JSON document list; the response is NDJSON: one "doc" line
 // per finished document (completion order) and a final "done" summary with
 // shared-pass counts and cache economics. The whole audit occupies one
-// verification slot. Check query parameters (mode, topk, workers,
-// timeout) apply to every member document; concurrency (1..64) bounds
-// documents in flight.
+// verification slot. Check query parameters (topk, workers, timeout)
+// apply to every member document; concurrency (1..64) bounds documents in
+// flight.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 

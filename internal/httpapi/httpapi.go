@@ -45,12 +45,12 @@ type Options struct {
 //
 // The request body is the document itself: HTML-lite when it looks like
 // markup, markdown-lite plain text otherwise. Per-request knobs arrive as
-// query parameters: mode (cached|merged|naive), topk, workers (passes of
-// one claim batch in flight on the shared scheduler), and timeout (Go
-// duration, capped by Options.RequestTimeout). Engine settings — how wide
-// the scheduler is, zone-map pruning, the cube cache — are fixed when the
-// service builds a database's checker: deployment settings, not request
-// parameters.
+// query parameters: topk, workers (passes of one claim batch in flight on
+// the shared scheduler), and timeout (Go duration, capped by
+// Options.RequestTimeout); any other parameter is ignored. Engine settings
+// — how wide the scheduler is, caching, zone-map pruning, the cube cache —
+// are fixed when the service builds a database's checker: deployment
+// settings, not request parameters.
 type Server struct {
 	svc  *core.Service
 	opts Options
@@ -208,14 +208,6 @@ func parseDoc(text string) *document.Document {
 // and returns ok=false.
 func (s *Server) parseCheckParams(w http.ResponseWriter, r *http.Request) (opts []core.CheckOption, timeout time.Duration, ok bool) {
 	q := r.URL.Query()
-	if v := q.Get("mode"); v != "" {
-		mode, err := core.ParseEvalMode(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return nil, 0, false
-		}
-		opts = append(opts, core.WithMode(mode))
-	}
 	for param, opt := range map[string]func(int) core.CheckOption{
 		"topk":    core.WithTopK,
 		"workers": core.WithWorkers,

@@ -67,20 +67,42 @@ func TestCheckEndpoint(t *testing.T) {
 	}
 }
 
+// TestCheckTopKParam pins the topk parameter: topk=2 caps every ranking at
+// two translations, and a topk whose triple overflows int keeps the
+// verdicts and top translations of a request without topk. An unknown
+// parameter (mode) is ignored.
 func TestCheckTopKParam(t *testing.T) {
 	ts, tc := newTestServer(t, Options{})
-	resp := postDoc(t, ts.URL+"/v1/databases/nfl/check?topk=2&mode=naive", tc.HTML)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	// One claim made wrong, so a lost verdict shows.
+	doc := strings.Replace(tc.HTML, "28 different teams", "35 different teams", 1)
+	check := func(query string) wireReport {
+		t.Helper()
+		resp := postDoc(t, ts.URL+"/v1/databases/nfl/check"+query, doc)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", query, resp.StatusCode)
+		}
+		var rep wireReport
+		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	var rep wireReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range rep.Claims {
+	for _, c := range check("?topk=2&mode=naive").Claims {
 		if len(c.Queries) > 2 {
 			t.Fatalf("claim %d: topk=2 but %d queries", c.Index, len(c.Queries))
+		}
+	}
+	want := check("")
+	if want.Erroneous == 0 {
+		t.Fatal("no claim flagged without topk")
+	}
+	got := check("?topk=3074457345618258603")
+	for i, w := range want.Claims {
+		g := got.Claims[i]
+		if g.Erroneous != w.Erroneous || len(g.Queries) == 0 || g.Queries[0].SQL != w.Queries[0].SQL {
+			t.Errorf("claim %d under a huge topk: erroneous %t, %d queries; want erroneous %t, top %s",
+				i, g.Erroneous, len(g.Queries), w.Erroneous, w.Queries[0].SQL)
 		}
 	}
 }
@@ -95,7 +117,6 @@ func TestErrorStatuses(t *testing.T) {
 		want       int
 	}{
 		{"/v1/databases/nope/check", tc.HTML, http.StatusNotFound},
-		{"/v1/databases/nfl/check?mode=warp", tc.HTML, http.StatusBadRequest},
 		{"/v1/databases/nfl/check?timeout=bogus", tc.HTML, http.StatusBadRequest},
 		{"/v1/databases/nfl/check", "   ", http.StatusBadRequest},
 		{"/v1/databases/nfl/check?timeout=1ns", tc.HTML, http.StatusGatewayTimeout},

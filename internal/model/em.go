@@ -400,10 +400,11 @@ func assemble(claim *document.Claim, st *claimState, tab *queryTable, cfg Config
 		pool = append(pool, scored{j: j, w: posteriorWeight(st.top[j].Prob, st.matches[j], cfg)})
 	}
 	// Top base candidates plus every matching candidate (whose posterior
-	// is boosted by pT and may overtake).
-	limit := cfg.TopQueries * 3
-	if limit > len(st.top) {
-		limit = len(st.top)
+	// is boosted by pT and may overtake). Compare before multiplying, so a
+	// huge TopQueries cannot wrap the limit negative.
+	limit := len(st.top)
+	if cfg.TopQueries <= limit/3 {
+		limit = cfg.TopQueries * 3
 	}
 	for j := 0; j < limit; j++ {
 		add(j)

@@ -198,6 +198,38 @@ func TestEMDetectsErroneousClaim(t *testing.T) {
 	}
 }
 
+// TestHugeTopQueriesKeepsVerdicts pins the ranking against overflow: with
+// TopQueries*3 wrapped negative, no base candidate was ranked, only the
+// matching ones, and every claim came out correct.
+func TestHugeTopQueriesKeepsVerdicts(t *testing.T) {
+	cat, _, _, eng := nflSetup(t)
+	doc := document.ParseHTML(strings.Replace(nflHTML, "four", "five", 1))
+	scores := keywords.MatchAll(cat, doc, keywords.DefaultContext(), 20)
+	run := func(topQueries int) *Result {
+		cfg := testConfig()
+		cfg.TopQueries = topQueries
+		return mustRun(t, cat, doc, scores, naiveEval{eng}, cfg)
+	}
+	want, got := run(1<<20), run(math.MaxInt/3+1)
+	if !want.Claims[0].Erroneous {
+		t.Fatal("claim 'five' is not erroneous even at TopQueries 1<<20")
+	}
+	for i, w := range want.Claims {
+		g := got.Claims[i]
+		if g.Erroneous != w.Erroneous {
+			t.Errorf("claim %d: erroneous = %t, want %t", i, g.Erroneous, w.Erroneous)
+		}
+		if len(g.Ranked) == 0 {
+			t.Fatalf("claim %d: no ranked translations", i)
+		}
+		gq, wq := g.Ranked[0], w.Ranked[0]
+		if gq.Query.Key() != wq.Query.Key() || gq.Prob != wq.Prob || gq.Matches != wq.Matches ||
+			math.Float64bits(gq.Result) != math.Float64bits(wq.Result) {
+			t.Errorf("claim %d: top translation %+v, want %+v", i, gq, wq)
+		}
+	}
+}
+
 func TestEMLearnsPriors(t *testing.T) {
 	cat, doc, scores, eng := nflSetup(t)
 	res := mustRun(t, cat, doc, scores, naiveEval{eng}, testConfig())

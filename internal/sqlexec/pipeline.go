@@ -14,7 +14,7 @@ import (
 // vectorized predicate evaluator that produces reusable selection vectors
 // per segment, and the direct-scan executor behind Engine.EvaluateContext.
 // The cube kernel (kernel.go) drives its block loop through the same
-// segmenter and the same zone verdicts, so naive-mode direct scans, the
+// segmenter and the same zone verdicts, so the naive strategy's direct scans, the
 // planner's small-group fallback, cube passes, and delta scans all share
 // one fast path; the retired row-at-a-time closure matchers survive only
 // as the differential-test oracle (pipeline_test.go).
