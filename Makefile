@@ -20,12 +20,13 @@ test:
 # scheduler, and one parsed document checked from two goroutines. The
 # concurrent audits of the composition differential, cached and uncached,
 # assert shared passes that depend on the planning window's 10 ms flush
-# deadline, so they run ten times too.
+# deadline, so they run ten times too (the pattern names all four levels of
+# shards/strategy/driver/workers).
 flake-guard:
 	$(GO) test -race -count=20 -run 'TestServicePersistentRefreshAndCompaction|TestConcurrentChecksShareDocument' ./internal/core
 	$(GO) test -race -count=20 -run TestRunBatchNestedOnScheduler ./internal/sqlexec
 	$(GO) test -count=20 -run TestSchedulerPassPoolsPartials ./internal/sqlexec
-	$(GO) test -count=10 -run 'TestExecutorCompositionDifferential/.*/.*/audit$$' ./internal/core
+	$(GO) test -count=10 -run 'TestExecutorCompositionDifferential/.*/.*/audit$$/.*' ./internal/core
 
 # test-noasm runs the suite with the assembly kernels compiled out, so the
 # Go loops of the four dispatched internal/vec primitives (the only path
@@ -51,12 +52,14 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # fuzz-smoke runs each native fuzz target for 30 seconds: the HTML-lite and
-# markdown-lite document parsers, which read every HTTP check body. The
-# seeds under internal/document/testdata/fuzz (and any crasher the fuzzer
-# writes there) also run as plain tests in `make test`.
+# markdown-lite document parsers, which read every HTTP check body, and
+# the SQL parser behind -query and ground-truth files. The seeds under each
+# package's testdata/fuzz (and any crasher the fuzzer writes there) also
+# run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseHTML$$' -fuzztime=30s ./internal/document
 	$(GO) test -run='^$$' -fuzz='^FuzzParseText$$' -fuzztime=30s ./internal/document
+	$(GO) test -run='^$$' -fuzz='^FuzzParseSQL$$' -fuzztime=30s ./internal/sqlparse
 
 # bench runs the full benchmark suite (Tables 3-6, Figures 8-13).
 bench:

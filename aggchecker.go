@@ -29,10 +29,11 @@
 // (Config.Shards) are fixed when a checker is built. cmd/aggcheckd serves
 // the same surface over HTTP.
 //
-// Execution runs on one worker pool, a Scheduler: a batch's cube passes
-// and direct scans, and the zone-aligned morsels large ones split into,
-// share it with every concurrent request under per-request fair queuing.
-// Its width is the only parallelism setting. Engines use a process-wide
+// A check runs on one worker pool, a Scheduler: the EM loop's per-claim
+// phases, a batch's cube passes and direct scans, and the zone-aligned
+// morsels large ones split into, share it with every concurrent request
+// under per-request fair queuing. Its width is the only parallelism
+// setting. Engines use a process-wide
 // GOMAXPROCS-wide pool unless NewService(WithScheduler(NewScheduler(n)))
 // or, for one engine, Config.Exec's ExecScheduler installs another;
 // ExecCubeCacheBudget is the other engine-construction knob.
@@ -171,11 +172,11 @@ type AuditOption = core.AuditOption
 // snapshot, reported in Status and AuditReport.
 type CacheStats = core.CacheStats
 
-// Scheduler is a worker pool shared by every batch, cube pass, direct scan
-// and morsel submitted through it, with round-robin fairness across
-// concurrent requests. Create with NewScheduler, install with
-// WithScheduler (services) or ExecScheduler (Config.Exec), and Close when
-// the process is done with it.
+// Scheduler is a worker pool shared by every model phase, batch, cube
+// pass, direct scan and morsel submitted through it, with round-robin
+// fairness across concurrent requests. Create with NewScheduler, install
+// with WithScheduler (services) or ExecScheduler (Config.Exec), and Close
+// when the process is done with it.
 type Scheduler = sqlexec.Scheduler
 
 // ExecOption configures engine construction (Config.Exec): scheduler
@@ -260,8 +261,8 @@ func WithAuditCheckOptions(opts ...CheckOption) AuditOption {
 
 // NewScheduler creates a worker pool with the given width (≤ 0 uses
 // GOMAXPROCS). The submitting goroutine of each job always participates,
-// so workers=1 spawns no helpers and executes everything exactly
-// single-threaded.
+// so workers=1 spawns no helpers and runs a check — model phases, passes
+// and scans — exactly single-threaded.
 func NewScheduler(workers int) *Scheduler { return sqlexec.NewScheduler(workers) }
 
 // WithScheduler installs one scheduler on every engine a Service builds —

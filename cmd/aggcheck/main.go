@@ -41,7 +41,7 @@ func main() {
 	top := flag.Int("top", 3, "query translations to print per claim")
 	demo := flag.Bool("demo", false, "run the embedded NFL example")
 	markup := flag.Bool("markup", false, "print the article with inline verdict markup")
-	scanWorkers := flag.Int("scan-workers", 0, "worker pool width for passes and scans (0 = GOMAXPROCS, 1 = single-threaded)")
+	scanWorkers := flag.Int("scan-workers", 0, "worker pool width for model phases, passes and scans (0 = GOMAXPROCS, 1 = single-threaded)")
 	shards := flag.Int("shards", 0, "partition fact tables into K shards and evaluate by scatter-gather (0/1 = unsharded)")
 	shardKeys := flag.String("shard-keys", "", "hash-placement columns for sharding: table=column[,table2=column2...]")
 	timeout := flag.Duration("timeout", 0, "abort the check after this long (0 = no limit)")
@@ -106,7 +106,7 @@ func main() {
 		}
 	}
 	if *query != "" {
-		runQuery(db, sched, *query, *claimed, isFlagSet("claimed"))
+		runQuery(ctx, db, sched, *query, *claimed, isFlagSet("claimed"))
 		return
 	}
 	if *dict != "" {
@@ -159,12 +159,12 @@ func fatalCheck(err error, timeout time.Duration) {
 // runQuery is the manual verification path (the "SQL + User" condition of
 // the paper's study): parse, evaluate, and optionally compare against a
 // claimed value under Definition 1 rounding.
-func runQuery(database *aggchecker.Database, sched *aggchecker.Scheduler, input string, claimed float64, haveClaim bool) {
+func runQuery(ctx context.Context, database *aggchecker.Database, sched *aggchecker.Scheduler, input string, claimed float64, haveClaim bool) {
 	q, err := sqlparse.Parse(input, database)
 	if err != nil {
 		fatal(err)
 	}
-	v, err := sqlexec.NewEngine(database, sqlexec.WithScheduler(sched)).Evaluate(q)
+	v, err := sqlexec.NewEngine(database, sqlexec.WithScheduler(sched)).EvaluateContext(ctx, q)
 	if err != nil {
 		fatal(err)
 	}

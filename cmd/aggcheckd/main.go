@@ -15,13 +15,13 @@
 //	POST /v1/databases/{name}/check/stream  returns NDJSON of EM-iteration events
 //
 // Query parameters on the check endpoints: topk=N, workers=N,
-// timeout=DURATION; others are ignored. Cube passes, direct scans and
-// their morsels execute on one scheduler spanning every request;
-// -scan-workers sizes it, and that width is the daemon's only parallelism
-// setting (workers only caps one batch's passes in flight). -demo
-// registers the embedded reproduction corpus (the paper's NFL running
-// example as "nfl" plus the generated articles), which doubles as the CI
-// smoke target.
+// timeout=DURATION; others are ignored. The EM loop's per-claim phases,
+// cube passes, direct scans and their morsels execute on one scheduler
+// spanning every request; -scan-workers sizes it, and that width is the
+// daemon's only parallelism setting (workers only caps one batch's passes
+// in flight). -demo registers the embedded reproduction corpus (the
+// paper's NFL running example as "nfl" plus the generated articles), which
+// doubles as the CI smoke target.
 //
 // -db databases are registered as refreshable CSV sources: POST
 // /v1/databases/{name}/refresh appends rows that grew onto the backing
@@ -71,7 +71,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	demo := flag.Bool("demo", false, "register the embedded reproduction corpus databases")
 	workers := flag.Int("workers", 0, "default cap on one claim batch's passes in flight on the pool (0 = pool width)")
-	scanWorkers := flag.Int("scan-workers", 0, "width of the one worker pool every request's passes and scans share (0 = GOMAXPROCS)")
+	scanWorkers := flag.Int("scan-workers", 0, "width of the one worker pool every request's model phases, passes and scans share (0 = GOMAXPROCS)")
 	reqTimeout := flag.Duration("timeout", 2*time.Minute, "per-request verification timeout (0 = none)")
 	maxConcurrent := flag.Int("max-concurrent", 16, "max simultaneous verification requests (0 = unlimited)")
 	maxResident := flag.Int("max-resident", 8, "max resident database catalogs, LRU-evicted (0 = unlimited)")
@@ -97,9 +97,10 @@ func main() {
 	}
 	cfg.Shards = *shards
 
-	// One scheduler for the whole process: every database's batches, cube
-	// passes, direct scans and morsels share this pool, so concurrent
-	// requests contend fairly instead of oversubscribing the machine.
+	// One scheduler for the whole process: every database's model phases,
+	// batches, cube passes, direct scans and morsels share this pool, so
+	// concurrent requests contend fairly instead of oversubscribing the
+	// machine.
 	sched := sqlexec.NewScheduler(*scanWorkers)
 	defer sched.Close()
 

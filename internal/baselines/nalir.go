@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"strings"
 
@@ -232,7 +233,7 @@ func (n *NaLIR) CheckKB(c *document.Claim) KBVerdict {
 		if len(q.Preds) == 0 {
 			continue
 		}
-		v, err := n.Engine.Evaluate(q)
+		v, err := n.Engine.EvaluateContext(context.TODO(), q)
 		if err != nil || math.IsNaN(v) {
 			continue
 		}

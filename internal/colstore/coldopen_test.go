@@ -65,7 +65,7 @@ func TestPrunedScanFaultsNoPages(t *testing.T) {
 	fact := func(c string) sqlexec.ColumnRef { return sqlexec.ColumnRef{Table: "fact", Column: c} }
 
 	opened := st.Stats().ResidentBytes
-	n, err := e.Evaluate(sqlexec.Query{Agg: sqlexec.Count, AggCol: sqlexec.ColumnRef{Table: "fact"},
+	n, err := e.EvaluateContext(context.Background(), sqlexec.Query{Agg: sqlexec.Count, AggCol: sqlexec.ColumnRef{Table: "fact"},
 		Preds: []sqlexec.Predicate{{Col: fact("t"), Value: "-5"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestPrunedScanFaultsNoPages(t *testing.T) {
 	if pruned != opened {
 		t.Fatalf("pruned scan faulted %d bytes of column pages in, want 0", pruned-opened)
 	}
-	if _, err := e.Evaluate(sqlexec.Query{Agg: sqlexec.Sum, AggCol: fact("y")}); err != nil {
+	if _, err := e.EvaluateContext(context.Background(), sqlexec.Query{Agg: sqlexec.Sum, AggCol: fact("y")}); err != nil {
 		t.Fatal(err)
 	}
 	if full := st.Stats().ResidentBytes; full <= pruned {

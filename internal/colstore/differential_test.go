@@ -1,6 +1,7 @@
 package colstore_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -50,8 +51,8 @@ func TestDifferentialDiskVsMemory(t *testing.T) {
 				de := sqlexec.NewEngine(disk)
 				me := sqlexec.NewEngine(mem)
 				for qi, q := range queries {
-					dv, derr := de.Evaluate(q)
-					mv, merr := me.Evaluate(q)
+					dv, derr := de.EvaluateContext(context.Background(), q)
+					mv, merr := me.EvaluateContext(context.Background(), q)
 					if (derr == nil) != (merr == nil) {
 						t.Fatalf("%s query %d: disk err %v, mem err %v", step, qi, derr, merr)
 					}

@@ -187,7 +187,7 @@ func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOptio
 	before, cacheBefore := c.Engine.Stats.Snapshot(), c.cacheStats()
 	rep := &AuditReport{Docs: make([]DocReport, len(docs))}
 
-	win := sqlexec.NewWindow(c.runner(), &c.Engine.Stats, sqlexec.WindowConfig{})
+	win := sqlexec.NewWindow(c.runner(), &c.Engine.Stats)
 	checkOpts := append([]CheckOption{withWindow(win)}, set.checkOpts...)
 
 	var progressMu sync.Mutex

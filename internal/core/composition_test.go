@@ -86,71 +86,77 @@ func TestExecutorCompositionDifferential(t *testing.T) {
 			for _, driver := range []string{"check", "audit", "audit+append"} {
 				name := fmt.Sprintf("shards=%d/%s/%s", shards, strategy, driver)
 				t.Run(name, func(t *testing.T) {
-					sc := mk()
-					cfg := quickCfg()
-					cfg.Shards, cfg.Exec = shards, []sqlexec.ExecOption{sqlexec.WithCaching(caching)}
-					ck := NewChecker(sc.DB, cfg)
-					if (ck.Sharder() != nil) != (shards > 1) {
-						t.Fatalf("sharder = %v with Shards = %d", ck.Sharder(), shards)
-					}
-					appends := driver == "audit+append"
+					for _, width := range []int{1, 4} {
+						t.Run(fmt.Sprintf("workers=%d", width), func(t *testing.T) {
+							sched := sqlexec.NewScheduler(width)
+							defer sched.Close()
+							sc := mk()
+							cfg := quickCfg()
+							cfg.Shards, cfg.Exec = shards, []sqlexec.ExecOption{sqlexec.WithCaching(caching), sqlexec.WithScheduler(sched)}
+							ck := NewChecker(sc.DB, cfg)
+							if (ck.Sharder() != nil) != (shards > 1) {
+								t.Fatalf("sharder = %v with Shards = %d", ck.Sharder(), shards)
+							}
+							appends := driver == "audit+append"
 
-					got := make([][]string, nDocs)
-					switch driver {
-					case "check":
-						for i, d := range sc.Docs {
-							rep := mustCheck(t, ck, d.Doc)
-							got[i] = verdictPrints(rep)
-							if fan := rep.Stats["shard_fanouts"]; (fan > 0) != (shards > 1) {
-								t.Errorf("doc %d: shard_fanouts = %d with Shards = %d", i, fan, shards)
-							}
-							if shards > 1 && rep.Stats["shard_partials"] != int64(shards)*rep.Stats["shard_fanouts"] {
-								t.Errorf("doc %d: %d partials over %d fan-outs of %d shards",
-									i, rep.Stats["shard_partials"], rep.Stats["shard_fanouts"], shards)
-							}
-						}
-					default:
-						var opts []AuditOption
-						if appends {
-							// Concurrency 1: progress fires strictly between
-							// documents, so the append schedule is the reference's.
-							opts = append(opts, WithAuditConcurrency(1), WithAuditProgress(func(i int, _ DocReport) {
-								if i == appendAt {
-									grow(ck)
+							got := make([][]string, nDocs)
+							switch driver {
+							case "check":
+								for i, d := range sc.Docs {
+									rep := mustCheck(t, ck, d.Doc)
+									got[i] = verdictPrints(rep)
+									if fan := rep.Stats["shard_fanouts"]; (fan > 0) != (shards > 1) {
+										t.Errorf("doc %d: shard_fanouts = %d with Shards = %d", i, fan, shards)
+									}
+									if shards > 1 && rep.Stats["shard_partials"] != int64(shards)*rep.Stats["shard_fanouts"] {
+										t.Errorf("doc %d: %d partials over %d fan-outs of %d shards",
+											i, rep.Stats["shard_partials"], rep.Stats["shard_fanouts"], shards)
+									}
 								}
-							}))
-						}
-						rep, err := ck.Audit(ctx, auditDocsOf(sc), opts...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if rep.Checked != nDocs || rep.Failed != 0 {
-							t.Fatalf("checked %d failed %d, want %d/0", rep.Checked, rep.Failed, nDocs)
-						}
-						for i, dr := range rep.Docs {
-							got[i] = verdictPrints(dr.Report)
-						}
-						if b := rep.Stats["window_batches"]; b == 0 {
-							t.Error("window_batches = 0: the audit bypassed its window")
-						}
-						if !appends && rep.SharedPasses() == 0 {
-							t.Errorf("no shared passes across %d concurrent documents", nDocs)
-						}
-						if rep.Stats["rows_scanned"] == 0 {
-							t.Error("audit stats count no scanned rows")
-						}
-					}
-
-					for i := range got {
-						w := want[appends][i]
-						if len(got[i]) != len(w) {
-							t.Fatalf("doc %d: %d claims, want %d", i, len(got[i]), len(w))
-						}
-						for j := range w {
-							if got[i][j] != w[j] {
-								t.Errorf("doc %d claim %d: %s, want %s", i, j, got[i][j], w[j])
+							default:
+								var opts []AuditOption
+								if appends {
+									// Concurrency 1: progress fires strictly between
+									// documents, so the append schedule is the reference's.
+									opts = append(opts, WithAuditConcurrency(1), WithAuditProgress(func(i int, _ DocReport) {
+										if i == appendAt {
+											grow(ck)
+										}
+									}))
+								}
+								rep, err := ck.Audit(ctx, auditDocsOf(sc), opts...)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if rep.Checked != nDocs || rep.Failed != 0 {
+									t.Fatalf("checked %d failed %d, want %d/0", rep.Checked, rep.Failed, nDocs)
+								}
+								for i, dr := range rep.Docs {
+									got[i] = verdictPrints(dr.Report)
+								}
+								if b := rep.Stats["window_batches"]; b == 0 {
+									t.Error("window_batches = 0: the audit bypassed its window")
+								}
+								if !appends && rep.SharedPasses() == 0 {
+									t.Errorf("no shared passes across %d concurrent documents", nDocs)
+								}
+								if rep.Stats["rows_scanned"] == 0 {
+									t.Error("audit stats count no scanned rows")
+								}
 							}
-						}
+
+							for i := range got {
+								w := want[appends][i]
+								if len(got[i]) != len(w) {
+									t.Fatalf("doc %d: %d claims, want %d", i, len(got[i]), len(w))
+								}
+								for j := range w {
+									if got[i][j] != w[j] {
+										t.Errorf("doc %d claim %d: %s, want %s", i, j, got[i][j], w[j])
+									}
+								}
+							}
+						})
 					}
 				})
 			}

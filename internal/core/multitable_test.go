@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestMultiTableGroundTruthSemantics(t *testing.T) {
 			Preds: []sqlexec.Predicate{{Col: division, Value: "east"}}}, 7},
 	}
 	for i, c := range cases {
-		v, err := eng.Evaluate(c.q)
+		v, err := eng.EvaluateContext(context.Background(), c.q)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -150,7 +151,7 @@ func TestMultiTableCubeMatchesDirect(t *testing.T) {
 		{Fn: sqlexec.Max, Col: goals},
 		{Fn: sqlexec.Avg, Col: goals},
 	}
-	cube, err := e.CubeFor([]string{"players", "teams"}, dims, reqs)
+	cube, err := e.CubeForContext(context.Background(), []string{"players", "teams"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestMultiTableCubeMatchesDirect(t *testing.T) {
 			if !ok {
 				t.Fatalf("cube cannot answer %s", q.Key())
 			}
-			dv, err := e.Evaluate(q)
+			dv, err := e.EvaluateContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

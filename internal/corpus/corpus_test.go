@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,7 +53,7 @@ func TestGroundTruthConsistency(t *testing.T) {
 	for _, tc := range c.Cases {
 		eng := sqlexec.NewEngine(tc.DB)
 		for i, truth := range tc.Truth {
-			v, err := eng.Evaluate(truth.Query)
+			v, err := eng.EvaluateContext(context.Background(), truth.Query)
 			if err != nil {
 				t.Fatalf("%s claim %d: evaluate: %v", tc.Name, i, err)
 			}

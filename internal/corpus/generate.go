@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -306,7 +307,7 @@ func planClaims(spec domainSpec, rng *rand.Rand, engine *sqlexec.Engine, table *
 	finish := func(p *planned) error {
 		var err error
 		for tries := 0; tries < 25; tries++ {
-			p.correct, err = engine.Evaluate(p.query)
+			p.correct, err = engine.EvaluateContext(context.TODO(), p.query)
 			if err != nil {
 				return err
 			}

@@ -19,7 +19,9 @@
 //
 // CubeEvaluator adds the one piece of per-document policy — the literal
 // pool that keeps cube signatures stable — and implements model.Evaluator.
-// It is safe for concurrent use.
+// Its Parallel runs the EM loop's per-claim phases on the engine's
+// scheduler too, so one pool, whatever the axes, bounds a whole check. It
+// is safe for concurrent use.
 package evaluate
 
 import (
@@ -66,6 +68,19 @@ func NewNaiveEvaluator(e *sqlexec.Engine) *CubeEvaluator {
 // SetPool folds the document-wide literal pool (column reference string →
 // literals) into the evaluator's pool.
 func (c *CubeEvaluator) SetPool(pool map[string][]string) { c.pool.Add(pool) }
+
+// Parallel runs fn(0..n-1) as one job on the engine's scheduler, the
+// pool the check's batches, passes and morsels share, so the pool width
+// bounds the model's per-claim phases too. The job passes no stats: the
+// scheduler counters keep counting execution-layer tasks only. fn never
+// blocks or nests a job, so owner participation keeps it deadlock-free.
+func (c *CubeEvaluator) Parallel(ctx context.Context, n int, fn func(i int)) {
+	// The error is ctx.Err(), which the EM loop checks after every phase.
+	_ = c.Engine.Scheduler().Run(ctx, nil, n, 0, func(i int) error {
+		fn(i)
+		return nil
+	})
+}
 
 // EvaluateBatch answers every query of the batch positionally, NaN marking
 // undefined results. Cancellation is honored between and inside cube

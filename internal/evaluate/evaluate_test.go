@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aggchecker/internal/db"
@@ -216,6 +217,51 @@ func TestConcurrentBatches(t *testing.T) {
 			if !eqNaN(got[i], want[i]) {
 				t.Errorf("concurrent batch query %d: got %v want %v", i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestParallelRunsOnEnginePool pins the model's side of the one pool:
+// Parallel runs every index exactly once on the engine's scheduler, never
+// two at once on a width-1 pool, none under a cancelled context, and
+// without counting scheduler tasks (those count execution-layer work).
+func TestParallelRunsOnEnginePool(t *testing.T) {
+	d := testDB(t)
+	const n = 64
+	for _, width := range []int{1, 4} {
+		sched := sqlexec.NewScheduler(width)
+		defer sched.Close()
+		e := sqlexec.NewEngine(d, sqlexec.WithScheduler(sched))
+		ev := NewCubeEvaluator(e)
+
+		var runs [n]atomic.Int32
+		var inFlight atomic.Int32
+		var overlapped atomic.Bool
+		ev.Parallel(context.Background(), n, func(i int) {
+			if inFlight.Add(1) > 1 {
+				overlapped.Store(true)
+			}
+			runs[i].Add(1)
+			inFlight.Add(-1)
+		})
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Errorf("width %d: index %d ran %d times, want 1", width, i, got)
+			}
+		}
+		if width == 1 && overlapped.Load() {
+			t.Error("width 1: two indexes ran at once")
+		}
+		if m := e.Stats.MorselsDispatched.Load(); m != 0 {
+			t.Errorf("width %d: morsels_dispatched = %d, want 0 for model tasks", width, m)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ran atomic.Int32
+		ev.Parallel(ctx, n, func(int) { ran.Add(1) })
+		if ran.Load() != 0 {
+			t.Errorf("width %d: %d indexes ran under a cancelled context", width, ran.Load())
 		}
 	}
 }

@@ -19,6 +19,10 @@ type cancellingEval struct {
 
 func (cancellingEval) SetPool(map[string][]string) {}
 
+func (c cancellingEval) Parallel(ctx context.Context, n int, fn func(int)) {
+	c.inner.Parallel(ctx, n, fn)
+}
+
 func (c cancellingEval) EvaluateBatch(ctx context.Context, qs []sqlexec.Query) []float64 {
 	c.cancel()
 	out := make([]float64, len(qs))

@@ -99,7 +99,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Evaluator supplies query results to the EM loop. Package evaluate
+// Evaluator supplies query results to the EM loop, and the worker pool its
+// per-claim phases run on, so one pool bounds a whole check. Package evaluate
 // provides the implementation (evaluate.CubeEvaluator over any strategy,
 // topology and pooling); it satisfies the interface structurally so no
 // import cycle arises.
@@ -116,4 +117,9 @@ type Evaluator interface {
 	// early (returning NaN for unevaluated slots) once ctx is cancelled;
 	// the EM loop checks ctx.Err() after every batch.
 	EvaluateBatch(ctx context.Context, queries []sqlexec.Query) []float64
+	// Parallel runs fn(0..n-1), possibly concurrently, and returns once
+	// every call has returned. Each index runs at most once, and exactly
+	// once unless ctx is done first: then the indexes not yet started are
+	// skipped. fn touches only per-index state and never blocks.
+	Parallel(ctx context.Context, n int, fn func(i int))
 }

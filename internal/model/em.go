@@ -2,9 +2,7 @@ package model
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 
 	"aggchecker/internal/document"
 	"aggchecker/internal/fragments"
@@ -193,21 +191,19 @@ func notify(obs Observer, res *Result, doc *document.Document, states []*claimSt
 
 // eStep rebuilds spaces under the current priors, evaluates the top
 // candidates of every claim, and recomputes match bookkeeping. It runs in
-// three phases: claim workers build candidate spaces and key their top
-// candidates; the keys are interned into the Run's query table in claim
-// order and the queries new to it go to the evaluator as one
-// document-level batch (§6.3: merged cube passes span the claims of a
-// document); and claim workers redo the match flags. All accumulation is
-// per-claim, so the outcome is deterministic. Once ctx is done the claim
-// workers skip the claims they have not started and eStep returns before
-// its next phase, leaving the states half-built: Run discards them and
-// returns ctx.Err().
+// three phases: one task per claim (ev.Parallel, the evaluator's worker
+// pool) builds the claim's candidate space and keys its top candidates;
+// the keys are interned into the Run's query table in claim order and the
+// queries new to it go to the evaluator as one document-level batch (§6.3:
+// merged cube passes span the claims of a document); and one task per
+// claim redoes the match flags. All accumulation is per-claim, so the
+// outcome is deterministic. Once ctx is done the claims not yet started
+// are skipped and eStep returns before its next phase, leaving the states
+// half-built: Run discards them and returns ctx.Err().
 func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, scores []keywords.Scores, ev Evaluator, cfg Config, pool *LiteralPool, priors *Priors, states []*claimState, tab *queryTable, res *Result) {
-	workers := runtime.GOMAXPROCS(0)
-
 	// Phase 1: candidate construction, each top candidate keyed once.
 	keys := make([][]string, len(states))
-	runParallel(ctx, workers, len(states), func(i int) {
+	ev.Parallel(ctx, len(states), func(i int) {
 		st := states[i]
 		st.space = BuildSpace(cat, doc.Claims[i], scores[i], priors, pool, cfg)
 		st.top = st.space.TopCandidates(cfg.EvalBudget, cfg.MaxPreds)
@@ -249,7 +245,7 @@ func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, 
 	}
 
 	// Phase 3: match bookkeeping under the fresh results.
-	runParallel(ctx, workers, len(states), func(i int) {
+	ev.Parallel(ctx, len(states), func(i int) {
 		st := states[i]
 		st.matches = make([]bool, len(st.top))
 		st.matched = st.matched[:0]
@@ -262,38 +258,6 @@ func eStep(ctx context.Context, cat *fragments.Catalog, doc *document.Document, 
 			}
 		}
 	})
-}
-
-// runParallel executes fn(0..n-1) on a bounded worker pool. Each index is
-// processed at most once, and exactly once unless ctx is done first: then
-// the indexes not yet started are skipped. fn must only touch per-index
-// state.
-func runParallel(ctx context.Context, workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n && ctx.Err() == nil; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
 }
 
 // zOf returns the posterior normalization constant of a claim state:

@@ -30,6 +30,13 @@ func (n naiveEval) EvaluateBatch(ctx context.Context, qs []sqlexec.Query) []floa
 	return out
 }
 
+// Parallel runs the indexes in order on the calling goroutine.
+func (naiveEval) Parallel(ctx context.Context, n int, fn func(int)) {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		fn(i)
+	}
+}
+
 // mustRun is Run with a background context, no observer, and fatal errors.
 func mustRun(t *testing.T, cat *fragments.Catalog, doc *document.Document, scores []keywords.Scores, ev Evaluator, cfg Config) *Result {
 	t.Helper()
@@ -447,5 +454,40 @@ func TestRunEvaluatesEachQueryOnce(t *testing.T) {
 	}
 	if len(rec.keys) != res.EvaluatedQueries {
 		t.Errorf("evaluator was sent %d queries, EvaluatedQueries = %d", len(rec.keys), res.EvaluatedQueries)
+	}
+}
+
+// parallelCountingEval forwards to an Evaluator and counts its Parallel
+// calls.
+type parallelCountingEval struct {
+	Evaluator
+	calls int
+	sizes []int
+}
+
+func (p *parallelCountingEval) Parallel(ctx context.Context, n int, fn func(int)) {
+	p.calls++
+	p.sizes = append(p.sizes, n)
+	p.Evaluator.Parallel(ctx, n, fn)
+}
+
+// TestRunPhasesUseEvaluatorParallel: both per-claim phases of every E-step —
+// each EM iteration and the final pass — run through ev.Parallel with one
+// index per claim, so the evaluator's pool is the only source of
+// parallelism in a Run.
+func TestRunPhasesUseEvaluatorParallel(t *testing.T) {
+	cat, doc, scores, eng := nflSetup(t)
+	ev := &parallelCountingEval{Evaluator: naiveEval{eng}}
+	res := mustRun(t, cat, doc, scores, ev, testConfig())
+	if res.Iterations < 2 {
+		t.Fatalf("%d EM iterations; the test needs at least two", res.Iterations)
+	}
+	if want := 2 * (res.Iterations + 1); ev.calls != want {
+		t.Errorf("Parallel called %d times over %d iterations, want %d", ev.calls, res.Iterations, want)
+	}
+	for k, n := range ev.sizes {
+		if n != len(doc.Claims) {
+			t.Errorf("Parallel call %d over %d indexes, want %d claims", k, n, len(doc.Claims))
+		}
 	}
 }

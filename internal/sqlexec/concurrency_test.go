@@ -78,7 +78,7 @@ func TestCubeForSingleflight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			results[g], errs[g] = e.CubeFor([]string{"t"}, dims, reqs)
+			results[g], errs[g] = e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 		}(g)
 	}
 	close(start)
@@ -136,7 +136,7 @@ func TestConcurrentOverlappingBatchesMatchSerial(t *testing.T) {
 			q.AggCol = cr("x")
 		}
 		queries[i] = q
-		v, err := serial.Evaluate(q)
+		v, err := serial.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,14 +195,14 @@ func TestConcurrentExtensionSafe(t *testing.T) {
 	dims := stressDims()
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
 	base := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
-	if _, err := e.CubeFor([]string{"t"}, dims, base); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"t"}, dims, base); err != nil {
 		t.Fatal(err)
 	}
 	serial := NewEngine(d)
 	countQ := Query{Agg: Count, Preds: []Predicate{{Col: cr("a"), Value: "p"}}}
 	sumQ := Query{Agg: Sum, AggCol: cr("x"), Preds: []Predicate{{Col: cr("b"), Value: "u"}}}
-	wantCount, _ := serial.Evaluate(countQ)
-	wantSum, _ := serial.Evaluate(sumQ)
+	wantCount, _ := serial.EvaluateContext(context.Background(), countQ)
+	wantSum, _ := serial.EvaluateContext(context.Background(), sumQ)
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -217,7 +217,7 @@ func TestConcurrentExtensionSafe(t *testing.T) {
 				if extend {
 					reqs = []AggRequest{{Fn: Sum, Col: cr("x")}, {Fn: CountDistinct, Col: cr("x")}}
 				}
-				cube, err := e.CubeFor([]string{"t"}, dims, reqs)
+				cube, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 				if err != nil {
 					errCh <- err
 					return

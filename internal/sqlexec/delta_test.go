@@ -91,7 +91,7 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 		scalar := trial%3 == 0
 
 		e := NewEngine(sc.d, WithScalarKernel(scalar))
-		if _, err := e.CubeFor(sc.tables, dims, reqs); err != nil {
+		if _, err := e.CubeForContext(context.Background(), sc.tables, dims, reqs); err != nil {
 			t.Fatal(err)
 		}
 
@@ -109,7 +109,7 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 
 			deltasBefore := e.Stats.DeltaScans.Load()
 			blocksBefore := e.Stats.BlocksDelta.Load()
-			got, err := e.CubeFor(sc.tables, dims, reqs)
+			got, err := e.CubeForContext(context.Background(), sc.tables, dims, reqs)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -151,7 +151,7 @@ func TestConcurrentAppendAndScan(t *testing.T) {
 	e := NewEngine(sc.d)
 	dims := []DimSpec{{Col: ColumnRef{Table: "f", Column: "s1"}, Literals: []string{"p", "q", "r"}}}
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}, {Fn: Sum, Col: ColumnRef{Table: "f", Column: "n2"}}}
-	if _, err := e.CubeFor([]string{"f"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,7 +196,7 @@ func TestConcurrentAppendAndScan(t *testing.T) {
 					return
 				default:
 				}
-				cube, err := e.CubeFor([]string{"f"}, dims, reqs)
+				cube, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs)
 				if err != nil {
 					t.Error(err)
 					return
@@ -237,7 +237,7 @@ func TestEngineDeltaScanCounts(t *testing.T) {
 		{Fn: Sum, Col: ColumnRef{Table: "f", Column: "n1"}},
 		{Fn: CountDistinct, Col: ColumnRef{Table: "f", Column: "s2"}},
 	}
-	if _, err := e.CubeFor([]string{"f"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,7 +253,7 @@ func TestEngineDeltaScanCounts(t *testing.T) {
 	}
 
 	before := e.Stats.Snapshot()
-	cube, err := e.CubeFor([]string{"f"}, dims, reqs)
+	cube, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestEngineDeltaScanCounts(t *testing.T) {
 		{Agg: Sum, AggCol: ColumnRef{Table: "f", Column: "n1"}, Preds: []Predicate{{Col: dims[0].Col, Value: "q"}}},
 		{Agg: CountDistinct, AggCol: ColumnRef{Table: "f", Column: "s2"}},
 	} {
-		want, err := check.Evaluate(q)
+		want, err := check.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestEngineDeltaScanCounts(t *testing.T) {
 
 	// Re-requesting at the same version is a pure cache hit: no scans.
 	before = e.Stats.Snapshot()
-	if _, err := e.CubeFor([]string{"f"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 	s = e.Stats.Snapshot()
@@ -380,7 +380,7 @@ func TestEngineDeltaRepublishAndRebuild(t *testing.T) {
 	e := NewEngine(sc.d)
 	fDims := []DimSpec{{Col: ColumnRef{Table: "f", Column: "s1"}, Literals: []string{"p"}}}
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
-	single, err := e.CubeFor([]string{"f"}, fDims, reqs)
+	single, err := e.CubeForContext(context.Background(), []string{"f"}, fDims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestEngineDeltaRepublishAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.Stats.Snapshot()
-	again, err := e.CubeFor([]string{"f"}, fDims, reqs)
+	again, err := e.CubeForContext(context.Background(), []string{"f"}, fDims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestEngineDeltaRepublishAndRebuild(t *testing.T) {
 
 	// A joined-scope cube cannot delta: appends to f force a full rebuild.
 	jDims := []DimSpec{{Col: ColumnRef{Table: "dim", Column: "ds"}, Literals: []string{"red", "green"}}}
-	if _, err := e.CubeFor(sc.tables, jDims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), sc.tables, jDims, reqs); err != nil {
 		t.Fatal(err)
 	}
 	appendRandomRows(t, sc.d, rng, 30)
@@ -416,7 +416,7 @@ func TestEngineDeltaRepublishAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = e.Stats.Snapshot()
-	joined, err := e.CubeFor(sc.tables, jDims, reqs)
+	joined, err := e.CubeForContext(context.Background(), sc.tables, jDims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestEngineDeltaRepublishAndRebuild(t *testing.T) {
 	}
 	// And it is correct: identical to a fresh full pass over the same
 	// joined scope at the new snapshot.
-	fresh, err := NewEngine(sc.d).CubeFor(sc.tables, jDims, reqs)
+	fresh, err := NewEngine(sc.d).CubeForContext(context.Background(), sc.tables, jDims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestDeltaZoneMapPruning(t *testing.T) {
 		{Fn: CountDistinct, Col: cr("val")},
 	}
 	e := NewEngine(d)
-	if _, err := e.CubeFor([]string{"t"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -489,7 +489,7 @@ func TestDeltaZoneMapPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := e.Stats.Snapshot()
-		adv, err := e.CubeFor([]string{"t"}, dims, reqs)
+		adv, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +503,7 @@ func TestDeltaZoneMapPruning(t *testing.T) {
 		if got := s["blocks_scanned"] - before["blocks_scanned"]; got != 0 {
 			t.Errorf("commit %d: delta blocks_scanned = %d, want 0", c, got)
 		}
-		fresh, err := NewEngine(d).CubeFor([]string{"t"}, dims, reqs)
+		fresh, err := NewEngine(d).CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -406,6 +406,9 @@ func (e *Engine) CachingEnabled() bool { return e.caching }
 // interpreter.
 func (e *Engine) ScalarKernel() bool { return e.scalarKernel }
 
+// Scheduler returns the pool the engine's jobs run on.
+func (e *Engine) Scheduler() *Scheduler { return e.sched }
+
 // ResetCache drops all cached cube results (join views are kept: they are
 // part of the storage layer, not the evaluation strategy).
 func (e *Engine) ResetCache() {
@@ -636,12 +639,6 @@ func sortedCopy(ss []string) []string {
 	return out
 }
 
-// Evaluate runs a single query with a dedicated scan. It is the
-// context-free convenience form of EvaluateContext.
-func (e *Engine) Evaluate(q Query) (float64, error) {
-	return e.EvaluateContext(context.Background(), q)
-}
-
 // EvaluateContext runs a single query with a dedicated scan (the naive
 // strategy of Table 6), executed through the shared vectorized scan
 // pipeline: predicates compile to storage-level comparisons evaluated into
@@ -665,12 +662,6 @@ func (e *Engine) EvaluateContext(ctx context.Context, q Query) (float64, error) 
 
 func parseLiteralFloat(lit string) (float64, error) {
 	return strconv.ParseFloat(strings.TrimSpace(lit), 64)
-}
-
-// CubeFor returns a cube result covering the given dimensions and aggregate
-// requests. It is the context-free convenience form of CubeForContext.
-func (e *Engine) CubeFor(tables []string, dims []DimSpec, reqs []AggRequest) (*CubeResult, error) {
-	return e.CubeForContext(context.Background(), tables, dims, reqs)
 }
 
 // CubeForContext returns a cube result covering the given dimensions and

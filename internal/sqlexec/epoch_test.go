@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestEpochRebuildOnCompaction(t *testing.T) {
 		{Fn: Sum, Col: ColumnRef{Table: "f", Column: "n1"}},
 		{Fn: CountDistinct, Col: ColumnRef{Table: "f", Column: "s2"}},
 	}
-	if _, err := e.CubeFor([]string{"f"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -32,7 +33,7 @@ func TestEpochRebuildOnCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.CubeFor([]string{"f"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,7 +42,7 @@ func TestEpochRebuildOnCompaction(t *testing.T) {
 	}
 
 	before := e.Stats.Snapshot()
-	got, err := e.CubeFor([]string{"f"}, dims, reqs)
+	got, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestEpochRebuildOnCompaction(t *testing.T) {
 	if n := s["delta_scans"] - before["delta_scans"]; n != 0 {
 		t.Errorf("delta scans across compaction = %d, want 0 (resealed blocks cannot delta)", n)
 	}
-	fresh, err := NewEngine(sc.d).CubeFor([]string{"f"}, dims, reqs)
+	fresh, err := NewEngine(sc.d).CubeForContext(context.Background(), []string{"f"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestEpochRebuildOnCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = e.Stats.Snapshot()
-	adv, err := e.CubeFor([]string{"f"}, dims, reqs)
+	adv, err := e.CubeForContext(context.Background(), []string{"f"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestEpochRebuildOnCompaction(t *testing.T) {
 	if n := s["epoch_rebuilds"] - before["epoch_rebuilds"]; n != 0 {
 		t.Errorf("post-compaction epoch rebuilds = %d, want 0", n)
 	}
-	fresh2, err := NewEngine(sc.d).CubeFor([]string{"f"}, dims, reqs)
+	fresh2, err := NewEngine(sc.d).CubeForContext(context.Background(), []string{"f"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -387,7 +387,7 @@ func TestKernelLatticeFallback(t *testing.T) {
 		t.Fatalf("72^3 lattice should exceed maxFlatCells")
 	}
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
-	cube, err := e.CubeFor([]string{"t"}, dims, reqs)
+	cube, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestKernelLatticeFallback(t *testing.T) {
 	if !ok {
 		t.Fatal("fallback cube cannot answer covered query")
 	}
-	dv, err := e.Evaluate(q)
+	dv, err := e.EvaluateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestKernelLatticeFallback(t *testing.T) {
 	if _, err := d.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.CubeFor([]string{"t"}, dims, reqs)
+	got, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,11 +458,11 @@ func TestEngineScalarKernelFlag(t *testing.T) {
 		{Fn: Sum, Col: ColumnRef{Table: "t", Column: "x"}},
 		{Fn: CountDistinct, Col: ColumnRef{Table: "t", Column: "x"}},
 	}
-	vc, err := vecE.CubeFor([]string{"t"}, dims, reqs)
+	vc, err := vecE.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sclE.CubeFor([]string{"t"}, dims, reqs)
+	sc, err := sclE.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestKernelStatsCounters(t *testing.T) {
 		{Col: ColumnRef{Table: "dim", Column: "ds"}, Literals: []string{"red", "green"}},
 	}
 	reqs := []AggRequest{{Fn: Sum, Col: ColumnRef{Table: "dim", Column: "dn"}}}
-	if _, err := e.CubeFor(sc.tables, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), sc.tables, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats.Snapshot()
@@ -525,7 +525,7 @@ func TestKernelStatsCounters(t *testing.T) {
 	e2 := NewEngine(sc.d)
 	dims2 := []DimSpec{{Col: ColumnRef{Table: "f", Column: "s1"}, Literals: []string{"p"}}}
 	reqs2 := []AggRequest{{Fn: Sum, Col: ColumnRef{Table: "f", Column: "n1"}}}
-	if _, err := e2.CubeFor([]string{"f"}, dims2, reqs2); err != nil {
+	if _, err := e2.CubeForContext(context.Background(), []string{"f"}, dims2, reqs2); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e2.Stats.Snapshot()

@@ -211,12 +211,12 @@ func TestDirectScanDifferentialRandomized(t *testing.T) {
 			label := fmt.Sprintf("trial %d query %d (%s, batches=%d nulls=%.0f%%)",
 				trial, qi, q.Key(), batches, 100*nullFrac)
 			want := scalarOracleEvaluate(t, view, q)
-			got, err := pruner.Evaluate(q)
+			got, err := pruner.EvaluateContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			requireSameFloat(t, label+" [zones on]", want, got)
-			got, err = flat.Evaluate(q)
+			got, err = flat.EvaluateContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -253,7 +253,7 @@ func TestDirectScanDifferentialJoined(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			want := scalarOracleEvaluate(t, view, q)
-			got, err := e.Evaluate(q)
+			got, err := e.EvaluateContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -296,7 +296,7 @@ func TestRatioBaseContract(t *testing.T) {
 	// ConditionalProbability: P(b=y | a=x) = 0/2 = 0, not NaN — the two
 	// a=x rows live in a block the numerator's conjunction prunes.
 	cp := Query{Agg: ConditionalProbability, Preds: conj}
-	v, err := e.Evaluate(cp)
+	v, err := e.EvaluateContext(context.Background(), cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestRatioBaseContract(t *testing.T) {
 	// The denominator is Preds[0] alone — never the conjunction, never
 	// Preds[1]: swapping the condition flips the answer.
 	swapped := Query{Agg: ConditionalProbability, Preds: []Predicate{conj[1], conj[0]}}
-	v, err = e.Evaluate(swapped)
+	v, err = e.EvaluateContext(context.Background(), swapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestRatioBaseContract(t *testing.T) {
 	one := Query{Agg: ConditionalProbability, Preds: []Predicate{
 		{Col: cr("a"), Value: "w"}, {Col: cr("b"), Value: "y"},
 	}}
-	v, err = e.Evaluate(one)
+	v, err = e.EvaluateContext(context.Background(), one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestRatioBaseContract(t *testing.T) {
 	// Percentage: denominator is every row of the view even when the
 	// numerator is pruned everywhere ("absent" exists in no block).
 	pct := Query{Agg: Percentage, Preds: []Predicate{{Col: cr("a"), Value: "absent"}}}
-	v, err = e.Evaluate(pct)
+	v, err = e.EvaluateContext(context.Background(), pct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestRatioBaseContract(t *testing.T) {
 		t.Errorf("Percentage(a=absent) = %v, want 0 (8-row denominator)", v)
 	}
 	pctX := Query{Agg: Percentage, Preds: conj}
-	v, err = e.Evaluate(pctX)
+	v, err = e.EvaluateContext(context.Background(), pctX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestRatioBaseContract(t *testing.T) {
 		t.Errorf("Percentage(a=x AND b=y) = %v, want 0", v)
 	}
 	pctW := Query{Agg: Percentage, Preds: []Predicate{{Col: cr("a"), Value: "x"}}}
-	v, err = e.Evaluate(pctW)
+	v, err = e.EvaluateContext(context.Background(), pctW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestRatioBaseContract(t *testing.T) {
 		{Col: cr("a"), Literals: []string{"x", "w"}},
 		{Col: cr("b"), Literals: []string{"y"}},
 	}
-	cube, err := e.CubeFor([]string{"t"}, dims, []AggRequest{{Fn: Count, Col: ColumnRef{}}})
+	cube, err := e.CubeForContext(context.Background(), []string{"t"}, dims, []AggRequest{{Fn: Count, Col: ColumnRef{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestRatioBaseContract(t *testing.T) {
 		if !ok {
 			t.Fatalf("cube cannot answer %s", q.Key())
 		}
-		dv, err := e.Evaluate(q)
+		dv, err := e.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestDirectScanPruningStats(t *testing.T) {
 	d := bandedDB(t, rng, batches, rowsPer, 0.1)
 	e := NewEngine(d)
 	q := Query{Agg: Count, Preds: []Predicate{{Col: ColumnRef{Table: "t", Column: "band"}, Value: "b3"}}}
-	v, err := e.Evaluate(q)
+	v, err := e.EvaluateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestDirectScanPruningStats(t *testing.T) {
 	// survives only its own block.
 	e2 := NewEngine(d)
 	q2 := Query{Agg: Count, Preds: []Predicate{{Col: ColumnRef{Table: "t", Column: "num"}, Value: "250"}}}
-	v, err = e2.Evaluate(q2)
+	v, err = e2.EvaluateContext(context.Background(), q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestDirectScanPruningStats(t *testing.T) {
 	// A multi-segment unpruned scan reuses the selection vector.
 	e3 := NewEngine(d)
 	q3 := Query{Agg: Count, Preds: []Predicate{{Col: ColumnRef{Table: "t", Column: "cat"}, Value: "p"}}}
-	if _, err := e3.Evaluate(q3); err != nil {
+	if _, err := e3.EvaluateContext(context.Background(), q3); err != nil {
 		t.Fatal(err)
 	}
 	if s3 := e3.Stats.Snapshot(); s3["selvec_reuses"] != int64(batches-1) {
@@ -471,7 +471,7 @@ func TestCubeZoneMapPruning(t *testing.T) {
 	}
 
 	pruner := NewEngine(d)
-	pruned, err := pruner.CubeFor([]string{"t"}, dims, reqs)
+	pruned, err := pruner.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestCubeZoneMapPruning(t *testing.T) {
 	}
 
 	flat := NewEngine(d, WithZoneMaps(false))
-	unpruned, err := flat.CubeFor([]string{"t"}, dims, reqs)
+	unpruned, err := flat.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestCubeZoneMapPruning(t *testing.T) {
 	requireCubesIdentical(t, unpruned, pruned, "pruned vs unpruned cube")
 
 	scalar := NewEngine(d, WithScalarKernel(true))
-	want, err := scalar.CubeFor([]string{"t"}, dims, reqs)
+	want, err := scalar.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,7 +349,7 @@ func TestPushdownEndToEndIdentical(t *testing.T) {
 	serial := NewEngine(sc.d)
 	want := make([]float64, len(queries))
 	for i, q := range queries {
-		v, err := serial.Evaluate(q)
+		v, err := serial.EvaluateContext(context.Background(), q)
 		if err != nil {
 			v = math.NaN()
 		}
@@ -432,7 +432,7 @@ func TestFilteredCubeCacheDistinct(t *testing.T) {
 	if !ok {
 		t.Fatal("filtered cube cannot answer its own query shape")
 	}
-	dv, err := e.Evaluate(q)
+	dv, err := e.EvaluateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestFilteredCubeCacheDistinct(t *testing.T) {
 	if !ok {
 		t.Fatal("extended filtered cube cannot answer Sum")
 	}
-	dsv, err := e.Evaluate(qs)
+	dsv, err := e.EvaluateContext(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestFilteredCubeRatioAggregates(t *testing.T) {
 		if !ok {
 			t.Fatalf("filtered cube cannot answer %s", q.Key())
 		}
-		dv, err := e.Evaluate(q)
+		dv, err := e.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

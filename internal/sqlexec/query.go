@@ -185,7 +185,8 @@ func (q Query) Tables(defaultTable string) []string {
 	return out
 }
 
-// SQL renders the query as SQL text (for display and logs).
+// SQL renders the query as SQL text that sqlparse.Parse reads back to an
+// equal query over a single table: quotes in literals are doubled.
 func (q Query) SQL(defaultTable string) string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
@@ -206,7 +207,7 @@ func (q Query) SQL(defaultTable string) string {
 			}
 			sb.WriteString(p.Col.Column)
 			sb.WriteString(" = '")
-			sb.WriteString(p.Value)
+			sb.WriteString(strings.ReplaceAll(p.Value, "'", "''"))
 			sb.WriteString("'")
 		}
 	}

@@ -8,14 +8,16 @@ import (
 	"aggchecker/internal/db"
 )
 
-// This file implements the scheduler, the one worker pool of the execution
-// layer. Two kinds of job run on it: a batch's cube passes and direct scans
-// (RunBatch submits them as one job), and the zone-aligned row-range
-// morsels a large pass or scan splits into (small enough that a heavy pass
-// yields frequently, large enough that per-morsel accumulator state stays
-// amortized). Scheduling is morsel-driven in the HyPer sense: workers pull
-// the next task from a per-request fair queue, so fifty light checks are
-// never starved behind one heavy document.
+// This file implements the scheduler, the one worker pool of a check. Three
+// kinds of job run on it: the EM loop's per-claim phases (one task per
+// claim, submitted by evaluate.CubeEvaluator.Parallel without stats, so the
+// task counters below count execution-layer tasks only), a batch's cube
+// passes and direct scans (RunBatch submits them as one job), and the
+// zone-aligned row-range morsels a large pass or scan splits into (small
+// enough that a heavy pass yields frequently, large enough that per-morsel
+// accumulator state stays amortized). Scheduling is morsel-driven in the
+// HyPer sense: workers pull the next task from a per-request fair queue, so
+// fifty light checks are never starved behind one heavy document.
 //
 // Two structural decisions carry the correctness story:
 //
@@ -28,6 +30,8 @@ import (
 //     floor does not depend on queue position. It also makes nesting safe: a
 //     batch task that splits its pass owns the nested morsel job and can
 //     always finish it alone, so no job ever waits for a free helper.
+//     Model tasks never block and never submit a job, so they cannot
+//     deadlock either.
 //
 //   - Deterministic merging. The scheduler never merges anything: callers
 //     decompose into a fixed morsel list (a pure function of the row range

@@ -283,11 +283,11 @@ func TestSchedulerEngineMatchesSingleThreaded(t *testing.T) {
 
 	// Direct-scan path: Evaluate goes through evaluateDirect morsels.
 	for _, q := range queries {
-		want, err := serial.Evaluate(q)
+		want, err := serial.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.Evaluate(q)
+		got, err := par.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestSchedulerEngineMatchesSingleThreaded(t *testing.T) {
 	// Cube path: EvaluateBatch merges the battery into cube passes.
 	gotBatch := par.EvaluateBatch(context.Background(), queries, BatchOptions{Workers: 4})
 	for i, q := range queries {
-		want, _ := serial.Evaluate(q)
+		want, _ := serial.EvaluateContext(context.Background(), q)
 		if !bitIdentical(gotBatch[i], want) {
 			t.Fatalf("cube %s: scheduler %v != single-threaded %v", q.Key(), gotBatch[i], want)
 		}
@@ -391,7 +391,7 @@ func TestSchedulerSharedStress(t *testing.T) {
 
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
 	lightQ := Query{Agg: Sum, AggCol: cr("x"), Preds: []Predicate{{Col: cr("b"), Value: "v"}}}
-	want, err := serial.Evaluate(lightQ)
+	want, err := serial.EvaluateContext(context.Background(), lightQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestSchedulerSharedStress(t *testing.T) {
 		dims := stressDims()
 		reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}, {Fn: Sum, Col: cr("x")}}
 		for ctx.Err() == nil {
-			if _, err := heavyEng.CubeFor([]string{"t"}, dims, reqs); err != nil {
+			if _, err := heavyEng.CubeForContext(context.Background(), []string{"t"}, dims, reqs); err != nil {
 				t.Error(err)
 				return
 			}
@@ -416,7 +416,7 @@ func TestSchedulerSharedStress(t *testing.T) {
 		go func() { // light: direct scans sharing the same pool
 			defer wg.Done()
 			for k := 0; k < 25; k++ {
-				got, err := lightEng.Evaluate(lightQ)
+				got, err := lightEng.EvaluateContext(context.Background(), lightQ)
 				if err != nil {
 					t.Error(err)
 					return

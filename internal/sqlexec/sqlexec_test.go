@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -34,7 +35,7 @@ func ref(col string) ColumnRef { return ColumnRef{Table: "nflsuspensions", Colum
 func TestEvaluateCount(t *testing.T) {
 	e := NewEngine(nflDB(t))
 	q := Query{Agg: Count, Preds: []Predicate{{Col: ref("games"), Value: "indef"}}}
-	v, err := e.Evaluate(q)
+	v, err := e.EvaluateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestEvaluateCountTwoPreds(t *testing.T) {
 		{Col: ref("games"), Value: "indef"},
 		{Col: ref("category"), Value: "substance abuse repeated offense"},
 	}}
-	v, err := e.Evaluate(q)
+	v, err := e.EvaluateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestEvaluateCountTwoPreds(t *testing.T) {
 		{Col: ref("games"), Value: "indef"},
 		{Col: ref("category"), Value: "gambling"},
 	}}
-	v2, _ := e.Evaluate(q2)
+	v2, _ := e.EvaluateContext(context.Background(), q2)
 	if v2 != 1 {
 		t.Errorf("gambling lifetime bans = %v, want 1", v2)
 	}
@@ -80,7 +81,7 @@ func TestEvaluateNumericAggregates(t *testing.T) {
 		{Sum, "year", 1983 + 2014 + 1989 + 1991 + 1995 + 2014 + 2007},
 	}
 	for _, c := range cases {
-		v, err := e.Evaluate(Query{Agg: c.fn, AggCol: ref(c.col)})
+		v, err := e.EvaluateContext(context.Background(), Query{Agg: c.fn, AggCol: ref(c.col)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,14 +93,14 @@ func TestEvaluateNumericAggregates(t *testing.T) {
 
 func TestEvaluateCountDistinct(t *testing.T) {
 	e := NewEngine(nflDB(t))
-	v, err := e.Evaluate(Query{Agg: CountDistinct, AggCol: ref("team")})
+	v, err := e.EvaluateContext(context.Background(), Query{Agg: CountDistinct, AggCol: ref("team")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 6 {
 		t.Errorf("CountDistinct(team) = %v, want 6 (CIN repeats)", v)
 	}
-	v, err = e.Evaluate(Query{Agg: CountDistinct, AggCol: ref("year"),
+	v, err = e.EvaluateContext(context.Background(), Query{Agg: CountDistinct, AggCol: ref("year"),
 		Preds: []Predicate{{Col: ref("games"), Value: "indef"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestEvaluateCountDistinct(t *testing.T) {
 
 func TestEvaluatePercentage(t *testing.T) {
 	e := NewEngine(nflDB(t))
-	v, err := e.Evaluate(Query{Agg: Percentage, Preds: []Predicate{{Col: ref("games"), Value: "indef"}}})
+	v, err := e.EvaluateContext(context.Background(), Query{Agg: Percentage, Preds: []Predicate{{Col: ref("games"), Value: "indef"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestEvaluateConditionalProbability(t *testing.T) {
 		{Col: ref("games"), Value: "indef"},
 		{Col: ref("category"), Value: "gambling"},
 	}}
-	v, err := e.Evaluate(q)
+	v, err := e.EvaluateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestEvaluateConditionalProbability(t *testing.T) {
 func TestEvaluateNullHandling(t *testing.T) {
 	e := NewEngine(nflDB(t))
 	// Stanley Wilson has a NULL fine; Count(fine) skips it.
-	v, err := e.Evaluate(Query{Agg: Count, AggCol: ref("fine")})
+	v, err := e.EvaluateContext(context.Background(), Query{Agg: Count, AggCol: ref("fine")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestEvaluateNullHandling(t *testing.T) {
 		t.Errorf("Count(fine) = %v, want 6 (one NULL)", v)
 	}
 	// Aggregates of an empty cell are NaN.
-	v, err = e.Evaluate(Query{Agg: Avg, AggCol: ref("fine"),
+	v, err = e.EvaluateContext(context.Background(), Query{Agg: Avg, AggCol: ref("fine"),
 		Preds: []Predicate{{Col: ref("team"), Value: "ZZZ"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestEvaluateNullHandling(t *testing.T) {
 
 func TestEvaluateNumericPredicate(t *testing.T) {
 	e := NewEngine(nflDB(t))
-	v, err := e.Evaluate(Query{Agg: Count, Preds: []Predicate{{Col: ref("year"), Value: "2014"}}})
+	v, err := e.EvaluateContext(context.Background(), Query{Agg: Count, Preds: []Predicate{{Col: ref("year"), Value: "2014"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestEvaluateNumericPredicate(t *testing.T) {
 		t.Errorf("Count(year=2014) = %v, want 2", v)
 	}
 	// Garbage literal on numeric column matches nothing.
-	v, _ = e.Evaluate(Query{Agg: Count, Preds: []Predicate{{Col: ref("year"), Value: "abc"}}})
+	v, _ = e.EvaluateContext(context.Background(), Query{Agg: Count, Preds: []Predicate{{Col: ref("year"), Value: "abc"}}})
 	if v != 0 {
 		t.Errorf("Count(year=abc) = %v, want 0", v)
 	}
@@ -223,7 +224,7 @@ func TestCubeMatchesDirectEvaluation(t *testing.T) {
 		{Fn: CountDistinct, Col: ref("team")},
 		{Fn: Percentage, Col: ColumnRef{}},
 	}
-	cube, err := e.CubeFor([]string{"nflsuspensions"}, dims, reqs)
+	cube, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestCubeMatchesDirectEvaluation(t *testing.T) {
 			t.Errorf("cube cannot answer %s", q.Key())
 			continue
 		}
-		dv, err := e.Evaluate(q)
+		dv, err := e.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +306,7 @@ func TestCubeRandomizedAgainstDirect(t *testing.T) {
 	}
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}, {Fn: Sum, Col: cr("x")},
 		{Fn: CountDistinct, Col: cr("x")}, {Fn: Min, Col: cr("x")}, {Fn: Max, Col: cr("x")}}
-	cube, err := e.CubeFor([]string{"t"}, dims, reqs)
+	cube, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestCubeRandomizedAgainstDirect(t *testing.T) {
 		if !ok {
 			t.Fatalf("cube cannot answer %s", q.Key())
 		}
-		dv, err := e.Evaluate(q)
+		dv, err := e.EvaluateContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,11 +342,11 @@ func TestCubeCacheReuse(t *testing.T) {
 	e := NewEngine(nflDB(t))
 	dims := buildNFLDims()
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
-	if _, err := e.CubeFor([]string{"nflsuspensions"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 	misses := e.Stats.CacheMisses.Load()
-	if _, err := e.CubeFor([]string{"nflsuspensions"}, dims, reqs); err != nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats.CacheMisses.Load() != misses {
@@ -359,14 +360,14 @@ func TestCubeCacheReuse(t *testing.T) {
 func TestCubeCacheExtension(t *testing.T) {
 	e := NewEngine(nflDB(t))
 	dims := buildNFLDims()
-	if _, err := e.CubeFor([]string{"nflsuspensions"}, dims,
+	if _, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims,
 		[]AggRequest{{Fn: Count, Col: ColumnRef{}}}); err != nil {
 		t.Fatal(err)
 	}
 	passes := e.Stats.CubePasses.Load()
 	// Requesting a new aggregation column extends the cached cube in one
 	// additional pass, after which the merged cube answers both.
-	cube, err := e.CubeFor([]string{"nflsuspensions"}, dims,
+	cube, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims,
 		[]AggRequest{{Fn: Sum, Col: ref("fine")}})
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +380,7 @@ func TestCubeCacheExtension(t *testing.T) {
 	if !ok {
 		t.Fatal("merged cube cannot answer extended query")
 	}
-	dv, _ := e.Evaluate(q)
+	dv, _ := e.EvaluateContext(context.Background(), q)
 	if !eqNaN(cv, dv) {
 		t.Errorf("merged cube: %v want %v", cv, dv)
 	}
@@ -396,7 +397,7 @@ func TestCubeCachingDisabled(t *testing.T) {
 	dims := buildNFLDims()
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
 	for i := 0; i < 3; i++ {
-		if _, err := e.CubeFor([]string{"nflsuspensions"}, dims, reqs); err != nil {
+		if _, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims, reqs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,14 +414,14 @@ func TestCubeDimensionLimit(t *testing.T) {
 		{Col: ref("team"), Literals: []string{"CIN"}},
 		{Col: ref("name"), Literals: []string{"Ray Rice"}},
 	}
-	if _, err := e.CubeFor([]string{"nflsuspensions"}, dims, nil); err == nil {
+	if _, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims, nil); err == nil {
 		t.Error("four cube dimensions should be rejected")
 	}
 }
 
 func TestCubeUncoveredQuery(t *testing.T) {
 	e := NewEngine(nflDB(t))
-	cube, err := e.CubeFor([]string{"nflsuspensions"}, buildNFLDims(), nil)
+	cube, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, buildNFLDims(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestCubeUncoveredQuery(t *testing.T) {
 
 func TestEngineStats(t *testing.T) {
 	e := NewEngine(nflDB(t))
-	if _, err := e.Evaluate(Query{Agg: Count}); err != nil {
+	if _, err := e.EvaluateContext(context.Background(), Query{Agg: Count}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats.Snapshot()

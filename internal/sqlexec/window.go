@@ -22,9 +22,9 @@ type BatchRunner interface {
 // the window instead of executing immediately. A window flushes — merging
 // every parked batch into one EvaluateBatch on the runner it wraps — when
 // all active participants have a batch parked, when the parked count
-// reaches MaxPending, or when the flush deadline expires (participants
-// whose EM phase runs long never stall the others for more than
-// FlushDelay).
+// reaches windowMaxPending, or when the flush deadline expires
+// (participants whose EM phase runs long never stall the others for more
+// than windowFlushDelay).
 //
 // The window is indifferent to what it wraps: a local engine and a shard
 // coordinator pool alike. Batches are grouped by every snapshot version
@@ -43,9 +43,9 @@ type BatchRunner interface {
 // streams through, keeping cube shapes stable (sameDims) so later
 // documents hit the cache instead of forcing recomputes.
 type Window struct {
-	runner     BatchRunner
-	stats      *Stats
-	maxPending int
+	runner BatchRunner
+	stats  *Stats
+	// flushDelay is windowFlushDelay; tests shorten or lengthen it.
 	flushDelay time.Duration
 
 	mu      sync.Mutex
@@ -57,19 +57,13 @@ type Window struct {
 	pool LiteralPool // corpus-lifetime
 }
 
-// WindowConfig tunes a Window; zero values select the defaults.
-type WindowConfig struct {
-	// MaxPending flushes the window once this many batches are parked,
-	// whatever the participant count (default 64).
-	MaxPending int
-	// FlushDelay bounds how long a parked batch waits for co-travellers
-	// before a partial window flushes anyway (default 10ms).
-	FlushDelay time.Duration
-}
-
 const (
-	defaultWindowMaxPending = 64
-	defaultWindowFlushDelay = 10 * time.Millisecond
+	// windowMaxPending flushes the window once this many batches are
+	// parked, whatever the participant count.
+	windowMaxPending = 64
+	// windowFlushDelay bounds how long a parked batch waits for
+	// co-travellers before a partial window flushes anyway.
+	windowFlushDelay = 10 * time.Millisecond
 )
 
 type windowGroup struct {
@@ -86,21 +80,13 @@ type windowReq struct {
 
 // NewWindow creates a planning window whose merged executions run on r;
 // stats receives the window counters (batches, flushes, shared passes).
-func NewWindow(r BatchRunner, stats *Stats, cfg WindowConfig) *Window {
-	w := &Window{
+func NewWindow(r BatchRunner, stats *Stats) *Window {
+	return &Window{
 		runner:     r,
 		stats:      stats,
-		maxPending: cfg.MaxPending,
-		flushDelay: cfg.FlushDelay,
+		flushDelay: windowFlushDelay,
 		groups:     make(map[string]*windowGroup),
 	}
-	if w.maxPending <= 0 {
-		w.maxPending = defaultWindowMaxPending
-	}
-	if w.flushDelay <= 0 {
-		w.flushDelay = defaultWindowFlushDelay
-	}
-	return w
 }
 
 // Join registers one participant (a document check). Every participant
@@ -155,7 +141,7 @@ func (w *Window) EvaluateBatch(ctx context.Context, queries []Query, opts BatchO
 	g.reqs = append(g.reqs, r)
 	w.waiting++
 	var toFlush []*windowGroup
-	if w.waiting >= w.active || w.waiting >= w.maxPending {
+	if w.waiting >= w.active || w.waiting >= windowMaxPending {
 		toFlush = w.takeLocked()
 	} else if w.timer == nil {
 		w.timer = time.AfterFunc(w.flushDelay, w.timerFlush)

@@ -29,7 +29,7 @@ func TestWindowSingleParticipantMatchesEngine(t *testing.T) {
 	want := NewEngine(d).EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
 
 	e := NewEngine(d)
-	w := NewWindow(e, &e.Stats, WindowConfig{})
+	w := NewWindow(e, &e.Stats)
 	w.Join()
 	defer w.Leave()
 	got := w.EvaluateBatch(pinnedCtx(d), windowQueries(), BatchOptions{})
@@ -62,7 +62,7 @@ func TestWindowMergesConcurrentParticipants(t *testing.T) {
 	wantB := base.EvaluateBatch(context.Background(), qb, BatchOptions{})
 
 	e := NewEngine(d)
-	w := NewWindow(e, &e.Stats, WindowConfig{})
+	w := NewWindow(e, &e.Stats)
 	var wg sync.WaitGroup
 	var gotA, gotB []float64
 	w.Join()
@@ -102,7 +102,8 @@ func TestWindowTimerFlushesPartialWindow(t *testing.T) {
 	want := NewEngine(d).EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
 
 	e := NewEngine(d)
-	w := NewWindow(e, &e.Stats, WindowConfig{FlushDelay: 2 * time.Millisecond})
+	w := NewWindow(e, &e.Stats)
+	w.flushDelay = 2 * time.Millisecond
 	w.Join()
 	w.Join() // second participant parks nothing
 	defer w.Leave()
@@ -139,7 +140,7 @@ func TestWindowGroupsBySnapshotVersion(t *testing.T) {
 	}
 
 	e := NewEngine(d)
-	w := NewWindow(e, &e.Stats, WindowConfig{})
+	w := NewWindow(e, &e.Stats)
 	q := []Query{{Agg: Count, Preds: []Predicate{{Col: ref("games"), Value: "indef"}}}}
 
 	var wg sync.WaitGroup
@@ -176,7 +177,8 @@ func TestWindowRunsUnpinnedBatchesDirectly(t *testing.T) {
 	want := NewEngine(d).EvaluateBatch(context.Background(), windowQueries(), BatchOptions{})
 
 	e := NewEngine(d)
-	w := NewWindow(e, &e.Stats, WindowConfig{FlushDelay: time.Minute})
+	w := NewWindow(e, &e.Stats)
+	w.flushDelay = time.Minute
 	w.Join()
 	w.Join()
 	defer w.Leave()
@@ -198,7 +200,8 @@ func TestWindowRunsUnpinnedBatchesDirectly(t *testing.T) {
 func TestWindowCancelledMemberGetsNaN(t *testing.T) {
 	d := nflDB(t)
 	e := NewEngine(d)
-	w := NewWindow(e, &e.Stats, WindowConfig{FlushDelay: time.Minute})
+	w := NewWindow(e, &e.Stats)
+	w.flushDelay = time.Minute
 	q := windowQueries()
 
 	cancelled, cancel := context.WithCancel(pinnedCtx(d))

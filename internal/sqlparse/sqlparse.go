@@ -12,14 +12,17 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aggchecker/internal/db"
 	"aggchecker/internal/sqlexec"
 )
 
-// Parse parses a Simple Aggregate Query. The database resolves unqualified
-// column names to their tables; ambiguous or unknown names are errors.
+// Parse parses a Simple Aggregate Query. Every FROM table must exist in the
+// database. Unqualified column names resolve to the one FROM table that has
+// them; a qualified name must name a FROM table and one of its columns.
+// Ambiguous or unknown names are errors.
 func Parse(input string, d *db.Database) (sqlexec.Query, error) {
 	var q sqlexec.Query
 	toks, err := lex(input)
@@ -75,21 +78,15 @@ func Parse(input string, d *db.Database) (sqlexec.Query, error) {
 	if !p.done() {
 		return q, fmt.Errorf("sqlparse: unexpected trailing input %q", p.peek())
 	}
-	// Resolve unqualified column references against the FROM tables.
-	if !q.AggCol.IsStar() && q.AggCol.Table == "" {
-		ref, err := p.resolve(q.AggCol.Column)
-		if err != nil {
+	// Check every column reference against the FROM tables.
+	if !q.AggCol.IsStar() {
+		if q.AggCol, err = p.resolve(q.AggCol); err != nil {
 			return q, err
 		}
-		q.AggCol = ref
 	}
 	for i := range q.Preds {
-		if q.Preds[i].Col.Table == "" {
-			ref, err := p.resolve(q.Preds[i].Col.Column)
-			if err != nil {
-				return q, err
-			}
-			q.Preds[i].Col = ref
+		if q.Preds[i].Col, err = p.resolve(q.Preds[i].Col); err != nil {
+			return q, err
 		}
 	}
 	return q, nil
@@ -238,11 +235,15 @@ func (p *parser) parseColumnRef() (sqlexec.ColumnRef, error) {
 		return sqlexec.ColumnRef{}, fmt.Errorf("sqlparse: expected column name")
 	}
 	name := p.next().text
-	if tbl, col, ok := strings.Cut(name, "."); ok {
-		return sqlexec.ColumnRef{Table: tbl, Column: col}, nil
+	// An unqualified name is resolved after FROM is known.
+	tbl, col, qualified := strings.Cut(name, ".")
+	if !qualified {
+		tbl, col = "", name
 	}
-	// Unqualified: resolved after FROM is known.
-	return sqlexec.ColumnRef{Column: name}, nil
+	if col == "" || (qualified && tbl == "") {
+		return sqlexec.ColumnRef{}, fmt.Errorf("sqlparse: malformed column name %q", name)
+	}
+	return sqlexec.ColumnRef{Table: tbl, Column: col}, nil
 }
 
 func (p *parser) parseTables() error {
@@ -250,7 +251,11 @@ func (p *parser) parseTables() error {
 		if p.done() {
 			return fmt.Errorf("sqlparse: expected table name")
 		}
-		p.tables = append(p.tables, p.next().text)
+		name := p.next().text
+		if p.db.Table(name) == nil {
+			return fmt.Errorf("sqlparse: unknown table %q", name)
+		}
+		p.tables = append(p.tables, name)
 		// "E-JOIN t2" or "JOIN t2" continues the list.
 		if p.peekKeyword("e-join") || p.peekKeyword("join") {
 			p.next()
@@ -275,24 +280,31 @@ func (p *parser) parsePredicate() (sqlexec.Predicate, error) {
 	return sqlexec.Predicate{Col: col, Value: val.text}, nil
 }
 
-// resolve finds the unique FROM table containing the column.
-func (p *parser) resolve(column string) (sqlexec.ColumnRef, error) {
+// resolve checks a column reference against the FROM tables: a qualified
+// one must name a FROM table and one of its columns, an unqualified one
+// must name a column of exactly one FROM table, which qualifies it.
+func (p *parser) resolve(ref sqlexec.ColumnRef) (sqlexec.ColumnRef, error) {
+	if ref.Table != "" {
+		if !slices.Contains(p.tables, ref.Table) {
+			return ref, fmt.Errorf("sqlparse: table %q of column %s is not in FROM tables %v", ref.Table, ref, p.tables)
+		}
+		if p.db.Table(ref.Table).Column(ref.Column) == nil {
+			return ref, fmt.Errorf("sqlparse: unknown column %s", ref)
+		}
+		return ref, nil
+	}
 	var found []sqlexec.ColumnRef
 	for _, tname := range p.tables {
-		t := p.db.Table(tname)
-		if t == nil {
-			return sqlexec.ColumnRef{}, fmt.Errorf("sqlparse: unknown table %q", tname)
-		}
-		if t.Column(column) != nil {
-			found = append(found, sqlexec.ColumnRef{Table: tname, Column: column})
+		if p.db.Table(tname).Column(ref.Column) != nil {
+			found = append(found, sqlexec.ColumnRef{Table: tname, Column: ref.Column})
 		}
 	}
 	switch len(found) {
 	case 0:
-		return sqlexec.ColumnRef{}, fmt.Errorf("sqlparse: column %q not found in FROM tables %v", column, p.tables)
+		return ref, fmt.Errorf("sqlparse: column %q not found in FROM tables %v", ref.Column, p.tables)
 	case 1:
 		return found[0], nil
 	default:
-		return sqlexec.ColumnRef{}, fmt.Errorf("sqlparse: column %q is ambiguous across %v", column, p.tables)
+		return ref, fmt.Errorf("sqlparse: column %q is ambiguous across %v", ref.Column, p.tables)
 	}
 }

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"aggchecker/internal/sqlexec"
 )
 
-func testDB(t *testing.T) *db.Database {
+func testDB(t testing.TB) *db.Database {
 	t.Helper()
 	tbl, err := db.LoadCSV(strings.NewReader(
 		"games,category,year,fine\nindef,gambling,1983,100\n4,substance abuse,1995,50\n"),
@@ -114,6 +115,15 @@ func TestParseEscapedQuote(t *testing.T) {
 	if q.Preds[0].Value != "i'm self-taught" {
 		t.Errorf("escaped literal = %q", q.Preds[0].Value)
 	}
+	// Query.SQL escapes the quote again, so its text parses back.
+	sql := q.SQL("survey")
+	back, err := Parse(sql, d)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", sql, err)
+	}
+	if back.Key() != q.Key() {
+		t.Errorf("round trip %q != %q", back.Key(), q.Key())
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -128,6 +138,18 @@ func TestParseErrors(t *testing.T) {
 		"SELECT Count(*) FROM nosuchtable WHERE games = 'indef'",
 		"SELECT Count(*) FROM nflsuspensions WHERE games = 'unterminated",
 		"SELECT Count(*) FROM nflsuspensions trailing junk",
+		// Tables and qualified columns are checked against the database
+		// and the FROM list, not left for the engine to guess.
+		"SELECT Count(*) FROM nosuch",
+		"SELECT Count(*) FROM nosuch WHERE nflsuspensions.games = 'indef'",
+		"SELECT Count(*) FROM nflsuspensions E-JOIN nosuch",
+		"SELECT Count(*) FROM nflsuspensions WHERE other.games = 'indef'",
+		"SELECT Count(*) FROM nflsuspensions WHERE nflsuspensions.nope = 'x'",
+		"SELECT Sum(nflsuspensions.nope) FROM nflsuspensions",
+		"SELECT Sum(other.fine) FROM nflsuspensions",
+		"SELECT Sum(nflsuspensions.) FROM nflsuspensions",
+		"SELECT Sum('') FROM nflsuspensions",
+		"SELECT Count(*) FROM nflsuspensions WHERE .games = 'indef'",
 	}
 	for _, input := range bad {
 		if _, err := Parse(input, d); err == nil {
@@ -161,11 +183,33 @@ func TestParsedQueryEvaluates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := sqlexec.NewEngine(d).Evaluate(q)
+	v, err := sqlexec.NewEngine(d).EvaluateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 1 {
 		t.Errorf("evaluated to %v, want 1", v)
 	}
+}
+
+// FuzzParseSQL feeds arbitrary text to Parse over the test table: Parse
+// never panics, and a query it accepts renders (Query.SQL) to text that
+// parses back to the same query. Seeds live under
+// testdata/fuzz/FuzzParseSQL; `make fuzz-smoke` runs the fuzzer.
+func FuzzParseSQL(f *testing.F) {
+	d := testDB(f)
+	f.Fuzz(func(t *testing.T, input string) {
+		q, err := Parse(input, d)
+		if err != nil {
+			return
+		}
+		sql := q.SQL("nflsuspensions")
+		back, err := Parse(sql, d)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %s, but its SQL %q does not parse: %v", input, q.Key(), sql, err)
+		}
+		if back.Key() != q.Key() {
+			t.Fatalf("Parse(%q) = %s, but its SQL %q parses to %s", input, q.Key(), sql, back.Key())
+		}
+	})
 }
