@@ -20,8 +20,8 @@ test:
 # scheduler, and one parsed document checked from two goroutines. The
 # concurrent audits of the composition differential, cached and uncached,
 # assert shared passes that depend on the planning window's 10 ms flush
-# deadline, so they run ten times too (the pattern names all four levels of
-# shards/strategy/driver/workers).
+# deadline, so they run ten times too (the pattern names all four levels
+# of shards=0/strategy/driver/workers).
 flake-guard:
 	$(GO) test -race -count=20 -run 'TestServicePersistentRefreshAndCompaction|TestConcurrentChecksShareDocument' ./internal/core
 	$(GO) test -race -count=20 -run TestRunBatchNestedOnScheduler ./internal/sqlexec
@@ -52,14 +52,22 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # fuzz-smoke runs each native fuzz target for 30 seconds: the HTML-lite and
-# markdown-lite document parsers, which read every HTTP check body, and
-# the SQL parser behind -query and ground-truth files. The seeds under each
+# markdown-lite document parsers, which read every HTTP check body, the SQL
+# parser behind -query and ground-truth files, the CSV and JSON-lines
+# loaders behind -data, -db and file sources, and the column store's
+# manifest, which every -data-dir start reads. The seeds under each
 # package's testdata/fuzz (and any crasher the fuzzer writes there) also
-# run as plain tests in `make test`.
+# run as plain tests in `make test`. The manifest target caps minimizing
+# at 100 executions per input: each execution rewrites a store directory,
+# and the default 60 s minimizing budget would spend the whole run
+# shrinking the first new input instead of fuzzing.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseHTML$$' -fuzztime=30s ./internal/document
 	$(GO) test -run='^$$' -fuzz='^FuzzParseText$$' -fuzztime=30s ./internal/document
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSQL$$' -fuzztime=30s ./internal/sqlparse
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadCSV$$' -fuzztime=30s ./internal/db
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadJSONL$$' -fuzztime=30s ./internal/db
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenManifest$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/colstore
 
 # bench runs the full benchmark suite (Tables 3-6, Figures 8-13).
 bench:

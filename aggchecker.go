@@ -25,9 +25,8 @@
 // hosts many named databases with lazily built checkers behind singleflight
 // and an LRU residency bound. Per-request tuning uses functional options
 // (WithWorkers, WithDeadline, WithTopK) instead of Config
-// mutation; engine settings (Config.Exec) and the shard topology
-// (Config.Shards) are fixed when a checker is built. cmd/aggcheckd serves
-// the same surface over HTTP.
+// mutation; engine settings (Config.Exec) are fixed when a checker is
+// built. cmd/aggcheckd serves the same surface over HTTP.
 //
 // A check runs on one worker pool, a Scheduler: the EM loop's per-claim
 // phases, a batch's cube passes and direct scans, and the zone-aligned

@@ -42,8 +42,6 @@ func main() {
 	demo := flag.Bool("demo", false, "run the embedded NFL example")
 	markup := flag.Bool("markup", false, "print the article with inline verdict markup")
 	scanWorkers := flag.Int("scan-workers", 0, "worker pool width for model phases, passes and scans (0 = GOMAXPROCS, 1 = single-threaded)")
-	shards := flag.Int("shards", 0, "partition fact tables into K shards and evaluate by scatter-gather (0/1 = unsharded)")
-	shardKeys := flag.String("shard-keys", "", "hash-placement columns for sharding: table=column[,table2=column2...]")
 	timeout := flag.Duration("timeout", 0, "abort the check after this long (0 = no limit)")
 	query := flag.String("query", "", "evaluate one Simple Aggregate Query instead of checking a document")
 	claimed := flag.Float64("claimed", 0, "with -query: the claimed value to verify (Definition 1 rounding)")
@@ -62,17 +60,6 @@ func main() {
 	defer sched.Close()
 	cfg := aggchecker.DefaultConfig()
 	cfg.Exec = append(cfg.Exec, aggchecker.ExecScheduler(sched))
-	cfg.Shards = *shards
-	if strings.TrimSpace(*shardKeys) != "" {
-		cfg.ShardKeys = map[string]string{}
-		for _, pair := range strings.Split(*shardKeys, ",") {
-			table, col, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok || table == "" || col == "" {
-				fatal(fmt.Errorf("bad -shard-keys entry %q (want table=column)", pair))
-			}
-			cfg.ShardKeys[table] = col
-		}
-	}
 
 	var checkOpts []aggchecker.CheckOption
 	if *timeout > 0 {

@@ -36,14 +36,6 @@
 // version straight from the store — bit-for-bit identical reports — with
 // no source re-parse. -compact-after N reseals a database's blocks in the
 // background once N accumulate, re-chunking zone maps adaptively.
-//
-// -shards K partitions every hosted database's fact tables into K shards
-// (hash-placed by -shard-keys, round-robin otherwise) and answers candidate
-// queries by scatter-gather over in-process shard workers; refreshes route
-// appended rows into the partitions automatically. The daemon also serves
-// the shard worker protocol (POST /v1/shard/databases/{name}/cube and
-// /scan), so a coordinator on another machine can use this instance's
-// databases as remote shards via consistent-hash placement.
 package main
 
 import (
@@ -77,8 +69,6 @@ func main() {
 	maxResident := flag.Int("max-resident", 8, "max resident database catalogs, LRU-evicted (0 = unlimited)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown window after SIGINT/SIGTERM")
 	watch := flag.Duration("watch", 0, "poll interval for -db CSV files; on mtime/size change the database is refreshed (0 = off)")
-	shards := flag.Int("shards", 0, "partition each database's fact tables into K shards and evaluate by scatter-gather (0/1 = unsharded)")
-	shardKeys := flag.String("shard-keys", "", "hash-placement columns for sharding: table=column[,table2=column2...] (unlisted tables are round-robin)")
 	dataDir := flag.String("data-dir", "", "back each hosted database with a persistent columnar block store under DIR/<name>; on restart the last durably published version is restored without re-parsing sources")
 	compactAfter := flag.Int("compact-after", 0, "reseal a persistent database's blocks in the background once it accumulates this many (0 = never compact)")
 	var dbFlags multiFlag
@@ -91,11 +81,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.DataDir = *dataDir
 	cfg.CompactAfter = *compactAfter
-	var err error
-	if cfg.ShardKeys, err = parseShardKeys(*shardKeys); err != nil {
-		logger.Fatal(err)
-	}
-	cfg.Shards = *shards
 
 	// One scheduler for the whole process: every database's model phases,
 	// batches, cube passes, direct scans and morsels share this pool, so
@@ -152,16 +137,21 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	// The listening line goes to stdout so scripts (make serve-smoke) can
-	// discover the bound port when -addr ends in :0.
-	fmt.Printf("aggcheckd: listening on %s (%d databases)\n", ln.Addr(), registered)
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *watch > 0 && len(watched) > 0 {
-		go watchSources(ctx, svc, logger, *watch, watched)
+		// The watcher stats its files before the daemon announces itself:
+		// a file changed right after the listening line must differ from
+		// the baseline, not become it.
+		ready := make(chan struct{})
+		go watchSources(ctx, svc, logger, *watch, watched, ready)
+		<-ready
 	}
+
+	// The listening line goes to stdout so scripts (make serve-smoke) can
+	// discover the bound port when -addr ends in :0.
+	fmt.Printf("aggcheckd: listening on %s (%d databases)\n", ln.Addr(), registered)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.Serve(ln) }()
@@ -186,23 +176,6 @@ func main() {
 	logger.Printf("bye")
 }
 
-// parseShardKeys parses "table=column[,table2=column2...]" into the
-// shard-key mapping; empty input means round-robin everywhere.
-func parseShardKeys(spec string) (map[string]string, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	keys := make(map[string]string)
-	for _, pair := range strings.Split(spec, ",") {
-		table, col, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || table == "" || col == "" {
-			return nil, fmt.Errorf("bad -shard-keys entry %q (want table=column)", pair)
-		}
-		keys[table] = col
-	}
-	return keys, nil
-}
-
 // multiFlag collects repeated -db flags.
 type multiFlag []string
 
@@ -213,7 +186,8 @@ func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 // for a database whenever any of its files changes mtime or size. Refresh
 // is cheap when nothing is resident, and for resident databases it appends
 // the new rows as fresh blocks the engine delta-scans on the next check.
-func watchSources(ctx context.Context, svc *core.Service, logger *log.Logger, every time.Duration, watched map[string][]string) {
+// It closes ready once every file's baseline mtime and size are recorded.
+func watchSources(ctx context.Context, svc *core.Service, logger *log.Logger, every time.Duration, watched map[string][]string, ready chan<- struct{}) {
 	type stamp struct {
 		mtime time.Time
 		size  int64
@@ -233,6 +207,7 @@ func watchSources(ctx context.Context, svc *core.Service, logger *log.Logger, ev
 			}
 		}
 	}
+	close(ready)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {

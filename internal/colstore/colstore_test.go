@@ -13,7 +13,7 @@ import (
 // buildDB returns a two-table database (fact + dimension, FK-joined) with
 // a string column containing NULLs and repeats and an integral float
 // column, committed once.
-func buildDB(t *testing.T, rows int) *db.Database {
+func buildDB(t testing.TB, rows int) *db.Database {
 	t.Helper()
 	d := db.NewDatabase("store_test")
 	dim := db.MustNewTable("dim", db.NewStringColumn("name"))
@@ -33,7 +33,7 @@ func buildDB(t *testing.T, rows int) *db.Database {
 	return d
 }
 
-func appendFactRows(t *testing.T, d *db.Database, from, n int) {
+func appendFactRows(t testing.TB, d *db.Database, from, n int) {
 	t.Helper()
 	cats := []string{"a", "b", "c", "d"}
 	for i := from; i < from+n; i++ {

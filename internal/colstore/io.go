@@ -70,8 +70,13 @@ func appendDictEntries(f *os.File, off int64, entries []string) (int64, error) {
 }
 
 // readDictEntries decodes exactly n entries from the first size bytes of
-// the dictionary page file.
+// the dictionary page file. Every entry takes at least its one-byte length
+// prefix, so a count above size is corrupt and rejected before anything is
+// sized from it.
 func readDictEntries(f *os.File, size int64, n int) ([]string, error) {
+	if n < 0 || int64(n) > size {
+		return nil, fmt.Errorf("dictionary of %d bytes cannot hold %d entries", size, n)
+	}
 	if n == 0 {
 		return nil, nil
 	}

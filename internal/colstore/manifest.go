@@ -222,6 +222,9 @@ func applyRecord(dir string, f *foldDB, rec *manifestRecord, sizes map[string]in
 			ft := &foldTable{name: tr.Name, pk: tr.PK, zoneRows: tr.ZoneRows, rows: tr.Rows, blocks: tr.Blocks}
 			for ci := range tr.Cols {
 				cr := &tr.Cols[ci]
+				if !countsValid(cr, tr.Rows) {
+					return f, false
+				}
 				fc := foldCol{
 					name:      cr.ColName,
 					desc:      cr.Desc,
@@ -282,6 +285,9 @@ func applyRecord(dir string, f *foldDB, rec *manifestRecord, sizes map[string]in
 			for ci := range tr.Cols {
 				cr := &tr.Cols[ci]
 				fc := &ft.cols[ci]
+				if !countsValid(cr, tr.Rows) {
+					return f, false
+				}
 				dictN, dictBytes := fc.dictN, fc.dictBytes
 				if fc.kind == db.KindString {
 					if cr.Dict < dictN || cr.DictBytes < dictBytes {
@@ -313,6 +319,13 @@ func applyRecord(dir string, f *foldDB, rec *manifestRecord, sizes map[string]in
 		return f, true
 	}
 	return f, false
+}
+
+// countsValid rejects a column record whose dictionary counts are negative
+// or name more entries than bytes (every entry takes at least its one-byte
+// length prefix), or whose NULL count falls outside [0, rows].
+func countsValid(cr *colRecord, rows int) bool {
+	return cr.Dict >= 0 && int64(cr.Dict) <= cr.DictBytes && cr.Nulls >= 0 && cr.Nulls <= rows
 }
 
 // columnCovered reports whether the column files on disk hold at least the

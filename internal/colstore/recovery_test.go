@@ -2,6 +2,8 @@ package colstore_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +13,7 @@ import (
 
 // commitVersions builds a store with three published versions and returns
 // them oldest-first along with the store dir.
-func commitVersions(t *testing.T) (string, []uint64) {
+func commitVersions(t testing.TB) (string, []uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	d := buildDB(t, 5000)
@@ -144,5 +146,63 @@ func TestRecoveryFirstRecordTorn(t *testing.T) {
 	defer st.Close()
 	if pdb != nil {
 		t.Fatal("store with no complete record must reopen empty")
+	}
+}
+
+// TestOpenRejectsCorruptCounts corrupts the entry, byte and NULL counts a
+// reset record states for a string column. Open must reject the record —
+// the store reopens empty, as after a torn first record — rather than panic
+// sizing the dictionary from a negative or absurd entry count.
+func TestOpenRejectsCorruptCounts(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		value float64
+	}{
+		{"dict", -1},
+		{"dict", 1e14},
+		{"dictb", -1},
+		{"nulls", -1},
+	} {
+		t.Run(fmt.Sprintf("%s=%g", tc.field, tc.value), func(t *testing.T) {
+			dir := t.TempDir()
+			d := buildDB(t, 100)
+			st, _, err := colstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SetPersister(st); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			mpath := filepath.Join(dir, "MANIFEST")
+			raw, err := os.ReadFile(mpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec map[string]any
+			if err := json.Unmarshal(bytes.TrimSpace(raw), &rec); err != nil {
+				t.Fatalf("want one reset record: %v", err)
+			}
+			// tables[1] is fact; its column 0 is the string column cat.
+			col := rec["tables"].([]any)[1].(map[string]any)["cols"].([]any)[0].(map[string]any)
+			col[tc.field] = tc.value
+			out, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(mpath, append(out, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st, pdb, err := colstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if pdb != nil {
+				t.Fatalf("corrupt record restored at version %d", pdb.Version)
+			}
+		})
 	}
 }

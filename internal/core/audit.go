@@ -60,24 +60,21 @@ type CacheStats struct {
 	AdmitRejects int64 `json:"admit_rejects"`
 }
 
-// cacheStats snapshots the cube-cache economics of the engines that hold
-// the checker's cubes: the front engine plus, on a sharded checker, every
-// in-process partition engine, summed. Remote partitions (ShardEndpoints)
-// cache in their peers, so there only the front engine is counted. Budget
-// is the per-engine bound.
+// cacheStats snapshots the cube-cache economics of the checker's engine.
 func (c *Checker) cacheStats() *CacheStats {
-	cs := &CacheStats{Budget: c.Engine.CubeCacheBudget()}
-	for _, e := range append([]*sqlexec.Engine{c.Engine}, c.partitions...) {
-		entries, bytes := e.CacheUsage()
-		cs.Entries += entries
-		cs.Bytes += bytes
-		cs.Hits += e.Stats.CacheHits.Load()
-		cs.Misses += e.Stats.CacheMisses.Load()
-		cs.NsSaved += e.Stats.CubeCacheNsSaved.Load()
-		cs.BytesSaved += e.Stats.CubeCacheBytesSaved.Load()
-		cs.Evictions += e.Stats.CubeCacheEvictions.Load()
-		cs.EvictedBytes += e.Stats.CubeCacheEvictedBytes.Load()
-		cs.AdmitRejects += e.Stats.CubeCacheAdmitRejects.Load()
+	e := c.Engine
+	entries, bytes := e.CacheUsage()
+	cs := &CacheStats{
+		Entries:      entries,
+		Bytes:        bytes,
+		Budget:       e.CubeCacheBudget(),
+		Hits:         e.Stats.CacheHits.Load(),
+		Misses:       e.Stats.CacheMisses.Load(),
+		NsSaved:      e.Stats.CubeCacheNsSaved.Load(),
+		BytesSaved:   e.Stats.CubeCacheBytesSaved.Load(),
+		Evictions:    e.Stats.CubeCacheEvictions.Load(),
+		EvictedBytes: e.Stats.CubeCacheEvictedBytes.Load(),
+		AdmitRejects: e.Stats.CubeCacheAdmitRejects.Load(),
 	}
 	if tot := cs.Hits + cs.Misses; tot > 0 {
 		cs.HitRate = float64(cs.Hits) / float64(tot)
@@ -101,11 +98,9 @@ type AuditReport struct {
 	// window_batches, window_flushes, shared_passes, and the cube-cache
 	// economics counters accumulated by the run.
 	Stats map[string]int64
-	// Cache is the cube-cache state after the audit, summed over the
-	// partition engines on a sharded checker (see Checker.cacheStats).
+	// Cache is the cube-cache state after the audit.
 	Cache *CacheStats
-	// cacheHits and cacheMisses count the run's cube-cache lookups over the
-	// same engines as Cache.
+	// cacheHits and cacheMisses count the run's cube-cache lookups.
 	cacheHits, cacheMisses int64
 }
 
@@ -114,8 +109,7 @@ type AuditReport struct {
 func (r *AuditReport) SharedPasses() int64 { return r.Stats["shared_passes"] }
 
 // CacheHitRate returns the run's cube-cache hit rate (cross-document reuse
-// included) over every engine that holds the checker's cubes, or 0 when the
-// run performed no cube lookups.
+// included), or 0 when the run performed no cube lookups.
 func (r *AuditReport) CacheHitRate() float64 {
 	h, m := r.cacheHits, r.cacheMisses
 	if h+m == 0 {
@@ -162,8 +156,7 @@ func WithAuditCheckOptions(opts ...CheckOption) AuditOption {
 // Audit checks a corpus of documents against the checker's database with
 // cross-document shared-pass planning: documents are checked concurrently,
 // their per-iteration claim batches pooled into one planning window and
-// merged into shared cube passes over the checker's cached engine — or,
-// on a sharded checker, into shared fan-outs over its partition engines.
+// merged into shared cube passes over the checker's cached engine.
 // Verdicts are bit-for-bit identical to checking each document alone.
 // Cancellation stops feeding new documents and aborts in-flight checks;
 // the report covers whatever completed, and ctx.Err() is returned
@@ -187,7 +180,7 @@ func (c *Checker) Audit(ctx context.Context, docs []AuditDoc, opts ...AuditOptio
 	before, cacheBefore := c.Engine.Stats.Snapshot(), c.cacheStats()
 	rep := &AuditReport{Docs: make([]DocReport, len(docs))}
 
-	win := sqlexec.NewWindow(c.runner(), &c.Engine.Stats)
+	win := sqlexec.NewWindow(c.Engine, &c.Engine.Stats)
 	checkOpts := append([]CheckOption{withWindow(win)}, set.checkOpts...)
 
 	var progressMu sync.Mutex

@@ -17,7 +17,6 @@ import (
 	"aggchecker/internal/fragments"
 	"aggchecker/internal/keywords"
 	"aggchecker/internal/model"
-	"aggchecker/internal/shard"
 	"aggchecker/internal/sqlexec"
 )
 
@@ -30,31 +29,12 @@ type Config struct {
 	// run at once on the engine's scheduler; ≤ 0 leaves the pool width as
 	// the only bound.
 	Workers int
-	// Exec configures every engine this config builds — the checker's
-	// engine and its in-process partition engines: caching, zone maps,
-	// kernel selection, cache budget, and the scheduler — installed by
+	// Exec configures the checker's engine: caching, zone maps, kernel
+	// selection, cache budget, and the scheduler — installed by
 	// core.WithScheduler at the service layer, the process-wide default
 	// pool otherwise. An engine's settings are fixed when it is built. See
 	// sqlexec's ExecOption.
 	Exec []sqlexec.ExecOption
-	// Shards > 1 partitions the database's fact tables into that many
-	// independent snapshot-versioned partitions at checker build time and
-	// answers every candidate query by scatter-gather over per-shard
-	// workers (package shard). Results are identical to unsharded
-	// execution; 0 or 1 runs unsharded.
-	Shards int
-	// ShardKeys maps fact-table name to the column rows are hash-placed by
-	// (co-locating equal keys on one shard). Tables without an entry fall
-	// back to round-robin placement; dimension tables are replicated.
-	ShardKeys map[string]string
-	// ShardEndpoints switches shard workers from in-process engines to
-	// remote peers speaking the shard HTTP protocol (aggcheckd's
-	// /v1/shard/databases/{name}/cube and /scan): each partition is placed
-	// on an endpoint by consistent hashing and served under the partition
-	// database's name. Remote workers pin their own partition snapshots per
-	// request, so cross-shard version consistency is per-fan-out rather
-	// than per-check. Empty runs shards in process.
-	ShardEndpoints []string
 	// DataDir, when non-empty, backs each service-hosted database with a
 	// persistent columnar block store under DataDir/<name>: every Commit is
 	// made durable, and a restart reopens the store at the last published
@@ -87,15 +67,6 @@ type Checker struct {
 	Engine  *sqlexec.Engine
 	Config  Config
 
-	// shards and coord are set when Config.Shards > 1: the hash-partitioned
-	// storage and the coordinator whose partition engines keep their cube
-	// caches across documents.
-	shards *db.Sharder
-	coord  *shard.Coordinator
-	// partitions are coord's in-process partition engines, which hold a
-	// sharded checker's cubes (nil unsharded or with ShardEndpoints).
-	partitions []*sqlexec.Engine
-
 	// store is the persistent block store behind DB when Config.DataDir is
 	// set (service-built checkers only); compacting serializes background
 	// compactions.
@@ -107,51 +78,15 @@ type Checker struct {
 }
 
 // NewChecker builds the fragment catalog and indexes for the database
-// (the per-dataset preprocessing of §4.2). With cfg.Shards > 1 it also
-// partitions the fact tables and stands up the shard coordinator.
+// (the per-dataset preprocessing of §4.2).
 func NewChecker(d *db.Database, cfg Config) *Checker {
-	c := &Checker{
+	return &Checker{
 		DB:      d,
 		Catalog: fragments.BuildCatalog(d, cfg.Fragments),
 		Engine:  sqlexec.NewEngine(d, cfg.Exec...),
 		Config:  cfg,
 	}
-	if cfg.Shards > 1 {
-		if sh, err := db.NewSharder(d, cfg.Shards, db.ShardOptions{Keys: cfg.ShardKeys}); err == nil {
-			c.shards = sh
-			var workers []shard.Worker
-			workers, c.partitions = c.buildShardWorkers()
-			c.coord = shard.NewCoordinator(workers, c.Engine)
-		}
-	}
-	return c
 }
-
-// buildShardWorkers wraps each partition in a worker: an in-process engine
-// built with the config's Exec options (so partitions share the front
-// engine's scheduler), returned in engines too, or — with ShardEndpoints —
-// an HTTP client against the consistent-hash-placed peer serving the
-// partition's database. Remote workers manage their own caching, so the
-// Exec options only apply in process.
-func (c *Checker) buildShardWorkers() (workers []shard.Worker, engines []*sqlexec.Engine) {
-	if len(c.Config.ShardEndpoints) > 0 {
-		ring := shard.NewRing(c.Config.ShardEndpoints)
-		for i, p := range c.shards.Partitions() {
-			workers = append(workers, &shard.Client{Base: ring.NodeForShard(i), Database: p.Name})
-		}
-		return workers, nil
-	}
-	for _, p := range c.shards.Partitions() {
-		e := sqlexec.NewEngine(p, c.Config.Exec...)
-		workers = append(workers, &shard.LocalWorker{Engine: e})
-		engines = append(engines, e)
-	}
-	return workers, engines
-}
-
-// Sharder exposes the checker's partitioned storage, or nil when the
-// checker runs unsharded.
-func (c *Checker) Sharder() *db.Sharder { return c.shards }
 
 // Store exposes the checker's persistent block store, or nil when the
 // checker runs memory-only.
@@ -194,16 +129,6 @@ func (c *Checker) detachStore() {
 	if c.store != nil {
 		c.store.Detach()
 	}
-}
-
-// AbsorbShards routes rows committed to the source database since the last
-// absorption into the partitions (sealing per-shard delta blocks), and
-// reports how many rows moved. It is a no-op returning 0 when unsharded.
-func (c *Checker) AbsorbShards() (int, error) {
-	if c.shards == nil {
-		return 0, nil
-	}
-	return c.shards.Absorb()
 }
 
 // Report is the outcome of checking one document.
@@ -262,12 +187,10 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 		scores[i] = keywords.Match(c.Catalog, claim, set.cfg.Context, set.cfg.Model.TopKHits)
 	}
 
-	// The checker's engine answers every batch, through the shard
-	// coordinator on a sharded checker (runner) and, inside an Audit,
-	// through the planning window that wraps that runner.
+	// The checker's engine answers every batch, inside an Audit through
+	// the planning window that wraps it.
 	ev := evaluate.NewCubeEvaluator(c.Engine)
 	ev.Workers = set.cfg.Workers
-	ev.Runner = c.runner()
 	if w := set.window; w != nil {
 		// Everyone registered must eventually park a batch or leave, or the
 		// other documents wait out the flush deadline every EM iteration.
@@ -277,16 +200,8 @@ func (c *Checker) check(ctx context.Context, doc *document.Document, set checkSe
 	}
 	// Pin one storage snapshot for the whole request: every cube pass and
 	// direct scan of this check observes a single version, so a Refresh
-	// committing mid-check cannot mix row sets between EM iterations. A
-	// sharded checker additionally pins every partition snapshot, so shard
-	// workers stay version-consistent across the fan-outs of one check even
-	// while AbsorbShards commits partition deltas concurrently.
+	// committing mid-check cannot mix row sets between EM iterations.
 	ctx = sqlexec.WithSnapshot(ctx, c.Engine.DB.Snapshot())
-	if c.shards != nil {
-		for _, p := range c.shards.Partitions() {
-			ctx = sqlexec.WithSnapshot(ctx, p.Snapshot())
-		}
-	}
 	// Diff the engine counters around the run so Report.Stats is
 	// per-document although the checker-lifetime engine is shared across
 	// calls. Snapshot reads are atomic loads, so taking one while other
@@ -318,15 +233,6 @@ func diffStats(before, after map[string]int64) map[string]int64 {
 		out[k] = v - before[k]
 	}
 	return out
-}
-
-// runner is the topology axis over the checker-lifetime engine: the engine
-// itself, or the coordinator that fans its passes out to the partitions.
-func (c *Checker) runner() evaluate.BatchRunner {
-	if c.coord != nil {
-		return c.coord
-	}
-	return c.Engine
 }
 
 // GroundTruth is the hand-built translation of one claim: the matching

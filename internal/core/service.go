@@ -95,15 +95,11 @@ type Status struct {
 	// not resident), so watch-mode operators can see how effectively zone
 	// maps prune re-checks per database.
 	Scan *ScanStats `json:"scan,omitempty"`
-	// Shard reports sharded-execution state (nil when the database runs
-	// unsharded or is not resident).
-	Shard *ShardStatus `json:"shard,omitempty"`
 	// Store reports the persistent block store backing the database (nil
 	// when memory-only or not resident).
 	Store *StoreStatus `json:"store,omitempty"`
 	// Cache reports the cube cache's residency and cost-aware economics
-	// (nil when not resident), summed over the partition engines of a
-	// sharded database. Populated in and outside audit mode alike.
+	// (nil when not resident). Populated in and outside audit mode alike.
 	Cache *CacheStats `json:"cache,omitempty"`
 }
 
@@ -130,24 +126,6 @@ type StoreStatus struct {
 	// never touched.
 	MappedBytes   int64 `json:"mapped_bytes"`
 	ResidentBytes int64 `json:"resident_bytes"`
-}
-
-// ShardStatus is the sharded-execution slice of a resident checker's state:
-// the partition topology plus the coordinator counters accumulated over the
-// checker's lifetime.
-type ShardStatus struct {
-	// Shards is the partition count K.
-	Shards int `json:"shards"`
-	// Rows holds each partition's visible row total, in shard order.
-	Rows []int `json:"rows,omitempty"`
-	// Fanouts counts scatter-gather passes (cube or scan); Partials the
-	// per-shard partial results collected; Stragglers the workers whose
-	// response lagged far behind a fan-out's median.
-	Fanouts    int64 `json:"fanouts"`
-	Partials   int64 `json:"partials"`
-	Stragglers int64 `json:"stragglers"`
-	// MergeNanos is the cumulative time spent folding partials.
-	MergeNanos int64 `json:"merge_ns"`
 }
 
 // ScanStats is the zone-map/scan-pipeline slice of the engine counters,
@@ -205,16 +183,6 @@ func statusOf(name string, ck *Checker) Status {
 	}
 	st.Scan = scan
 	st.Cache = ck.cacheStats()
-	if sh := ck.Sharder(); sh != nil {
-		st.Shard = &ShardStatus{
-			Shards:     sh.NumShards(),
-			Rows:       sh.Rows(),
-			Fanouts:    s["shard_fanouts"],
-			Partials:   s["shard_partials"],
-			Stragglers: s["shard_stragglers"],
-			MergeNanos: s["shard_merge_ns"],
-		}
-	}
 	if store := ck.Store(); store != nil {
 		ss := store.Stats()
 		st.Store = &StoreStatus{
@@ -585,14 +553,6 @@ func (s *Service) refresh(ctx context.Context, src *source, ck *Checker) (Status
 		return statusOf(src.name, ck), err
 	}
 	if appended > 0 {
-		// Sharded checkers route the freshly committed rows into their
-		// partitions first (each sealing per-shard delta blocks), so the
-		// next check's fan-out sees the refreshed data. An absorb failure
-		// is a state conflict like a refresh failure: evict and rebuild.
-		if _, err := ck.AbsorbShards(); err != nil {
-			s.evictChecker(src, ck)
-			return Status{Name: src.name}, err
-		}
 		// The engine keeps its snapshot-versioned caches (appends are
 		// absorbed by delta scans); only the keyword catalog, which indexes
 		// column values, needs maintenance so freshly appended literals
@@ -601,14 +561,11 @@ func (s *Service) refresh(ctx context.Context, src *source, ck *Checker) (Status
 		// and Engine, so readers mid-check on the old struct stay consistent.
 		cat, _ := ck.Catalog.Extend()
 		fresh := &Checker{
-			DB:         ck.DB,
-			Catalog:    cat,
-			Engine:     ck.Engine,
-			Config:     ck.Config,
-			shards:     ck.shards,
-			coord:      ck.coord,
-			partitions: ck.partitions,
-			store:      ck.store,
+			DB:      ck.DB,
+			Catalog: cat,
+			Engine:  ck.Engine,
+			Config:  ck.Config,
+			store:   ck.store,
 
 			compactDone: ck.compactDone,
 		}

@@ -1,9 +1,9 @@
 // Package evaluate adapts §6 of the paper — massive-scale evaluation of
 // candidate queries — to the EM loop. There is one batch loop,
-// sqlexec.RunBatch (deduplicate, plan into merged cube passes, run them on
-// the engine's scheduler, answer each query from its cell, fall back to a
-// scan), and every way of executing a document is a point in the product
-// of three independent axes that nest around it:
+// sqlexec.Engine.EvaluateBatch (deduplicate, plan into merged cube passes,
+// run them on the engine's scheduler, answer each query from its cell,
+// fall back to a scan), and every way of executing a document is a point
+// in the product of two independent axes that nest around it:
 //
 //   - strategy, the rows of Table 6: cached plans cube passes with
 //     InOrDefault literal coding over an engine whose cube cache carries
@@ -12,9 +12,7 @@
 //     caching off (core.Config.Exec); naive plans every candidate as its
 //     own scan (NewNaiveEvaluator), the reference that only Table 6 and
 //     its tests build;
-//   - topology: the Runner is a local *sqlexec.Engine, or a
-//     *shard.Coordinator that fans each pass and scan out to partitions;
-//   - pooling: a *sqlexec.Window wrapped around either runner merges the
+//   - pooling: a *sqlexec.Window wrapped around the engine merges the
 //     batches of concurrently-checked documents into shared passes.
 //
 // CubeEvaluator adds the one piece of per-document policy — the literal
@@ -41,9 +39,8 @@ type CubeEvaluator struct {
 	// the engine's scheduler; ≤ 0 leaves the pool width as the only bound.
 	Workers int
 	// Runner, when non-nil, executes the batches instead of the engine
-	// directly: a shard.Coordinator scatter-gathers them over partitions, a
-	// sqlexec.Window pools them with batches from other documents being
-	// checked concurrently (corpus audits).
+	// directly: a sqlexec.Window pools them with batches from other
+	// documents being checked concurrently (corpus audits).
 	Runner BatchRunner
 
 	naive bool
@@ -51,7 +48,7 @@ type CubeEvaluator struct {
 }
 
 // BatchRunner executes one document's claim batches; see
-// sqlexec.BatchRunner for the implementations.
+// sqlexec.BatchRunner.
 type BatchRunner = sqlexec.BatchRunner
 
 // NewCubeEvaluator returns a merging evaluator over the engine.
@@ -84,7 +81,7 @@ func (c *CubeEvaluator) Parallel(ctx context.Context, n int, fn func(i int)) {
 
 // EvaluateBatch answers every query of the batch positionally, NaN marking
 // undefined results. Cancellation is honored between and inside cube
-// passes; see sqlexec.RunBatch.
+// passes; see sqlexec.Engine.EvaluateBatch.
 func (c *CubeEvaluator) EvaluateBatch(ctx context.Context, queries []sqlexec.Query) []float64 {
 	opts := sqlexec.BatchOptions{Pool: c.pool.For(queries), Workers: c.Workers, Naive: c.naive}
 	if c.Runner != nil {

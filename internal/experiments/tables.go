@@ -302,10 +302,10 @@ func PrintTable5(w io.Writer, context, modelRows, hits []AccuracyRow, fm1, fm2, 
 // time ratio compresses (EXPERIMENTS.md discusses this).
 func PrintTable6(w io.Writer, rows []Table6Row) {
 	fmt.Fprintf(w, "Table 6: Run time for all test cases.\n")
-	fmt.Fprintf(w, "%-18s %10s %10s %10s %14s %10s %12s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %9s %8s\n",
+	fmt.Fprintf(w, "%-18s %10s %10s %10s %14s %10s %12s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
 		"Version", "Total", "Query", "Speedup", "RowsScanned", "RowSpdup", "#Queries",
 		"Cubes", "CacheHit", "HitRate", "SavedMs", "SavedMB", "Dedup", "LockWait", "Blocks", "Pruned", "Gather%", "Partial", "DirScan", "SelReuse",
-		"Morsels", "QWait", "Steal", "Fanout", "MergeMs", "Straggl")
+		"Morsels", "QWait", "Steal")
 	var prevQuery time.Duration
 	var prevRows int64
 	for i, r := range rows {
@@ -337,11 +337,6 @@ func PrintTable6(w io.Writer, rows []Table6Row) {
 		// scans past the parallel threshold), submissions that found no
 		// idle worker, and tasks helper workers stole from the submitters'
 		// queues.
-		//
-		// Fanout/MergeMs/Straggl profile sharded scatter-gather: fan-outs
-		// issued to shard workers, cumulative partial-merge time, and
-		// workers lagging far behind a fan-out's median. All zero when the
-		// checker runs unsharded (Config.Shards <= 1).
 		gatherPct := "-"
 		if tot := r.Stats["direct_block_reads"] + r.Stats["gather_block_reads"]; tot > 0 {
 			gatherPct = fmt.Sprintf("%.0f%%", 100*float64(r.Stats["gather_block_reads"])/float64(tot))
@@ -355,15 +350,14 @@ func PrintTable6(w io.Writer, rows []Table6Row) {
 		if tot := r.Stats["cache_hits"] + r.Stats["cache_misses"]; tot > 0 {
 			hitRate = fmt.Sprintf("%.0f%%", 100*float64(r.Stats["cache_hits"])/float64(tot))
 		}
-		fmt.Fprintf(w, "%-18s %9.1fs %9.1fs %10s %14d %10s %12d %8d %8d %8s %8.0f %8.1f %8d %8d %8d %8d %8s %8d %8d %8d %8d %8d %8d %8d %9.1f %8d\n",
+		fmt.Fprintf(w, "%-18s %9.1fs %9.1fs %10s %14d %10s %12d %8d %8d %8s %8.0f %8.1f %8d %8d %8d %8d %8s %8d %8d %8d %8d %8d %8d\n",
 			r.Name, r.Total.Seconds(), r.Query.Seconds(), speed, r.Rows, rspeed, r.Evaluated,
 			r.Stats["cube_passes"], r.Stats["cache_hits"], hitRate,
 			float64(r.Stats["cube_cache_ns_saved"])/1e6, float64(r.Stats["cube_cache_bytes_saved"])/(1<<20),
 			r.Stats["cube_dedups"]+r.Stats["view_dedups"], r.Stats["lock_waits"],
 			r.Stats["blocks_scanned"], r.Stats["blocks_pruned"], gatherPct, r.Stats["partials_merged"],
 			r.Stats["direct_vector_scans"], r.Stats["selvec_reuses"],
-			r.Stats["morsels_dispatched"], r.Stats["queue_waits"], r.Stats["steal_count"],
-			r.Stats["shard_fanouts"], float64(r.Stats["shard_merge_ns"])/1e6, r.Stats["shard_stragglers"])
+			r.Stats["morsels_dispatched"], r.Stats["queue_waits"], r.Stats["steal_count"])
 		prevQuery, prevRows = r.Query, r.Rows
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"aggchecker/internal/core"
 	"aggchecker/internal/document"
-	"aggchecker/internal/sqlexec"
 )
 
 // Options tunes the HTTP front end.
@@ -77,8 +76,6 @@ func New(svc *core.Service, opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/databases/{name}/check", s.handleCheck)
 	s.mux.HandleFunc("POST /v1/databases/{name}/check/stream", s.handleStream)
 	s.mux.HandleFunc("POST /v1/databases/{name}/audit", s.handleAudit)
-	s.mux.HandleFunc("POST /v1/shard/databases/{name}/cube", s.handleShardCube)
-	s.mux.HandleFunc("POST /v1/shard/databases/{name}/scan", s.handleShardScan)
 	return s
 }
 
@@ -307,47 +304,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-}
-
-// handleShardCube serves one shard worker request (shard.Client's remote
-// side): the cube pass runs on the named database's engine and the partial
-// comes back in canonical wire form. A coordinator points shard.Clients at
-// peers that registered each partition as an ordinary database.
-func (s *Server) handleShardCube(w http.ResponseWriter, r *http.Request) {
-	var req sqlexec.CubeRequest
-	s.serveShard(w, r, func(ctx context.Context, ck *core.Checker) (any, error) {
-		return ck.Engine.CubePartialFor(ctx, req)
-	}, &req)
-}
-
-// handleShardScan serves one direct-scan shard request; see handleShardCube.
-func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
-	var req sqlexec.ScanRequest
-	s.serveShard(w, r, func(ctx context.Context, ck *core.Checker) (any, error) {
-		return ck.Engine.ScanPartialContext(ctx, req.Query)
-	}, &req)
-}
-
-// serveShard decodes a shard request into dst, resolves the named
-// database's checker, and runs the pass.
-func (s *Server) serveShard(w http.ResponseWriter, r *http.Request, run func(context.Context, *core.Checker) (any, error), dst any) {
-	name := r.PathValue("name")
-	body := io.LimitReader(r.Body, s.opts.MaxBodyBytes+1)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, "bad shard request: %v", err)
-		return
-	}
-	ck, err := s.svc.Checker(r.Context(), name)
-	if err != nil {
-		s.writeCheckError(w, name, err)
-		return
-	}
-	out, err := run(r.Context(), ck)
-	if err != nil {
-		s.writeCheckError(w, name, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // writeCheckError maps service/pipeline errors to HTTP statuses.

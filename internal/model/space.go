@@ -60,7 +60,8 @@ type poolLit struct {
 // sumScores adds a score map's values in sorted-key order. Plain map
 // iteration would sum floats in a run-dependent order and leak ULP-level
 // nondeterminism into every normalized weight downstream — which breaks
-// the bit-for-bit sharded-vs-unsharded report differential.
+// the bit-for-bit verdict pin and the audit-vs-isolated report
+// differential.
 func sumScores(m map[int]float64) float64 {
 	keys := make([]int, 0, len(m))
 	for k := range m {

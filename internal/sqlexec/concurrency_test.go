@@ -108,7 +108,7 @@ func TestCubeForSingleflight(t *testing.T) {
 // TestConcurrentOverlappingBatchesMatchSerial hammers one shared engine
 // with overlapping batches from many goroutines and requires results
 // identical to serial evaluation on an untouched engine. Run under -race
-// this also proves the sharded caches and copy-on-write extension are safe.
+// this also proves the striped caches and copy-on-write extension are safe.
 func TestConcurrentOverlappingBatchesMatchSerial(t *testing.T) {
 	d := stressDB(t, 2000)
 	shared := NewEngine(d)

@@ -41,8 +41,8 @@ type Stats struct {
 	CubeDedups atomic.Int64
 	ViewDedups atomic.Int64
 
-	// LockWaits counts lock acquisitions (shard or per-cube) that could not
-	// proceed immediately — a direct measure of cache contention.
+	// LockWaits counts lock acquisitions (cache stripe or per-cube) that
+	// could not proceed immediately — a direct measure of cache contention.
 	LockWaits atomic.Int64
 
 	// Vectorized-kernel counters. BlocksScanned counts kernel blocks
@@ -89,18 +89,6 @@ type Stats struct {
 	MorselsDispatched atomic.Int64
 	QueueWaits        atomic.Int64
 	StealCount        atomic.Int64
-
-	// Shard-coordinator counters, updated by the shard coordinator through
-	// the front engine's Stats (the engine itself never touches them).
-	// ShardFanouts counts batches fanned out to shard workers; ShardPartials
-	// the per-shard partials merged back; ShardMergeNanos the wall time
-	// spent merging partials (the scatter-gather overhead the bench bounds);
-	// ShardStragglers the workers whose response lagged far behind the
-	// fan-out's median.
-	ShardFanouts    atomic.Int64
-	ShardPartials   atomic.Int64
-	ShardMergeNanos atomic.Int64
-	ShardStragglers atomic.Int64
 
 	// Cost-aware cube-cache economics. CubeCacheNsSaved accumulates, over
 	// every cache hit, the build cost (wall nanoseconds) the hit avoided
@@ -172,11 +160,6 @@ func (s *Stats) Snapshot() map[string]int64 {
 		"queue_waits":        s.QueueWaits.Load(),
 		"steal_count":        s.StealCount.Load(),
 
-		"shard_fanouts":    s.ShardFanouts.Load(),
-		"shard_partials":   s.ShardPartials.Load(),
-		"shard_merge_ns":   s.ShardMergeNanos.Load(),
-		"shard_stragglers": s.ShardStragglers.Load(),
-
 		"cube_cache_ns_saved":      s.CubeCacheNsSaved.Load(),
 		"cube_cache_bytes_saved":   s.CubeCacheBytesSaved.Load(),
 		"cube_cache_evictions":     s.CubeCacheEvictions.Load(),
@@ -194,12 +177,12 @@ func (s *Stats) Snapshot() map[string]int64 {
 	}
 }
 
-// cacheShards stripes the view and cube caches so concurrent claim workers
-// rarely touch the same lock. Power of two; the shard index is a hash of the
-// cache key.
-const cacheShards = 32
+// cacheStripes stripes the view and cube caches so concurrent claim workers
+// rarely touch the same lock. Power of two; the stripe index is a hash of
+// the cache key.
+const cacheStripes = 32
 
-func shardOf(key string) uint32 {
+func stripeOf(key string) uint32 {
 	// FNV-1a, inlined to avoid the hash.Hash allocation on every lookup.
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)
@@ -207,11 +190,11 @@ func shardOf(key string) uint32 {
 		h ^= uint32(key[i])
 		h *= prime32
 	}
-	return h & (cacheShards - 1)
+	return h & (cacheStripes - 1)
 }
 
 // viewEntry is a once-initialized join view. The entry is installed in its
-// shard before being built, so concurrent requests for the same view block
+// stripe before being built, so concurrent requests for the same view block
 // on the sync.Once instead of building duplicates.
 type viewEntry struct {
 	once  sync.Once
@@ -220,7 +203,7 @@ type viewEntry struct {
 	err   error
 }
 
-type viewShard struct {
+type viewStripe struct {
 	mu      sync.Mutex
 	entries map[string]*viewEntry
 }
@@ -275,7 +258,7 @@ func (st *cubeState) appendable(snap *db.Snapshot) bool {
 	return st.rows >= 0 && st.epoch == snap.Epoch() && snap.NumRows(st.table) >= st.rows
 }
 
-type cubeShard struct {
+type cubeStripe struct {
 	mu      sync.Mutex
 	entries map[string]*cubeEntry
 }
@@ -287,7 +270,7 @@ type cubeShard struct {
 // document, so the cache key needs no literal set).
 //
 // The engine is concurrency-first: both caches are striped across
-// cacheShards locks, and duplicate concurrent requests for the same cube or
+// cacheStripes locks, and duplicate concurrent requests for the same cube or
 // view are coalesced onto a single computation (singleflight), so a
 // document's claim workers can hammer one shared engine without serializing
 // behind a global lock.
@@ -295,8 +278,8 @@ type Engine struct {
 	DB    *db.Database
 	Stats Stats
 
-	views [cacheShards]viewShard
-	cubes [cacheShards]cubeShard
+	views [cacheStripes]viewStripe
+	cubes [cacheStripes]cubeStripe
 
 	// The execution settings below are written only by NewEngine (see
 	// options.go) and fixed for the engine's life.
@@ -369,7 +352,7 @@ const defaultCubeCacheBudget = 256 << 20
 func (e *Engine) CubeCacheBudget() int64 { return e.cubeCacheBudget }
 
 // CacheUsage reports the cube cache's resident entry count and estimated
-// bytes (published states plus parked stale results). It scans the shard
+// bytes (published states plus parked stale results). It scans the stripe
 // maps rather than maintaining a gauge, so concurrent publishes, evictions,
 // and ResetCache can never make the accounting drift.
 func (e *Engine) CacheUsage() (entries int, bytes int64) {
@@ -473,11 +456,11 @@ func (e *Engine) maybeEvict() {
 		return
 	}
 	type victim struct {
-		shard int
-		sig   string
-		ent   *cubeEntry
-		bytes int64
-		score float64
+		stripe int
+		sig    string
+		ent    *cubeEntry
+		bytes  int64
+		score  float64
 	}
 	var victims []victim
 	for i := range e.cubes {
@@ -508,7 +491,7 @@ func (e *Engine) maybeEvict() {
 		if !v.ent.mu.TryLock() {
 			continue // mid-computation; never stall a publisher
 		}
-		sh := &e.cubes[v.shard]
+		sh := &e.cubes[v.stripe]
 		e.lock(&sh.mu)
 		if sh.entries[v.sig] == v.ent {
 			delete(sh.entries, v.sig)
@@ -539,47 +522,32 @@ type snapCtxKey struct{}
 // single storage version even if commits land mid-request. A snapshot
 // belonging to a different database is ignored (the engine falls back to
 // its own latest snapshot), so pinned contexts are safe to pass across
-// multi-database services. Pins accumulate: a context may carry one
-// snapshot per database — a sharded check pins the front database and
-// every partition — and the newest pin for a given database wins.
+// multi-database services. A later pin replaces an earlier one.
 func WithSnapshot(ctx context.Context, snap *db.Snapshot) context.Context {
 	if snap == nil {
 		return ctx
 	}
-	prev, _ := ctx.Value(snapCtxKey{}).([]*db.Snapshot)
-	pinned := make([]*db.Snapshot, 0, len(prev)+1)
-	pinned = append(pinned, snap)
-	pinned = append(pinned, prev...)
-	return context.WithValue(ctx, snapCtxKey{}, pinned)
+	return context.WithValue(ctx, snapCtxKey{}, snap)
 }
 
 // snapshotFor resolves the snapshot a request reads: the context-pinned
-// one when one belongs to this engine's database, the latest published one
+// one when it belongs to this engine's database, the latest published one
 // otherwise.
 func (e *Engine) snapshotFor(ctx context.Context) *db.Snapshot {
-	if pinned, ok := ctx.Value(snapCtxKey{}).([]*db.Snapshot); ok {
-		for _, snap := range pinned {
-			if snap.Of(e.DB) {
-				return snap
-			}
-		}
+	if snap, ok := ctx.Value(snapCtxKey{}).(*db.Snapshot); ok && snap.Of(e.DB) {
+		return snap
 	}
 	return e.DB.Snapshot()
 }
 
-// pinnedVersions names every snapshot pinned in ctx ("database@version",
-// newest pin first). Requests with equal strings read identical rows on
-// every engine they reach — front database and shard partitions alike.
-func pinnedVersions(ctx context.Context) string {
-	pinned, _ := ctx.Value(snapCtxKey{}).([]*db.Snapshot)
-	var sb strings.Builder
-	for _, snap := range pinned {
-		sb.WriteString(snap.DatabaseName())
-		sb.WriteByte('@')
-		sb.WriteString(strconv.FormatUint(snap.Version(), 10))
-		sb.WriteByte(' ')
+// pinnedVersion names the snapshot pinned in ctx ("database@version"), or
+// "" when ctx pins none. Requests with equal strings read identical rows.
+func pinnedVersion(ctx context.Context) string {
+	snap, ok := ctx.Value(snapCtxKey{}).(*db.Snapshot)
+	if !ok {
+		return ""
 	}
-	return sb.String()
+	return snap.DatabaseName() + "@" + strconv.FormatUint(snap.Version(), 10)
 }
 
 // view returns the (cached) join view over the given tables at the
@@ -598,7 +566,7 @@ func (e *Engine) view(tables []string) (*db.JoinView, error) {
 func (e *Engine) viewAt(snap *db.Snapshot, tables []string) (*db.JoinView, error) {
 	base := strings.Join(sortedCopy(tables), ",")
 	key := base + "@" + strconv.FormatUint(snap.Version(), 10)
-	sh := &e.views[shardOf(base)]
+	sh := &e.views[stripeOf(base)]
 	e.lock(&sh.mu)
 	ent, ok := sh.entries[key]
 	if !ok {
@@ -714,7 +682,7 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 	}
 
 	sig := cubeSignature(tables, dims, filter)
-	sh := &e.cubes[shardOf(sig)]
+	sh := &e.cubes[stripeOf(sig)]
 	e.lock(&sh.mu)
 	ent, ok := sh.entries[sig]
 	if !ok {
@@ -1063,31 +1031,6 @@ func unionDims(have, want []DimSpec) []DimSpec {
 // previously cached aggregate is dropped from the entry.
 func unionCols(r *CubeResult, cols []trackedCol) []trackedCol {
 	return append(r.trackedCols(), missingCols(r, cols)...)
-}
-
-// sameDims reports whether two dimension specs have identical columns and
-// literal sets (order-insensitive on columns, order-sensitive on literals
-// because literal indexes are positional).
-func sameDims(a, b []DimSpec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	am := make(map[string][]string, len(a))
-	for _, d := range a {
-		am[d.Col.String()] = d.Literals
-	}
-	for _, d := range b {
-		lits, ok := am[d.Col.String()]
-		if !ok || len(lits) != len(d.Literals) {
-			return false
-		}
-		for i := range lits {
-			if lits[i] != d.Literals[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // AnswerFromCube evaluates q against a cube, recording the answered-query

@@ -35,8 +35,9 @@ func benchBatch(n int, seed int64) []Query {
 
 // BenchmarkEngineConcurrentBatches measures the shared engine under the
 // document-checking access pattern: many goroutines submitting overlapping
-// batches against one cache. Sharding plus singleflight keep the goroutines
-// off each other's locks; Stats (dedups, lock waits) profile the run.
+// batches against one cache. Lock striping plus singleflight keep the
+// goroutines off each other's locks; Stats (dedups, lock waits) profile the
+// run.
 func BenchmarkEngineConcurrentBatches(b *testing.B) {
 	d := stressDB(b, 20000)
 	pool := map[string][]string{

@@ -482,24 +482,11 @@ func (e *Engine) evaluateDirect(ctx context.Context, view *db.JoinView, q Query)
 	if err != nil {
 		return math.NaN(), err
 	}
-	total, err := e.runDirect(ctx, view, ds)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return total.main.finalize(q.Agg, ds.agg.star, total.base), nil
-}
-
-// runDirect executes a compiled direct scan over the whole view — morsel
-// split on the engine's scheduler when wide enough, single-threaded
-// otherwise — records the pipeline stats, and returns the merged partial.
-// Shared by evaluateDirect (which finalizes) and ScanPartialContext (which
-// exports the partial to a shard coordinator).
-func (e *Engine) runDirect(ctx context.Context, view *db.JoinView, ds *directScan) (*directPartial, error) {
 	partials, err := scanMorsels(ctx, e.sched, &e.Stats, ds.spans, 0, view.NumRows(), func(lo, hi int) (*directPartial, error) {
 		return ds.scanRange(ctx, lo, hi)
 	})
 	if err != nil {
-		return nil, err
+		return math.NaN(), err
 	}
 	total := partials[0]
 	for _, pt := range partials[1:] {
@@ -511,5 +498,5 @@ func (e *Engine) runDirect(ctx context.Context, view *db.JoinView, ds *directSca
 	e.Stats.BlocksPruned.Add(total.pruned)
 	e.Stats.SelvecReuses.Add(total.selReuses)
 	e.Stats.RowsScanned.Add(total.rowsRead)
-	return total, nil
+	return total.main.finalize(q.Agg, ds.agg.star, total.base), nil
 }

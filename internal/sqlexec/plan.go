@@ -56,10 +56,11 @@ type BatchOptions struct {
 	// "Naive" row of Table 6).
 	Naive bool
 
-	// observe, when set, receives the plan RunBatch is about to execute
-	// and, per batch query, the index of the deduplicated query the plan
-	// refers to. Window counts shared passes from it instead of planning a
-	// second time; runners between the two pass their options through.
+	// observe, when set, receives the plan EvaluateBatch is about to
+	// execute and, per batch query, the index of the deduplicated query the
+	// plan refers to. Window counts shared passes from it instead of
+	// planning a second time; runners between the two pass their options
+	// through.
 	observe func(plan *BatchPlan, slot []int)
 }
 
@@ -514,26 +515,16 @@ func sameTables(a, b []string) bool {
 	return strings.Join(sortedCopy(a), ",") == strings.Join(sortedCopy(b), ",")
 }
 
-// Backend is where a planned batch physically runs. *Engine runs both
-// operations locally; shard.Coordinator fans each out to its partitions and
-// merges the partials. Everything else about a batch — deduplication,
-// planning, scheduling, answering from cells, the direct-scan fallback — is
-// RunBatch, once, for every backend.
-type Backend interface {
-	// CubePass runs one planned cube pass.
-	CubePass(ctx context.Context, p *CubePlan) (*CubeResult, error)
-	// DirectScan answers one query with a dedicated scan.
-	DirectScan(ctx context.Context, q Query) (float64, error)
-}
-
-// RunBatch answers every query of the batch, positionally, on backend b for
-// engine e: e's counters record the batch, e's default table anchors
-// queries that reference no column, and e's scheduler runs the work.
-// Duplicate queries (by canonical key) are evaluated once; the remainder is
-// planned under policy (Pool comes from opts) into merged cube passes, and
-// each query is answered from its cube cell. Queries a cube pass cannot
-// answer (planner fallback, cube errors) are evaluated with direct scans,
-// as is the whole batch under opts.Naive. NaN marks undefined results.
+// EvaluateBatch answers every query of the batch, positionally: the
+// engine's counters record the batch, its default table anchors queries
+// that reference no column, and its scheduler runs the work. Duplicate
+// queries (by canonical key) are evaluated once; the remainder is planned
+// (Pool comes from opts; small groups merge when caching amortizes them,
+// and shared selections push down when enabled) into merged cube passes,
+// and each query is answered from its cube cell. Queries a cube pass
+// cannot answer (planner fallback, cube errors) are evaluated with direct
+// scans, as is the whole batch under opts.Naive. Passes and scans read the
+// context-pinned snapshot. NaN marks undefined results.
 //
 // The passes and scans are one job on the scheduler, at most opts.Workers
 // of them in flight. A pass that splits into morsels owns that nested job
@@ -544,7 +535,7 @@ type Backend interface {
 // periodically inside scans: once ctx is done the remaining work is skipped
 // and the corresponding slots are NaN. Callers that need to distinguish
 // cancellation from undefined results must check ctx.Err() afterwards.
-func RunBatch(ctx context.Context, b Backend, e *Engine, policy PlanOptions, queries []Query, opts BatchOptions) []float64 {
+func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64 {
 	stats := &e.Stats
 	out := make([]float64, len(queries))
 	if len(queries) == 0 {
@@ -574,7 +565,7 @@ func RunBatch(ctx context.Context, b Backend, e *Engine, policy PlanOptions, que
 			plan.Direct[i] = i
 		}
 	} else {
-		policy.Pool = opts.Pool
+		policy := PlanOptions{MergeSmall: e.caching, Pushdown: e.pushdown, Pool: opts.Pool}
 		plan = PlanCubesOpt(uniq, e.DefaultTable(), policy)
 		stats.PlannedCubes.Add(int64(len(plan.Cubes)))
 	}
@@ -589,7 +580,7 @@ func RunBatch(ctx context.Context, b Backend, e *Engine, policy PlanOptions, que
 	}
 
 	direct := func(i int) {
-		v, err := b.DirectScan(ctx, uniq[i])
+		v, err := e.EvaluateContext(ctx, uniq[i])
 		if err != nil {
 			v = math.NaN()
 		}
@@ -604,7 +595,7 @@ func RunBatch(ctx context.Context, b Backend, e *Engine, policy PlanOptions, que
 			return nil
 		}
 		p := plan.Cubes[t]
-		cube, err := b.CubePass(ctx, p)
+		cube, err := e.cubeForContext(ctx, p.Tables, p.Dims, p.Reqs, p.Filter)
 		if err != nil && ctx.Err() != nil {
 			return nil // slots stay NaN
 		}
@@ -625,21 +616,4 @@ func RunBatch(ctx context.Context, b Backend, e *Engine, policy PlanOptions, que
 		out[i] = res[slot[i]]
 	}
 	return out
-}
-
-// EvaluateBatch runs the batch on the local engine: passes and scans read
-// the context-pinned snapshot, merging is amortized by the cube cache when
-// caching is on, and the planner may push shared selections down.
-func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64 {
-	return RunBatch(ctx, e, e, PlanOptions{MergeSmall: e.CachingEnabled(), Pushdown: e.PushdownEnabled()}, queries, opts)
-}
-
-// CubePass implements Backend.
-func (e *Engine) CubePass(ctx context.Context, p *CubePlan) (*CubeResult, error) {
-	return e.cubeForContext(ctx, p.Tables, p.Dims, p.Reqs, p.Filter)
-}
-
-// DirectScan implements Backend.
-func (e *Engine) DirectScan(ctx context.Context, q Query) (float64, error) {
-	return e.EvaluateContext(ctx, q)
 }

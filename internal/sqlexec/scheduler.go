@@ -12,7 +12,7 @@ import (
 // kinds of job run on it: the EM loop's per-claim phases (one task per
 // claim, submitted by evaluate.CubeEvaluator.Parallel without stats, so the
 // task counters below count execution-layer tasks only), a batch's cube
-// passes and direct scans (RunBatch submits them as one job), and the
+// passes and direct scans (EvaluateBatch submits them as one job), and the
 // zone-aligned row-range morsels a large pass or scan splits into (small
 // enough that a heavy pass yields frequently, large enough that per-morsel
 // accumulator state stays amortized). Scheduling is morsel-driven in the

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// BatchRunner executes claim batches positionally: *Engine locally,
-// shard.Coordinator by scatter-gather, and Window by pooling the batches of
-// concurrently-checked documents onto whichever of those it wraps.
+// BatchRunner executes claim batches positionally: *Engine directly, and
+// Window by pooling the batches of concurrently-checked documents onto the
+// runner it wraps.
 type BatchRunner interface {
 	EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64
 }
@@ -26,13 +26,10 @@ type BatchRunner interface {
 // (participants whose EM phase runs long never stall the others for more
 // than windowFlushDelay).
 //
-// The window is indifferent to what it wraps: a local engine and a shard
-// coordinator pool alike. Batches are grouped by every snapshot version
-// their context pins (a sharded check pins the front database and each
-// partition) and each group flushes as its own merged execution under a
-// context that inherits those pins: documents pinned before and after an
-// append must not share passes, or their answers would not match isolated
-// checks. A batch whose context pins nothing names no rows to share, so it
+// Batches are grouped by the snapshot version their context pins, and each
+// group flushes as its own merged execution under a context that inherits
+// that pin: documents pinned before and after an append must not share
+// passes, or their answers would not match isolated checks. A batch whose context pins nothing names no rows to share, so it
 // is not pooled: it runs on the wrapped runner at once, as if there were no
 // window. Within a group, merging is answer-preserving by construction —
 // the planner unions literal pools and dimension sets, and a cube answers
@@ -40,8 +37,8 @@ type BatchRunner interface {
 // widening a pass with another document's literals or dimensions never
 // changes a covered query's value. The window additionally accumulates a
 // corpus-lifetime literal pool: merged literal sets converge as the corpus
-// streams through, keeping cube shapes stable (sameDims) so later
-// documents hit the cache instead of forcing recomputes.
+// streams through, keeping cube shapes stable so later documents hit the
+// cache instead of forcing recomputes.
 type Window struct {
 	runner BatchRunner
 	stats  *Stats
@@ -67,7 +64,7 @@ const (
 )
 
 type windowGroup struct {
-	pins string // pinnedVersions of every member context
+	pins string // pinnedVersion of every member context
 	reqs []*windowReq
 }
 
@@ -115,15 +112,15 @@ func (w *Window) Leave() {
 }
 
 // EvaluateBatch parks the batch in the window and blocks until a flush
-// answers it (positionally, like RunBatch); ctx must pin the snapshots the
-// batch reads (WithSnapshot) to be pooled. When ctx is cancelled before
-// the flush delivers, every slot reads NaN — the same contract a cancelled
-// RunBatch honors.
+// answers it (positionally, like Engine.EvaluateBatch); ctx must pin the
+// snapshot the batch reads (WithSnapshot) to be pooled. When ctx is
+// cancelled before the flush delivers, every slot reads NaN — the same
+// contract a cancelled Engine.EvaluateBatch honors.
 func (w *Window) EvaluateBatch(ctx context.Context, queries []Query, opts BatchOptions) []float64 {
 	if len(queries) == 0 {
 		return nil
 	}
-	pins := pinnedVersions(ctx)
+	pins := pinnedVersion(ctx)
 	if pins == "" {
 		return w.runner.EvaluateBatch(ctx, queries, opts)
 	}
@@ -218,9 +215,7 @@ func (w *Window) flushGroup(g *windowGroup) {
 	offs[len(g.reqs)] = len(all)
 
 	// Execute under a member's context stripped of its cancellation: the
-	// group shares every pinned snapshot by construction, and per-request
-	// scan tuning (zone maps) carries over the same way — audit members
-	// share one checker's settings, so the first request is representative.
+	// group shares its pinned snapshot by construction.
 	// The merged run is cancelled only when EVERY member context is done:
 	// one cancelled document must not trash the answers the other members
 	// are waiting on. The watcher goroutine is released through stop when
