@@ -24,7 +24,7 @@ test:
 # of shards=0/strategy/driver/workers).
 flake-guard:
 	$(GO) test -race -count=20 -run 'TestServicePersistentRefreshAndCompaction|TestConcurrentChecksShareDocument' ./internal/core
-	$(GO) test -race -count=20 -run TestRunBatchNestedOnScheduler ./internal/sqlexec
+	$(GO) test -race -count=20 -run TestEvaluateBatchNestedOnScheduler ./internal/sqlexec
 	$(GO) test -count=20 -run TestSchedulerPassPoolsPartials ./internal/sqlexec
 	$(GO) test -count=10 -run 'TestExecutorCompositionDifferential/.*/.*/audit$$/.*' ./internal/core
 

@@ -332,6 +332,97 @@ func TestJSONLSourceOpenAndRefresh(t *testing.T) {
 	}
 }
 
+func TestJSONLSourceIgnoresTornFinalLine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.jsonl")
+	if err := os.WriteFile(path, []byte(`{"a":1,"b":"x"}`+"\n"+`{"a":2,"b":"y"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := NewJSONLSource("t", path)
+	d, err := src.Open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFile := func(s string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One whole line and half of the next: the whole one is appended, the
+	// fragment waits for its newline.
+	appendFile(`{"a":3,"b":"z"}` + "\n" + `{"a":4,`)
+	if n, err := src.Refresh(context.Background(), d); err != nil || n != 1 {
+		t.Fatalf("torn refresh = (%d, %v), want (1, nil)", n, err)
+	}
+	fresh, err := NewJSONLSource("t", path).Open(context.Background())
+	if err != nil {
+		t.Fatalf("open over a torn final line: %v", err)
+	}
+	if got := fresh.Snapshot().NumRows("t"); got != 3 {
+		t.Errorf("fresh open rows = %d, want 3", got)
+	}
+	// The write completes; the whole line is appended on the next poll.
+	appendFile(`"b":"w"}` + "\n")
+	if n, err := src.Refresh(context.Background(), d); err != nil || n != 1 {
+		t.Fatalf("completed refresh = (%d, %v), want (1, nil)", n, err)
+	}
+	s := d.Snapshot()
+	if s.NumRows("t") != 4 || s.Table("t").Column("a").Float(3) != 4 || s.Table("t").Column("b").StringAt(3) != "w" {
+		t.Errorf("completed row wrong: rows=%d", s.NumRows("t"))
+	}
+}
+
+// An unterminated final line that is one whole object is a complete row,
+// not a torn one: Open and Refresh load it.
+func TestJSONLSourceKeepsWholeUnterminatedLine(t *testing.T) {
+	dir := t.TempDir()
+	one := filepath.Join(dir, "one.jsonl")
+	if err := os.WriteFile(one, []byte(`{"a":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := NewJSONLSource("one", one)
+	d, err := src.Open(context.Background())
+	if err != nil {
+		t.Fatalf("open one unterminated line: %v", err)
+	}
+	if got := d.Snapshot().NumRows("one"); got != 1 {
+		t.Errorf("one-line rows = %d, want 1", got)
+	}
+	f, err := os.OpenFile(one, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString("\n" + `{"a":2}`)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := src.Refresh(context.Background(), d); err != nil || n != 1 {
+		t.Fatalf("refresh after unterminated append = (%d, %v), want (1, nil)", n, err)
+	}
+	if got := d.Snapshot().Table("one").Column("a").Float(1); got != 2 {
+		t.Errorf("appended row a = %v, want 2", got)
+	}
+
+	two := filepath.Join(dir, "two.jsonl")
+	if err := os.WriteFile(two, []byte(`{"a":1}`+"\n"+`{"a":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := NewJSONLSource("two", two).Open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.Snapshot().NumRows("two"); got != 2 {
+		t.Errorf("unterminated two-line rows = %d, want 2", got)
+	}
+}
+
 func TestMemSourceRefreshCommitsStagedRows(t *testing.T) {
 	d := snapTestDB(t)
 	src := NewMemSource(d)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -135,6 +136,23 @@ func readCompleteLines(path string) ([]byte, error) {
 			return nil, nil
 		}
 		data = data[:cut+1]
+	}
+	return data, nil
+}
+
+// readCompleteJSONL is readCompleteLines for JSON lines, except that an
+// unterminated final line that is already one whole JSON object is kept:
+// no proper prefix of an object is itself a valid object, so a torn write
+// such as {"a":4, is still held back while a file whose writer never ends
+// its last record with a newline loads every row.
+func readCompleteJSONL(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	cut := bytes.LastIndexByte(data, '\n') + 1
+	if tail := bytes.TrimSpace(data[cut:]); len(tail) > 0 && (tail[0] != '{' || !json.Valid(tail)) {
+		data = data[:cut]
 	}
 	return data, nil
 }
@@ -280,7 +298,8 @@ func (s *CSVSource) refreshTable(d *Database, t *Table, path string) (int, error
 }
 
 // JSONLSource opens a database from JSON-lines files, one table per file,
-// with the same incremental append-only Refresh contract as CSVSource.
+// with the same incremental append-only Refresh contract as CSVSource; a
+// torn final line is held back until its newline arrives (readCompleteJSONL).
 type JSONLSource struct {
 	Name  string
 	Files []string
@@ -308,7 +327,7 @@ func (s *JSONLSource) Open(ctx context.Context) (*Database, error) {
 			return nil, err
 		}
 		path := strings.TrimSpace(f)
-		data, err := os.ReadFile(path)
+		data, err := readCompleteJSONL(path)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +380,7 @@ func (s *JSONLSource) refreshFile(d *Database, path string) (int, error) {
 	if t == nil {
 		return 0, nil
 	}
-	data, err := os.ReadFile(path)
+	data, err := readCompleteJSONL(path)
 	if err != nil {
 		return 0, err
 	}

@@ -66,17 +66,6 @@ func (t *Table) NumRows() int {
 // Column returns the named column, or nil.
 func (t *Table) Column(name string) *Column { return t.byName[name] }
 
-// NumericColumns returns the columns usable as aggregation columns.
-func (t *Table) NumericColumns() []*Column {
-	var out []*Column
-	for _, c := range t.Columns {
-		if c.Kind == KindFloat {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // StringColumns returns the dictionary-encoded text columns.
 func (t *Table) StringColumns() []*Column {
 	var out []*Column

@@ -113,7 +113,7 @@ func TestTable6SpeedupShape(t *testing.T) {
 		cubePasses, directQuery int64
 	}{
 		{naive, 35_941_564, 66_657, 0, 66_657},
-		{merged, 98_255, 66_657, 181, 2},
+		{merged, 55_250, 66_657, 100, 0},
 		{cached, 30_840, 66_657, 54, 0},
 	} {
 		r := p.row
@@ -127,7 +127,7 @@ func TestTable6SpeedupShape(t *testing.T) {
 	// Query merging's structural effect is scan volume: one cube pass
 	// answers hundreds of candidates. (The paper's 62× time speedup also
 	// reflects Postgres per-query overhead that an embedded engine does not
-	// pay, so the wall-clock ratio compresses here — see EXPERIMENTS.md.)
+	// pay, so the wall-clock ratio compresses here.)
 	if merged.Rows*5 >= naive.Rows {
 		t.Errorf("merging should cut scanned rows >5x: naive %d, merged %d", naive.Rows, merged.Rows)
 	}

@@ -162,12 +162,4 @@ type ModelVariant struct {
 	Apply func(*core.Config)
 }
 
-// quickConfig lowers budgets for fast smoke runs (tests).
-func quickConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Model.EvalBudget = 400
-	cfg.Model.MaxEMIters = 3
-	return cfg
-}
-
 var _ = model.DefaultConfig // keep the import for variants defined later

@@ -299,7 +299,7 @@ func PrintTable5(w io.Writer, context, modelRows, hits []AccuracyRow, fm1, fm2, 
 // reported both on query time and on scanned-row volume: the paper's naive
 // baseline pays Postgres per-query overheads that an embedded engine does
 // not, so the row-volume ratio is the comparable work measure while the
-// time ratio compresses (EXPERIMENTS.md discusses this).
+// time ratio compresses.
 func PrintTable6(w io.Writer, rows []Table6Row) {
 	fmt.Fprintf(w, "Table 6: Run time for all test cases.\n")
 	fmt.Fprintf(w, "%-18s %10s %10s %10s %14s %10s %12s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",

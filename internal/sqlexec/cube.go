@@ -59,61 +59,6 @@ type CubeResult struct {
 	cols     []trackedCol       // tracked columns; cols[0] is star
 	colIndex map[string]int
 	cells    map[cellKey][]*accumulator // parallel to cols
-
-	// filter is the shared predicate of a selection-pushdown pass (nil for
-	// ordinary cubes): every cell accumulated only rows matching it, and
-	// the cube answers only queries that carry the filter in their
-	// conjunction (stripped before the cell lookup). baseRows counts every
-	// row of the scanned range, rejected rows included — the Percentage
-	// denominator filtered cells can no longer supply.
-	filter   *Predicate
-	baseRows int64
-}
-
-// Filter returns the pushdown predicate the cube was computed under, or nil
-// for an ordinary cube.
-func (r *CubeResult) Filter() *Predicate { return r.filter }
-
-// BaseRows returns the total rows of the scanned range, including rows the
-// pushdown filter rejected (0 for ordinary cubes).
-func (r *CubeResult) BaseRows() int64 { return r.baseRows }
-
-// stripFilter maps a query's predicates to the ones the filtered cube's
-// dimensions must resolve: the cube's filter predicate is satisfied by
-// construction, so exactly one occurrence of it is removed. ok is false
-// when the query does not carry the filter — or carries it in a position
-// whose ratio-aggregate denominator the filtered cells cannot reproduce:
-//
-//   - ConditionalProbability: only the conditioning predicate Preds[0] may
-//     be absorbed (its matches are then exactly the cube's row set, so the
-//     denominator is the rolled-up cell).
-//   - Percentage over a non-star column: the denominator needs the
-//     column's non-NULL count over ALL rows, which a filtered pass never
-//     accumulates.
-//
-// Unfiltered cubes pass every query through unchanged.
-func (r *CubeResult) stripFilter(q Query) ([]Predicate, bool) {
-	if r.filter == nil {
-		return q.Preds, true
-	}
-	f := *r.filter
-	if q.Agg == ConditionalProbability {
-		if len(q.Preds) == 0 || q.Preds[0] != f {
-			return nil, false
-		}
-		return q.Preds[1:], true
-	}
-	if q.Agg == Percentage && !q.AggCol.IsStar() {
-		return nil, false
-	}
-	for i, p := range q.Preds {
-		if p == f {
-			out := make([]Predicate, 0, len(q.Preds)-1)
-			out = append(out, q.Preds[:i]...)
-			return append(out, q.Preds[i+1:]...), true
-		}
-	}
-	return nil, false
 }
 
 func newCubeResult(tables []string, dims []DimSpec) *CubeResult {
@@ -147,14 +92,9 @@ func (r *CubeResult) hasColumn(ref ColumnRef, needDistinct bool) bool {
 }
 
 // CanAnswer reports whether the cube covers query q: all predicates fall on
-// cube dimensions with known literals (after absorbing a pushdown filter)
-// and the aggregation column is tracked.
+// cube dimensions with known literals and the aggregation column is tracked.
 func (r *CubeResult) CanAnswer(q Query) bool {
-	preds, ok := r.stripFilter(q)
-	if !ok {
-		return false
-	}
-	if _, ok := r.cellFor(preds); !ok {
+	if _, ok := r.cellFor(q.Preds); !ok {
 		return false
 	}
 	if q.AggCol.IsStar() {
@@ -196,11 +136,7 @@ func (r *CubeResult) acc(key cellKey, ci int) *accumulator {
 // Value answers query q from the cube. The second return is false when the
 // cube does not cover the query.
 func (r *CubeResult) Value(q Query) (float64, bool) {
-	preds, ok := r.stripFilter(q)
-	if !ok {
-		return 0, false
-	}
-	key, ok := r.cellFor(preds)
+	key, ok := r.cellFor(q.Preds)
 	if !ok {
 		return 0, false
 	}
@@ -219,29 +155,13 @@ func (r *CubeResult) Value(q Query) (float64, bool) {
 	var base *accumulator
 	switch q.Agg {
 	case Percentage:
-		if r.filter != nil {
-			// The denominator covers every scanned row, filter matches or
-			// not; the pass counted them in baseRows. stripFilter admits
-			// only star aggregates here, and star finalization reads
-			// base.rows alone, so a synthesized count-only accumulator is
-			// exact.
-			base = &accumulator{rows: r.baseRows, nonNull: r.baseRows, min: math.Inf(1), max: math.Inf(-1)}
-			break
-		}
 		baseKey := cellKey{cellAny, cellAny, cellAny}
 		base = r.acc(baseKey, ci)
 	case ConditionalProbability:
 		baseKey := cellKey{cellAny, cellAny, cellAny}
-		if r.filter != nil {
-			// stripFilter guaranteed the conditioning predicate IS the
-			// filter: its matches are exactly the cube's row set, so the
-			// denominator is the fully rolled-up cell.
-			base = r.acc(baseKey, ci)
-			break
-		}
-		if len(preds) > 0 {
+		if len(q.Preds) > 0 {
 			var ok2 bool
-			baseKey, ok2 = r.cellFor(preds[:1])
+			baseKey, ok2 = r.cellFor(q.Preds[:1])
 			if !ok2 {
 				return 0, false
 			}
@@ -259,10 +179,7 @@ func (r *CubeResult) Value(q Query) (float64, bool) {
 // cache index granularity is one aggregation function + column + dimension
 // set; we key the cell store by scope+dims and track columns inside it,
 // which is the same sharing structure with one map level fewer).
-// A pushdown filter is part of the identity: a filtered cube holds
-// different cell contents than the unfiltered cube over the same scope and
-// dims, so the two must never share a cache slot.
-func cubeSignature(tables []string, dims []DimSpec, filter *Predicate) string {
+func cubeSignature(tables []string, dims []DimSpec) string {
 	ts := make([]string, len(tables))
 	copy(ts, tables)
 	sort.Strings(ts)
@@ -271,11 +188,7 @@ func cubeSignature(tables []string, dims []DimSpec, filter *Predicate) string {
 		ds[i] = d.Col.String()
 	}
 	sort.Strings(ds)
-	sig := strings.Join(ts, ",") + "|" + strings.Join(ds, ",")
-	if filter != nil {
-		sig += "|where " + filter.String()
-	}
-	return sig
+	return strings.Join(ts, ",") + "|" + strings.Join(ds, ",")
 }
 
 // newCubeResultWithCols builds the empty result shell shared by both cube
@@ -312,31 +225,11 @@ func newCubeResultWithCols(tables []string, dims []DimSpec, cols []trackedCol) (
 // passes whose literal sets make the vectorized kernel's dense lattice too
 // large (see flatLatticeSize in kernel.go), full passes and delta scans
 // alike, and the passes forced onto it by WithScalarKernel, which makes it
-// the oracle of the kernel differential tests. A non-nil filter makes it a
-// selection-pushdown pass: rows failing the filter only count into
-// baseRows, in the same per-row scan order the vectorized kernel's
-// compacted segments preserve.
-func computeCubeScalarRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int, filter *Predicate) (*CubeResult, error) {
+// the oracle of the kernel differential tests.
+func computeCubeScalarRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int) (*CubeResult, error) {
 	r, err := newCubeResultWithCols(tables, dims, cols)
 	if err != nil {
 		return nil, err
-	}
-	r.filter = filter
-	var fmatch func(row int) bool
-	if filter != nil {
-		pes, err := compilePreds(view, []Predicate{*filter}, false)
-		if err != nil {
-			return nil, err
-		}
-		pe := pes[0]
-		if pe.isStr {
-			fmatch = func(row int) bool { return pe.acc.Code(row) == pe.code }
-		} else {
-			fmatch = func(row int) bool { return pe.acc.Float(row) == pe.val }
-		}
-		if pe.never {
-			fmatch = func(int) bool { return false }
-		}
 	}
 
 	// Resolve dimension accessors and per-row literal coders.
@@ -393,12 +286,6 @@ func computeCubeScalarRange(ctx context.Context, view *db.JoinView, tables []str
 		if (row-lo)%ctxCheckRows == 0 && row > lo {
 			if err := ctx.Err(); err != nil {
 				return nil, err
-			}
-		}
-		if fmatch != nil {
-			r.baseRows++
-			if !fmatch(row) {
-				continue
 			}
 		}
 		for i := range coders {
@@ -465,8 +352,6 @@ func (r *CubeResult) merged(other *CubeResult) *CubeResult {
 		cols:     append([]trackedCol(nil), r.cols...),
 		colIndex: make(map[string]int, len(r.colIndex)),
 		cells:    make(map[cellKey][]*accumulator, len(r.cells)),
-		filter:   r.filter,
-		baseRows: r.baseRows, // both sides scanned the same rows
 	}
 	for k, v := range r.colIndex {
 		out.colIndex[k] = v
@@ -584,8 +469,6 @@ func (r *CubeResult) mergeAppend(delta *CubeResult) *CubeResult {
 		cols:     r.cols,
 		colIndex: r.colIndex,
 		cells:    make(map[cellKey][]*accumulator, len(r.cells)+len(delta.cells)),
-		filter:   r.filter,
-		baseRows: r.baseRows + delta.baseRows, // disjoint row ranges
 	}
 	for key, cell := range r.cells {
 		dcell, ok := delta.cells[key]

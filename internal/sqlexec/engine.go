@@ -72,14 +72,6 @@ type Stats struct {
 	DirectVectorScans atomic.Int64
 	SelvecReuses      atomic.Int64
 
-	// Selection-pushdown counters. PushdownCubes counts cube passes run
-	// under a shared filter predicate pushed down by the planner;
-	// PushdownRowsSkipped the rows those passes never coded or accumulated
-	// because the filter's selection vector rejected them (including whole
-	// segments the filter's zone maps refuted).
-	PushdownCubes       atomic.Int64
-	PushdownRowsSkipped atomic.Int64
-
 	// Scheduler counters. MorselsDispatched counts tasks executed for this
 	// engine's jobs on its scheduler — batch passes and scan morsels alike,
 	// owner and helpers alike; StealCount the subset executed by pool
@@ -152,9 +144,6 @@ func (s *Stats) Snapshot() map[string]int64 {
 		"blocks_pruned":       s.BlocksPruned.Load(),
 		"direct_vector_scans": s.DirectVectorScans.Load(),
 		"selvec_reuses":       s.SelvecReuses.Load(),
-
-		"pushdown_cubes":        s.PushdownCubes.Load(),
-		"pushdown_rows_skipped": s.PushdownRowsSkipped.Load(),
 
 		"morsels_dispatched": s.MorselsDispatched.Load(),
 		"queue_waits":        s.QueueWaits.Load(),
@@ -289,11 +278,6 @@ type Engine struct {
 	// scalarKernel forces cube passes onto the row-at-a-time interpreter;
 	// the vectorized columnar kernel is the default.
 	scalarKernel bool
-	// pushdown enables selection-vector pushdown: the batch planner may
-	// merge queries sharing a predicate into one filtered cube pass whose
-	// kernel compacts each segment through the shared predicate's selection
-	// vector before accumulating (on by default).
-	pushdown bool
 	// zoneMaps enables zone-map pruning in the scan pipeline (on by
 	// default); WithZoneMaps(false) is the operational escape hatch and the
 	// scan differential tests' oracle.
@@ -315,14 +299,13 @@ type Engine struct {
 	testHookBeforeCubePass func()
 }
 
-// NewEngine creates an engine with cube-result caching, selection
-// pushdown and zone maps on, then applies the given execution options (see
-// options.go). The settings are fixed once NewEngine returns.
+// NewEngine creates an engine with cube-result caching and zone maps on,
+// then applies the given execution options (see options.go). The settings
+// are fixed once NewEngine returns.
 func NewEngine(d *db.Database, opts ...ExecOption) *Engine {
 	e := &Engine{
 		DB:              d,
 		caching:         true,
-		pushdown:        true,
 		zoneMaps:        true,
 		cubeCacheBudget: defaultCubeCacheBudget,
 	}
@@ -377,10 +360,6 @@ func (e *Engine) CacheUsage() (entries int, bytes int64) {
 	}
 	return entries, bytes
 }
-
-// PushdownEnabled reports whether the batch planner may merge
-// predicate-sharing queries into filtered cube passes.
-func (e *Engine) PushdownEnabled() bool { return e.pushdown }
 
 // CachingEnabled reports whether cube results are cached.
 func (e *Engine) CachingEnabled() bool { return e.caching }
@@ -655,19 +634,6 @@ func parseLiteralFloat(lit string) (float64, error) {
 // (recorded in Stats.CubeDedups). Per-signature work is serialized by the
 // cube entry's own lock, so distinct cubes never contend.
 func (e *Engine) CubeForContext(ctx context.Context, tables []string, dims []DimSpec, reqs []AggRequest) (*CubeResult, error) {
-	return e.cubeForContext(ctx, tables, dims, reqs, nil)
-}
-
-// FilteredCubeForContext is CubeForContext for a selection-pushdown pass:
-// every cell accumulates only rows matching filter, and the result answers
-// only queries carrying the filter in their conjunction (CubeResult.Value
-// strips it). Filtered cubes share the cache machinery — signature keyed by
-// the filter too, column extension, delta advance — with ordinary cubes.
-func (e *Engine) FilteredCubeForContext(ctx context.Context, tables []string, dims []DimSpec, reqs []AggRequest, filter *Predicate) (*CubeResult, error) {
-	return e.cubeForContext(ctx, tables, dims, reqs, filter)
-}
-
-func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []DimSpec, reqs []AggRequest, filter *Predicate) (*CubeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -678,10 +644,10 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 		if err != nil {
 			return nil, err
 		}
-		return e.runCube(ctx, view, tables, dims, cols, filter)
+		return e.runCube(ctx, view, tables, dims, cols)
 	}
 
-	sig := cubeSignature(tables, dims, filter)
+	sig := cubeSignature(tables, dims)
 	sh := &e.cubes[stripeOf(sig)]
 	e.lock(&sh.mu)
 	ent, ok := sh.entries[sig]
@@ -720,7 +686,7 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 
 	st := ent.state.Load()
 	if st == nil {
-		fresh, err := e.freshState(ctx, snap, tables, dims, cols, filter)
+		fresh, err := e.freshState(ctx, snap, tables, dims, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -732,7 +698,7 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 	}
 
 	if st.version != snap.Version() {
-		return e.advanceState(ctx, ent, st, snap, tables, dims, cols, filter)
+		return e.advanceState(ctx, ent, st, snap, tables, dims, cols)
 	}
 
 	// Re-check coverage under the lock; extend with the missing columns if
@@ -750,7 +716,7 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 	// shape instead of thrashing between per-batch literal sets: once the
 	// pool saturates, every later request is served without a pass.
 	if !dimsCover(st.res.Dims, dims) {
-		fresh, err := e.freshState(ctx, snap, tables, unionDims(st.res.Dims, dims), unionCols(st.res, cols), filter)
+		fresh, err := e.freshState(ctx, snap, tables, unionDims(st.res.Dims, dims), unionCols(st.res, cols))
 		if err != nil {
 			return nil, err
 		}
@@ -765,7 +731,7 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 		return nil, err
 	}
 	start := time.Now()
-	extra, err := e.runCube(ctx, view, tables, st.res.Dims, missing, filter)
+	extra, err := e.runCube(ctx, view, tables, st.res.Dims, missing)
 	if err != nil {
 		return nil, err
 	}
@@ -779,13 +745,13 @@ func (e *Engine) cubeForContext(ctx context.Context, tables []string, dims []Dim
 
 // freshState runs a full cube pass at one snapshot and wraps it with the
 // coverage metadata the delta path needs.
-func (e *Engine) freshState(ctx context.Context, snap *db.Snapshot, tables []string, dims []DimSpec, cols []trackedCol, filter *Predicate) (*cubeState, error) {
+func (e *Engine) freshState(ctx context.Context, snap *db.Snapshot, tables []string, dims []DimSpec, cols []trackedCol) (*cubeState, error) {
 	view, err := e.viewAt(snap, tables)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := e.runCube(ctx, view, tables, dims, cols, filter)
+	res, err := e.runCube(ctx, view, tables, dims, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -802,7 +768,7 @@ func (e *Engine) freshState(ctx context.Context, snap *db.Snapshot, tables []str
 // version: republish when the appends missed its scope, delta-scan the
 // appended blocks when possible, and fall back to a counted full rebuild
 // otherwise. Callers hold ent.mu.
-func (e *Engine) advanceState(ctx context.Context, ent *cubeEntry, st *cubeState, snap *db.Snapshot, tables []string, dims []DimSpec, cols []trackedCol, filter *Predicate) (*CubeResult, error) {
+func (e *Engine) advanceState(ctx context.Context, ent *cubeEntry, st *cubeState, snap *db.Snapshot, tables []string, dims []DimSpec, cols []trackedCol) (*CubeResult, error) {
 	if snap.Version() < st.version {
 		// A reader pinned to an older snapshot than the published cube
 		// (its request started before a commit another goroutine already
@@ -820,7 +786,7 @@ func (e *Engine) advanceState(ctx context.Context, ent *cubeEntry, st *cubeState
 			return nil, err
 		}
 		start := time.Now()
-		res, err := e.runCube(ctx, view, tables, dims, cols, filter)
+		res, err := e.runCube(ctx, view, tables, dims, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -850,7 +816,7 @@ func (e *Engine) advanceState(ctx context.Context, ent *cubeEntry, st *cubeState
 		// tracked columns, then merge the partial into the published
 		// result copy-on-write.
 		start := time.Now()
-		delta, err := e.runCubeDelta(ctx, view, tables, st.res.Dims, st.res.trackedCols(), st.rows, newRows, filter)
+		delta, err := e.runCubeDelta(ctx, view, tables, st.res.Dims, st.res.trackedCols(), st.rows, newRows)
 		if err != nil {
 			return nil, err
 		}
@@ -872,7 +838,7 @@ func (e *Engine) advanceState(ctx context.Context, ent *cubeEntry, st *cubeState
 	if st.epoch != snap.Epoch() {
 		e.Stats.EpochRebuilds.Add(1)
 	}
-	fresh, err := e.freshState(ctx, snap, tables, unionDims(st.res.Dims, dims), unionCols(st.res, cols), filter)
+	fresh, err := e.freshState(ctx, snap, tables, unionDims(st.res.Dims, dims), unionCols(st.res, cols))
 	if err != nil {
 		return nil, err
 	}
@@ -886,12 +852,12 @@ func (e *Engine) advanceState(ctx context.Context, ent *cubeEntry, st *cubeState
 // runCubeDelta scans joined rows [lo, hi) into a partial CubeResult using
 // the same kernel dispatch as a full pass. Delta ranges are small (the
 // appended blocks), so the scan is single-threaded.
-func (e *Engine) runCubeDelta(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int, filter *Predicate) (*CubeResult, error) {
+func (e *Engine) runCubeDelta(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int) (*CubeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	e.Stats.RowsScanned.Add(int64(hi - lo))
-	pc := passConfig{stats: &e.Stats, scalar: e.scalarKernel, zones: e.zoneMaps, filter: filter}
+	pc := passConfig{stats: &e.Stats, scalar: e.scalarKernel, zones: e.zoneMaps}
 	return computeCubeRange(ctx, view, tables, dims, cols, lo, hi, pc)
 }
 
@@ -909,7 +875,7 @@ func missingCols(r *CubeResult, cols []trackedCol) []trackedCol {
 	return missing
 }
 
-func (e *Engine) runCube(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, filter *Predicate) (*CubeResult, error) {
+func (e *Engine) runCube(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol) (*CubeResult, error) {
 	if e.testHookBeforeCubePass != nil {
 		e.testHookBeforeCubePass()
 	}
@@ -918,15 +884,11 @@ func (e *Engine) runCube(ctx context.Context, view *db.JoinView, tables []string
 	}
 	e.Stats.CubePasses.Add(1)
 	e.Stats.RowsScanned.Add(int64(view.NumRows()))
-	if filter != nil {
-		e.Stats.PushdownCubes.Add(1)
-	}
 	pc := passConfig{
 		stats:  &e.Stats,
 		scalar: e.scalarKernel,
 		zones:  e.zoneMaps,
 		sched:  e.sched,
-		filter: filter,
 	}
 	return computeCubeRange(ctx, view, tables, dims, cols, 0, view.NumRows(), pc)
 }

@@ -84,11 +84,6 @@ type passConfig struct {
 	scalar bool
 	zones  bool
 	sched  *Scheduler
-	// filter is the shared predicate of a selection-pushdown pass (nil for
-	// ordinary passes): the kernel compacts every segment through the
-	// filter's selection vector before coding or accumulating anything, and
-	// the resulting CubeResult answers only queries that carry the filter.
-	filter *Predicate
 }
 
 // computeCubeRange is the one cube-pass entry point: it accumulates joined
@@ -110,7 +105,7 @@ func computeCubeRange(ctx context.Context, view *db.JoinView, tables []string, d
 		if pc.stats != nil {
 			pc.stats.ScalarPasses.Add(1)
 		}
-		return computeCubeScalarRange(ctx, view, tables, dims, cols, lo, hi, pc.filter)
+		return computeCubeScalarRange(ctx, view, tables, dims, cols, lo, hi)
 	}
 	return computeCubeVectorizedRange(ctx, view, tables, dims, cols, size, lo, hi, pc)
 }
@@ -202,26 +197,13 @@ type vecKernel struct {
 	// cBase[mask]+maskOtherOff[mask] is the constant cell index of a fully
 	// zone-pruned segment (every row codes to "other" on every dimension).
 	maskOtherOff []int32
-	// filter is the compiled shared predicate of a selection-pushdown pass
-	// (nil otherwise): segments compact through its selection vector before
-	// any coding or accumulation, in ascending row order, so the surviving
-	// rows accumulate in exactly the order the scalar filtered oracle
-	// processes them.
-	filter *predEval
-	stats  *Stats
+	stats        *Stats
 }
 
-func newVecKernel(view *db.JoinView, dims []DimSpec, r *CubeResult, size int, stats *Stats, zoneMaps bool, filter *Predicate) (*vecKernel, error) {
+func newVecKernel(view *db.JoinView, dims []DimSpec, r *CubeResult, size int, stats *Stats, zoneMaps bool) (*vecKernel, error) {
 	k := &vecKernel{view: view, size: size, stats: stats}
 	if zoneMaps {
 		k.spans = view.ZoneSpans()
-	}
-	if filter != nil {
-		pes, err := compilePreds(view, []Predicate{*filter}, zoneMaps)
-		if err != nil {
-			return nil, err
-		}
-		k.filter = &pes[0]
 	}
 
 	stride := int32(1)
@@ -318,10 +300,6 @@ type vecPartial struct {
 	// depend on which column it tracks.
 	rows []int64
 	cols []vecColAcc // parallel to vecKernel.cols; index 0 (star) empty
-	// baseRows counts every row of the range, including rows a pushdown
-	// filter rejected — the Percentage denominator of a filtered cube
-	// (always 0 on unfiltered passes).
-	baseRows int64
 }
 
 type vecColAcc struct {
@@ -458,39 +436,13 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 			fScratch = make([]float64, kernelBlockRows)
 		}
 	}
-	// Pushdown state: the filter's compare mask and selection vector, plus
-	// compaction destinations for dimension blocks (tracked columns compact
-	// into their colF/colC buffers below). fsel/fn name the segment's
-	// surviving rows; fsel == nil means every row survives (no filter).
-	var maskBuf []uint64
-	var selBuf []int32
-	var fCompact []float64
-	var cCompact []int32
-	var fsel []int32
-	if k.filter != nil {
-		maskBuf = make([]uint64, vec.MaskWords(kernelBlockRows))
-		selBuf = make([]int32, kernelBlockRows)
-		if k.filter.isStr && cScratch == nil {
-			cScratch = make([]int32, kernelBlockRows)
-		} else if !k.filter.isStr && fScratch == nil {
-			fScratch = make([]float64, kernelBlockRows)
-		}
-		for i := range k.dims {
-			if k.dims[i].isStr {
-				cCompact = make([]int32, kernelBlockRows)
-			} else {
-				fCompact = make([]float64, kernelBlockRows)
-			}
-		}
-	}
 	// Gather buffers only for columns off the zero-copy path; the block
 	// values must stay live across all subset masks, so they cannot share
-	// one scratch buffer. A pushdown pass needs them for every column:
-	// zero-copy blocks compact through the selection vector into them.
+	// one scratch buffer.
 	colF := make([][]float64, len(k.cols))
 	colC := make([][]int32, len(k.cols))
 	for i := 1; i < len(k.cols); i++ {
-		if k.cols[i].direct && k.filter == nil {
+		if k.cols[i].direct {
 			continue
 		}
 		if k.cols[i].isStr {
@@ -502,7 +454,7 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 	blockF := make([][]float64, len(k.cols))
 	blockC := make([][]int32, len(k.cols))
 
-	var blocks, pruned, skipped, directReads, gatherReads int64
+	var blocks, pruned, directReads, gatherReads int64
 	countRead := func(direct bool) {
 		if direct {
 			directReads++
@@ -512,10 +464,7 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 	}
 	// readCols loads the tracked aggregation column blocks (zero-copy when
 	// direct), skipping columns whose zone is entirely NULL — their rows
-	// count, but no value can contribute. Under a pushdown filter each block
-	// then compacts through fsel, preserving ascending row order (gathers
-	// with ascending in-bounds indexes are overlap-safe, so a non-direct
-	// block may compact within its own gather buffer).
+	// count, but no value can contribute.
 	readCols := func(start, bn, zi int) {
 		for i := 1; i < len(k.cols); i++ {
 			vc := &k.cols[i]
@@ -526,16 +475,8 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 			countRead(vc.direct)
 			if vc.isStr {
 				blockC[i], _ = vc.acc.CodeBlock(start, bn, colC[i])
-				if fsel != nil {
-					vec.GatherI32(colC[i][:len(fsel)], blockC[i], fsel)
-					blockC[i] = colC[i][:len(fsel)]
-				}
 			} else {
 				blockF[i], _ = vc.acc.FloatBlock(start, bn, colF[i])
-				if fsel != nil {
-					vec.GatherF64(colF[i][:len(fsel)], blockF[i], fsel)
-					blockF[i] = colF[i][:len(fsel)]
-				}
 			}
 		}
 	}
@@ -546,37 +487,6 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 			return nil, err
 		}
 		start, bn, zi := sg.start, sg.n, sg.zone
-
-		// Selection pushdown: compact the segment through the shared
-		// predicate before anything else is read. Every row — selected or
-		// not — still counts into baseRows (the Percentage denominator of
-		// the filtered cube covers the whole view).
-		en := bn
-		fsel = nil
-		if k.filter != nil {
-			pt.baseRows += int64(bn)
-			if k.filter.zoneMisses(zi) {
-				pruned++
-				skipped += int64(bn)
-				continue
-			}
-			mask := maskBuf[:vec.MaskWords(bn)]
-			countRead(k.filter.acc.Direct())
-			if k.filter.isStr {
-				codes, _ := k.filter.acc.CodeBlock(start, bn, cScratch)
-				vec.CmpEqI32(codes, k.filter.code, mask)
-			} else {
-				vals, _ := k.filter.acc.FloatBlock(start, bn, fScratch)
-				vec.CmpEqF64(vals, k.filter.val, mask)
-			}
-			en = vec.SelFromMask(mask, bn, selBuf)
-			skipped += int64(bn - en)
-			if en == 0 {
-				pruned++
-				continue
-			}
-			fsel = selBuf[:en]
-		}
 
 		allMiss := nd > 0
 		for i := range k.dims {
@@ -593,7 +503,7 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 			readCols(start, bn, zi)
 			for mask := range k.cBase {
 				ix := k.cBase[mask] + k.maskOtherOff[mask]
-				pt.rows[ix] += int64(en)
+				pt.rows[ix] += int64(bn)
 				for i := 1; i < len(k.cols); i++ {
 					k.accumulateConst(pt, i, ix, zi, blockF[i], blockC[i])
 				}
@@ -604,12 +514,10 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 
 		// Code dimension columns into pre-multiplied offset vectors. A
 		// dimension whose zone misses every literal codes to a constant
-		// "other" without touching its column. Under a pushdown filter the
-		// block first compacts through the selection vector, so only
-		// surviving rows are coded.
+		// "other" without touching its column.
 		for i := range k.dims {
 			d := &k.dims[i]
-			offs := dimOffs[i][:en]
+			offs := dimOffs[i][:bn]
 			if dimMiss[i] {
 				oo := d.otherOff
 				for r := range offs {
@@ -620,19 +528,11 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 			countRead(d.direct)
 			if d.isStr {
 				codes, _ := d.acc.CodeBlock(start, bn, cScratch)
-				if fsel != nil {
-					vec.GatherI32(cCompact[:en], codes, fsel)
-					codes = cCompact[:en]
-				}
 				// Dictionary code -> pre-multiplied lattice offset through
 				// the flat LUT; NULL codes to "other".
 				vec.LookupCodes(offs, codes, d.dictToOff, d.otherOff)
 			} else {
 				vals, _ := d.acc.FloatBlock(start, bn, fScratch)
-				if fsel != nil {
-					vec.GatherF64(fCompact[:en], vals, fsel)
-					vals = fCompact[:en]
-				}
 				lvals, loffs := d.litVals, d.litOffs
 				oo := d.otherOff
 				nl := len(lvals)
@@ -664,7 +564,7 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 
 		// Accumulate each subset mask of the lattice.
 		for mask := range k.cBase {
-			idx := idxBuf[:en]
+			idx := idxBuf[:bn]
 			c0 := k.cBase[mask]
 			switch md := k.maskDims[mask]; len(md) {
 			case 0:
@@ -672,17 +572,17 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 					idx[r] = c0
 				}
 			case 1:
-				o0 := dimOffs[md[0]][:en]
+				o0 := dimOffs[md[0]][:bn]
 				for r := range idx {
 					idx[r] = c0 + o0[r]
 				}
 			case 2:
-				o0, o1 := dimOffs[md[0]][:en], dimOffs[md[1]][:en]
+				o0, o1 := dimOffs[md[0]][:bn], dimOffs[md[1]][:bn]
 				for r := range idx {
 					idx[r] = c0 + o0[r] + o1[r]
 				}
 			default: // maxCubeDims == 3
-				o0, o1, o2 := dimOffs[md[0]][:en], dimOffs[md[1]][:en], dimOffs[md[2]][:en]
+				o0, o1, o2 := dimOffs[md[0]][:bn], dimOffs[md[1]][:bn], dimOffs[md[2]][:bn]
 				for r := range idx {
 					idx[r] = c0 + o0[r] + o1[r] + o2[r]
 				}
@@ -702,9 +602,6 @@ func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, err
 		k.stats.BlocksPruned.Add(pruned)
 		k.stats.DirectBlockReads.Add(directReads)
 		k.stats.GatherBlockReads.Add(gatherReads)
-		if skipped > 0 {
-			k.stats.PushdownRowsSkipped.Add(skipped)
-		}
 	}
 	return pt, nil
 }
@@ -856,7 +753,6 @@ func (k *vecKernel) accumulateConst(pt *vecPartial, i int, ix int32, zi int, val
 // merge folds another partial into pt (pt covers the earlier row range, so
 // sums merge in deterministic range order).
 func (pt *vecPartial) merge(o *vecPartial) {
-	pt.baseRows += o.baseRows
 	for i, v := range o.rows {
 		pt.rows[i] += v
 	}
@@ -985,11 +881,10 @@ func computeCubeVectorizedRange(ctx context.Context, view *db.JoinView, tables [
 	if err != nil {
 		return nil, err
 	}
-	k, err := newVecKernel(view, dims, r, size, pc.stats, pc.zones, pc.filter)
+	k, err := newVecKernel(view, dims, r, size, pc.stats, pc.zones)
 	if err != nil {
 		return nil, err
 	}
-	r.filter = pc.filter
 
 	partials, err := scanMorsels(ctx, pc.sched, pc.stats, k.spans, rangeLo, rangeHi, func(lo, hi int) (*vecPartial, error) {
 		return k.scanRange(ctx, lo, hi)
@@ -1006,7 +901,6 @@ func computeCubeVectorizedRange(ctx context.Context, view *db.JoinView, tables [
 		pc.stats.PartialsMerged.Add(int64(len(partials) - 1))
 	}
 	k.fill(r, root)
-	r.baseRows = root.baseRows
 	k.releasePartial(root)
 	return r, nil
 }

@@ -33,16 +33,6 @@ func WithCaching(on bool) ExecOption {
 	return func(e *Engine) { e.caching = on }
 }
 
-// WithSelectionPushdown toggles selection-vector pushdown in the batch
-// planner (on by default): queries sharing an equality predicate may merge
-// into one filtered cube pass whose kernel compacts each scan segment
-// through the shared predicate's selection vector before accumulating.
-// Results are bit-for-bit identical either way — off is the oracle of the
-// pushdown differential tests.
-func WithSelectionPushdown(on bool) ExecOption {
-	return func(e *Engine) { e.pushdown = on }
-}
-
 // WithCubeCacheBudget bounds the cube cache's estimated resident bytes
 // (the cost-aware cache policy's sweep target). n <= 0 removes the bound.
 // Publishes that push the cache over the budget trigger a score-ordered

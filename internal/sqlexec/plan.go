@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
 	"strings"
@@ -22,12 +23,39 @@ type CubePlan struct {
 	Reqs   []AggRequest
 	// QueryIdx indexes the batch queries answered by this cube.
 	QueryIdx []int
-	// Filter, when non-nil, is an equality predicate shared by every query
-	// of the pass: the kernel compacts each scan segment through the
-	// predicate's selection vector before dimension coding, and the filter
-	// is stripped from the queries when the cube answers them (selection
-	// pushdown). Nil plans scan every row as before.
+	// Filter is a benchmark shim (see below): always nil.
 	Filter *Predicate
+}
+
+// PlanOptions tunes cube planning (PlanCubesOpt).
+type PlanOptions struct {
+	// Pool is the document-wide literal pool, as in BatchOptions.Pool.
+	Pool map[string][]string
+	// MergeSmall keeps small query groups in cube passes (set when a result
+	// cache amortizes them); off, groups of ≤ 2 queries go direct.
+	MergeSmall bool
+	// Pushdown is a benchmark shim (see below): ignored.
+	Pushdown bool
+}
+
+// Benchmark shims: the replay in bench/trace.go compiles against four names
+// of the selection pushdown this package no longer has. They stay, inert,
+// only until the benchmark change of ROADMAP item 2 removes the calls:
+// CubePlan.Filter is always nil, PlanOptions.Pushdown is ignored, and the
+// two methods below.
+
+// PushdownEnabled always reports false. Kept only until ROADMAP item 2's
+// benchmark change removes the call.
+func (e *Engine) PushdownEnabled() bool { return false }
+
+// FilteredCubeForContext is CubeForContext for a nil filter and an error
+// for any other. Kept only until ROADMAP item 2's benchmark change removes
+// the call.
+func (e *Engine) FilteredCubeForContext(ctx context.Context, tables []string, dims []DimSpec, reqs []AggRequest, filter *Predicate) (*CubeResult, error) {
+	if filter != nil {
+		return nil, errors.New("sqlexec: filtered cube passes are not supported")
+	}
+	return e.CubeForContext(ctx, tables, dims, reqs)
 }
 
 // BatchPlan is the outcome of planning a query batch: merged cube passes
@@ -64,260 +92,6 @@ type BatchOptions struct {
 	observe func(plan *BatchPlan, slot []int)
 }
 
-// PlanOptions tunes cube planning (PlanCubesOpt).
-type PlanOptions struct {
-	// Pool is the document-wide literal pool, as in BatchOptions.Pool.
-	Pool map[string][]string
-	// MergeSmall keeps small query groups in cube passes (set when a result
-	// cache amortizes them); off, groups of ≤ 2 queries go direct.
-	MergeSmall bool
-	// Pushdown enables the selection-pushdown pre-pass: queries sharing an
-	// equality predicate may merge into one filtered cube pass.
-	Pushdown bool
-}
-
-// pushdownMinShared is the minimum number of batch queries that must share
-// an equality predicate before the planner claims them into a filtered
-// cube pass. Below it, the regular merged (unfiltered) cubes are at least
-// as good: a filtered pass still scans every block the shared predicate's
-// zones admit, so its payoff is the per-row work saved across many
-// queries, not the scan itself.
-const pushdownMinShared = 3
-
-// filterEligible reports whether query q could be answered by a cube pass
-// filtered on predicate f. It mirrors CubeResult.stripFilter: the query
-// must carry f in a position whose ratio-aggregate denominator the
-// filtered cells can reproduce.
-func filterEligible(q Query, f Predicate) bool {
-	if q.Agg == ConditionalProbability {
-		return len(q.Preds) > 0 && q.Preds[0] == f
-	}
-	if q.Agg == Percentage && !q.AggCol.IsStar() {
-		return false
-	}
-	for _, p := range q.Preds {
-		if p == f {
-			return true
-		}
-	}
-	return false
-}
-
-// strippedCols returns the distinct predicate columns of q after removing
-// one occurrence of f — the dimensions a cube filtered on f needs to
-// answer q.
-func strippedCols(q Query, f Predicate) []ColumnRef {
-	stripped := false
-	seen := make(map[string]bool, len(q.Preds))
-	var refs []ColumnRef
-	for _, p := range q.Preds {
-		if !stripped && p == f {
-			stripped = true
-			continue
-		}
-		if k := p.Col.String(); !seen[k] {
-			seen[k] = true
-			refs = append(refs, p.Col)
-		}
-	}
-	return refs
-}
-
-// queryDimCount is the number of distinct predicate columns of q — the
-// dimensions an unfiltered cube hosting q needs.
-func queryDimCount(q Query) int {
-	seen := make(map[string]bool, len(q.Preds))
-	for _, p := range q.Preds {
-		seen[p.Col.String()] = true
-	}
-	return len(seen)
-}
-
-// planPushdown runs the selection-pushdown pre-pass: it counts how many
-// batch queries share each (join scope, column, literal) equality
-// predicate, and greedily claims the most-shared candidates into filtered
-// cube passes — each pass scans once, compacting every segment through the
-// shared predicate's selection vector, and answers all member queries with
-// the predicate stripped. Claimed queries are marked so the regular
-// planner skips them; everything left flows through unchanged, so
-// pushdown can only remove work, never change an answer.
-func planPushdown(plan *BatchPlan, queries []Query, defaultTable string, opt PlanOptions, claimed []bool) {
-	type candKey struct {
-		tables string
-		col    string
-		val    string
-	}
-	type candidate struct {
-		key     candKey
-		filter  Predicate
-		tables  []string
-		queries []int
-	}
-	cands := make(map[candKey]*candidate)
-	for i, q := range queries {
-		if opt.MergeSmall && len(opt.Pool) > 0 && queryDimCount(q) <= maxCubeDims {
-			// Cost rule under caching with a literal pool (a document- or
-			// corpus-scale caller, §6.3): this query's own predicate columns
-			// fit an unfiltered cube, whose signature is column-set keyed and
-			// so stable across batches, documents, and EM iterations — a
-			// cache investment every later claim reuses. A filtered pass is
-			// keyed by its literal: near-zero reuse across a corpus, one
-			// fresh scan per distinct claim value. Pushdown still claims the
-			// queries too wide for any unfiltered host (there the shared
-			// predicate genuinely frees a dimension slot).
-			continue
-		}
-		tables := q.Tables(defaultTable)
-		scope := strings.Join(sortedCopy(tables), ",")
-		seen := make(map[Predicate]bool, len(q.Preds))
-		for _, p := range q.Preds {
-			if seen[p] || !filterEligible(q, p) {
-				continue
-			}
-			seen[p] = true
-			// A query too wide even after stripping can never join the pass.
-			if len(strippedCols(q, p)) > maxCubeDims {
-				continue
-			}
-			k := candKey{tables: scope, col: p.Col.String(), val: p.Value}
-			c, ok := cands[k]
-			if !ok {
-				c = &candidate{key: k, filter: p, tables: tables}
-				cands[k] = c
-			}
-			c.queries = append(c.queries, i)
-		}
-	}
-
-	// Deterministic claim order: most-shared predicates first, ties by key.
-	clist := make([]*candidate, 0, len(cands))
-	for _, c := range cands {
-		if len(c.queries) >= pushdownMinShared {
-			clist = append(clist, c)
-		}
-	}
-	sort.Slice(clist, func(a, b int) bool {
-		ca, cb := clist[a], clist[b]
-		if len(ca.queries) != len(cb.queries) {
-			return len(ca.queries) > len(cb.queries)
-		}
-		if ca.key.tables != cb.key.tables {
-			return ca.key.tables < cb.key.tables
-		}
-		if ca.key.col != cb.key.col {
-			return ca.key.col < cb.key.col
-		}
-		return ca.key.val < cb.key.val
-	})
-
-	for _, c := range clist {
-		// Re-check membership: earlier candidates may have claimed some of
-		// these queries already.
-		members := c.queries[:0:0]
-		for _, i := range c.queries {
-			if !claimed[i] {
-				members = append(members, i)
-			}
-		}
-		if len(members) < pushdownMinShared {
-			continue
-		}
-		// Cost rule: if every member's full predicate-column set fits one
-		// unfiltered cube, the regular planner answers them all in a single
-		// merged pass with a batch-stable signature — strictly better than
-		// a filtered pass. Pushdown pays off only when the shared predicate
-		// frees a dimension slot: the full union exceeds maxCubeDims, so
-		// without it the members fragment into several cubes or directs.
-		fullUnion := make(map[string]bool)
-		for _, i := range members {
-			for _, p := range queries[i].Preds {
-				fullUnion[p.Col.String()] = true
-			}
-		}
-		if len(fullUnion) <= maxCubeDims {
-			continue
-		}
-		// Greedily pack members into passes whose residual-column union
-		// stays within the cube dimension limit (first-fit in batch order,
-		// like the unfiltered planner's host folding).
-		type bin struct {
-			colSet   map[string]bool
-			colRefs  []ColumnRef
-			queries  []int
-			literals map[string]map[string]bool
-		}
-		var bins []*bin
-		for _, i := range members {
-			refs := strippedCols(queries[i], c.filter)
-			var host *bin
-			for _, b := range bins {
-				n := len(b.colSet)
-				for _, ref := range refs {
-					if !b.colSet[ref.String()] {
-						n++
-					}
-				}
-				if n <= maxCubeDims {
-					host = b
-					break
-				}
-			}
-			if host == nil {
-				host = &bin{colSet: make(map[string]bool), literals: make(map[string]map[string]bool)}
-				bins = append(bins, host)
-			}
-			host.queries = append(host.queries, i)
-			for _, ref := range refs {
-				if k := ref.String(); !host.colSet[k] {
-					host.colSet[k] = true
-					host.colRefs = append(host.colRefs, ref)
-				}
-			}
-			// Residual literals only: the filter value is satisfied by the
-			// pass itself and must not widen the dimensions.
-			stripped := false
-			for _, p := range queries[i].Preds {
-				if !stripped && p == c.filter {
-					stripped = true
-					continue
-				}
-				k := p.Col.String()
-				if host.literals[k] == nil {
-					host.literals[k] = make(map[string]bool)
-				}
-				host.literals[k][p.Value] = true
-			}
-		}
-		for _, b := range bins {
-			if len(b.queries) < pushdownMinShared {
-				continue // too small to beat the unfiltered planner; leave unclaimed
-			}
-			refs := append([]ColumnRef(nil), b.colRefs...)
-			sort.Slice(refs, func(x, y int) bool { return refs[x].String() < refs[y].String() })
-			dims := make([]DimSpec, 0, len(refs))
-			for _, ref := range refs {
-				dims = append(dims, DimSpec{
-					Col:      ref,
-					Literals: mergedLiterals(opt.Pool[ref.String()], b.literals[ref.String()]),
-				})
-			}
-			reqs := make([]AggRequest, 0, len(b.queries))
-			for _, i := range b.queries {
-				reqs = append(reqs, AggRequest{Fn: queries[i].Agg, Col: queries[i].AggCol})
-				claimed[i] = true
-			}
-			f := c.filter
-			plan.Cubes = append(plan.Cubes, &CubePlan{
-				Tables:   c.tables,
-				Dims:     dims,
-				Reqs:     reqs,
-				QueryIdx: append([]int(nil), b.queries...),
-				Filter:   &f,
-			})
-		}
-	}
-}
-
 // PlanCubesOpt merges a query batch into cube passes. Queries are grouped
 // by (join scope, predicate column set); a group whose column set is a
 // subset of another group's is answered from the larger cube, and remaining
@@ -325,20 +99,13 @@ func planPushdown(plan *BatchPlan, queries []Query, defaultTable string, opt Pla
 // the combined dimension count stays within maxCubeDims (the paper's m ≤ 3
 // merging, applied across claims). When opt.MergeSmall is false (no result
 // cache to amortize a pass), groups holding ≤ 2 queries are answered with
-// direct scans instead — the cost model of §6.1. When opt.Pushdown is set,
-// a pre-pass first claims queries sharing an equality predicate into
-// filtered cube passes (selection pushdown); the remainder is merged into
-// unfiltered cubes as above.
+// direct scans instead — the cost model of §6.1.
 func PlanCubesOpt(queries []Query, defaultTable string, opt PlanOptions) *BatchPlan {
 	plan := &BatchPlan{}
 	if len(queries) == 0 {
 		return plan
 	}
 	pool, mergeSmall := opt.Pool, opt.MergeSmall
-	claimed := make([]bool, len(queries))
-	if opt.Pushdown {
-		planPushdown(plan, queries, defaultTable, opt, claimed)
-	}
 
 	type groupKey struct {
 		tables string
@@ -354,9 +121,6 @@ func PlanCubesOpt(queries []Query, defaultTable string, opt PlanOptions) *BatchP
 	}
 	groups := make(map[groupKey]*group)
 	for i, q := range queries {
-		if claimed[i] {
-			continue
-		}
 		tables := q.Tables(defaultTable)
 		var colKeys []string
 		colSet := make(map[string]bool, len(q.Preds))
@@ -519,8 +283,8 @@ func sameTables(a, b []string) bool {
 // engine's counters record the batch, its default table anchors queries
 // that reference no column, and its scheduler runs the work. Duplicate
 // queries (by canonical key) are evaluated once; the remainder is planned
-// (Pool comes from opts; small groups merge when caching amortizes them,
-// and shared selections push down when enabled) into merged cube passes,
+// (Pool comes from opts; small groups merge when caching amortizes them)
+// into merged cube passes,
 // and each query is answered from its cube cell. Queries a cube pass
 // cannot answer (planner fallback, cube errors) are evaluated with direct
 // scans, as is the whole batch under opts.Naive. Passes and scans read the
@@ -565,7 +329,7 @@ func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchO
 			plan.Direct[i] = i
 		}
 	} else {
-		policy := PlanOptions{MergeSmall: e.caching, Pushdown: e.pushdown, Pool: opts.Pool}
+		policy := PlanOptions{MergeSmall: e.caching, Pool: opts.Pool}
 		plan = PlanCubesOpt(uniq, e.DefaultTable(), policy)
 		stats.PlannedCubes.Add(int64(len(plan.Cubes)))
 	}
@@ -595,7 +359,7 @@ func (e *Engine) EvaluateBatch(ctx context.Context, queries []Query, opts BatchO
 			return nil
 		}
 		p := plan.Cubes[t]
-		cube, err := e.cubeForContext(ctx, p.Tables, p.Dims, p.Reqs, p.Filter)
+		cube, err := e.CubeForContext(ctx, p.Tables, p.Dims, p.Reqs)
 		if err != nil && ctx.Err() != nil {
 			return nil // slots stay NaN
 		}

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -122,5 +123,58 @@ func TestEvaluateBatchEmptyAndSerial(t *testing.T) {
 	got := e.EvaluateBatch(context.Background(), batch, BatchOptions{Workers: 1})
 	if got[0] != 4 || got[1] != 560 {
 		t.Fatalf("serial batch = %v, want [4 560]", got)
+	}
+}
+
+// TestBenchShims pins the inert planner names the benchmark replay still
+// compiles against: it must plan and scan exactly what the checker runs.
+func TestBenchShims(t *testing.T) {
+	e := NewEngine(nflDB(t), WithCaching(false))
+	if e.PushdownEnabled() {
+		t.Error("PushdownEnabled() = true, want false")
+	}
+
+	// Queries sharing one equality predicate across more columns than a
+	// cube holds: the shape a pushdown planner would have filtered on.
+	batch := []Query{
+		countQ("a", "p", "b", "u", "c", "1"),
+		countQ("a", "p", "d", "x", "b", "v"),
+		countQ("a", "p", "c", "2", "d", "y"),
+		countQ("a", "p", "b", "w", "d", "z"),
+		countQ("b", "u"),
+	}
+	pool := map[string][]string{planRef("a").String(): {"p", "q"}}
+	for _, opt := range []PlanOptions{{}, {MergeSmall: true}, {Pool: pool, MergeSmall: true}} {
+		off := PlanCubesOpt(batch, "t", opt)
+		opt.Pushdown = true
+		on := PlanCubesOpt(batch, "t", opt)
+		if !reflect.DeepEqual(on, off) {
+			t.Errorf("MergeSmall=%t pool=%t: plan with Pushdown differs from plan without", opt.MergeSmall, opt.Pool != nil)
+		}
+		for _, p := range on.Cubes {
+			if p.Filter != nil {
+				t.Errorf("MergeSmall=%t pool=%t: CubePlan.Filter = %v, want nil", opt.MergeSmall, opt.Pool != nil, *p.Filter)
+			}
+		}
+	}
+
+	ctx := context.Background()
+	tables := []string{"nflsuspensions"}
+	dims := buildNFLDims()
+	reqs := []AggRequest{{Fn: Sum, Col: ref("fine")}, {Fn: CountDistinct, Col: ref("team")}}
+	want, err := e.CubeForContext(ctx, tables, dims, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.FilteredCubeForContext(ctx, tables, dims, reqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("FilteredCubeForContext with a nil filter differs from CubeForContext")
+	}
+	filter := Predicate{Col: ref("games"), Value: "indef"}
+	if _, err := e.FilteredCubeForContext(ctx, tables, dims, reqs, &filter); err == nil {
+		t.Error("FilteredCubeForContext with a filter succeeded, want an error")
 	}
 }

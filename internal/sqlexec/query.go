@@ -157,9 +157,6 @@ func (q Query) Key() string {
 	return sb.String()
 }
 
-// Equal reports query identity under canonicalization.
-func (q Query) Equal(other Query) bool { return q.Key() == other.Key() }
-
 // Tables returns the set of tables referenced by the query (aggregation
 // column first if present, then predicate tables), deduplicated in
 // first-reference order. The caller supplies a default table used when the

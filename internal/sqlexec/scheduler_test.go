@@ -442,15 +442,15 @@ func TestSchedulerSharedStress(t *testing.T) {
 	}
 }
 
-// TestRunBatchNestedOnScheduler drives the one-pool path end to end: batch
-// tasks run on a width-2 scheduler and, with the split threshold lowered,
-// every cube pass and direct scan inside them owns a nested morsel job on
-// the same pool. Four goroutines submit batches concurrently while a fifth
-// batch is cancelled mid-run. Answers must be bit-identical to a
+// TestEvaluateBatchNestedOnScheduler drives the one-pool path end to end:
+// batch tasks run on a width-2 scheduler and, with the split threshold
+// lowered, every cube pass and direct scan inside them owns a nested morsel
+// job on the same pool. Four goroutines submit batches concurrently while a
+// fifth batch is cancelled mid-run. Answers must be bit-identical to a
 // NewScheduler(1) engine (integer-valued data), the cancelled batch must
 // read NaN in every slot with ctx.Err() set, and no goroutine may survive
 // Close.
-func TestRunBatchNestedOnScheduler(t *testing.T) {
+func TestEvaluateBatchNestedOnScheduler(t *testing.T) {
 	defer func(old int) { kernelParallelMinRows = old }(kernelParallelMinRows)
 	kernelParallelMinRows = 64
 

@@ -337,8 +337,8 @@ func TestAccumulateF64Variants(t *testing.T) {
 	}
 }
 
-// TestMaskSelRoundTrip composes the primitives the way the pushdown kernel
-// does: compare → select → gather.
+// TestMaskSelRoundTrip composes the primitives the way a filtered scan
+// uses them: compare → select → gather.
 func TestMaskSelRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range lengths {
