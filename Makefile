@@ -54,19 +54,22 @@ fmt:
 # fuzz-smoke runs each native fuzz target for 30 seconds: the HTML-lite and
 # markdown-lite document parsers, which read every HTTP check body, the SQL
 # parser behind -query and ground-truth files, the CSV and JSON-lines
-# loaders behind -data, -db and file sources, and the column store's
-# manifest, which every -data-dir start reads. The seeds under each
-# package's testdata/fuzz (and any crasher the fuzzer writes there) also
-# run as plain tests in `make test`. The manifest target caps minimizing
-# at 100 executions per input: each execution rewrites a store directory,
-# and the default 60 s minimizing budget would spend the whole run
-# shrinking the first new input instead of fuzzing.
+# loaders behind -data, -db and file sources, the file sources' Refresh
+# (open a prefix, append the rest, refresh: a successful refresh equals a
+# fresh open), and the column store's manifest, which every -data-dir
+# start reads. The seeds under each package's testdata/fuzz (and any
+# crasher the fuzzer writes there) also run as plain tests in `make test`.
+# The Refresh and manifest targets cap minimizing at 100 executions per
+# input: each execution writes files to disk, and the default 60 s
+# minimizing budget would spend the whole run shrinking the first new
+# input instead of fuzzing.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseHTML$$' -fuzztime=30s ./internal/document
 	$(GO) test -run='^$$' -fuzz='^FuzzParseText$$' -fuzztime=30s ./internal/document
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSQL$$' -fuzztime=30s ./internal/sqlparse
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCSV$$' -fuzztime=30s ./internal/db
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadJSONL$$' -fuzztime=30s ./internal/db
+	$(GO) test -run='^$$' -fuzz='^FuzzSourceRefresh$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/db
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenManifest$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/colstore
 
 # bench runs the full benchmark suite (Tables 3-6, Figures 8-13).

@@ -11,9 +11,7 @@
 //
 // Quickstart:
 //
-//	tbl, _ := aggchecker.LoadCSVFileOptions("nflsuspensions.csv", "", aggchecker.CSVOptions{})
-//	db := aggchecker.NewDatabase("nfl")
-//	db.MustAddTable(tbl)
+//	db, _ := aggchecker.NewCSVSource("nfl", "nflsuspensions.csv").Open(ctx)
 //	checker := aggchecker.New(db, aggchecker.DefaultConfig())
 //	report, err := checker.Check(ctx, aggchecker.ParseHTML(article))
 //	if err != nil { ... } // ctx cancelled or deadline exceeded
@@ -301,19 +299,6 @@ func NewMemSource(d *Database) *MemSource { return db.NewMemSource(d) }
 // use Append/Commit rather than direct column mutation once checking has
 // started.
 func NewDatabase(name string) *Database { return db.NewDatabase(name) }
-
-// LoadCSVFileOptions loads a table from a CSV file with type inference
-// and explicit parsing options (NULL tokens, delimiter; the zero
-// CSVOptions are the defaults); the table name defaults to the file's
-// base name. NewCSVSource opens lazily and refreshes incrementally.
-func LoadCSVFileOptions(path, tableName string, opts CSVOptions) (*Table, error) {
-	return db.LoadCSVFileOptions(path, tableName, opts)
-}
-
-// LoadJSONLFile loads a table from a JSON-lines file.
-func LoadJSONLFile(path, tableName string) (*Table, error) {
-	return db.LoadJSONLFile(path, tableName)
-}
 
 // ParseHTML parses HTML-lite markup into a Document and detects claims.
 func ParseHTML(src string) *Document { return document.ParseHTML(src) }

@@ -82,15 +82,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	db := aggchecker.NewDatabase("userdb")
-	for _, path := range strings.Split(*data, ",") {
-		tbl, err := aggchecker.LoadCSVFileOptions(strings.TrimSpace(path), "", aggchecker.CSVOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		if err := db.AddTable(tbl); err != nil {
-			fatal(err)
-		}
+	src := aggchecker.NewCSVSource("userdb", strings.Split(*data, ",")...)
+	db, err := src.Open(ctx)
+	if err != nil {
+		fatal(err)
+	}
+	if n := src.PendingTailBytes(); n > 0 {
+		fmt.Fprintf(os.Stderr, "aggcheck: left out %d bytes of -data that end inside an open quoted field\n", n)
 	}
 	if *query != "" {
 		runQuery(ctx, db, sched, *query, *claimed, isFlagSet("claimed"))

@@ -101,6 +101,10 @@ type Status struct {
 	// Cache reports the cube cache's residency and cost-aware economics
 	// (nil when not resident). Populated in and outside audit mode alike.
 	Cache *CacheStats `json:"cache,omitempty"`
+	// PendingTailBytes counts the bytes a file source's last open or
+	// refresh held back at the ends of its files: rows still waiting on
+	// the writer (db.CSVSource, db.JSONLSource).
+	PendingTailBytes int64 `json:"pending_tail_bytes,omitempty"`
 }
 
 // StoreStatus is the persistent-storage slice of a resident checker's
@@ -154,10 +158,13 @@ type ScanStats struct {
 	StealCount        int64 `json:"steal_count"`
 }
 
-func statusOf(name string, ck *Checker) Status {
-	st := Status{Name: name}
+func statusOf(src *source, ck *Checker) Status {
+	st := Status{Name: src.name}
 	if ck == nil {
 		return st
+	}
+	if p, ok := src.src.(interface{ PendingTailBytes() int64 }); ok {
+		st.PendingTailBytes = p.PendingTailBytes()
 	}
 	snap := ck.DB.Snapshot()
 	st.Resident = true
@@ -405,7 +412,7 @@ func openPersistent(ctx context.Context, name string, dsrc db.Source, dataDir st
 	dir := filepath.Join(dataDir, name)
 	st, pdb, err := colstore.Open(dir)
 	if err != nil {
-		if renameErr := os.Rename(dir, dir+".bad"); renameErr != nil {
+		if quarantine(dir) != nil {
 			return nil, nil, fmt.Errorf("aggchecker: open store %s: %w", dir, err)
 		}
 		if st, pdb, err = colstore.Open(dir); err != nil {
@@ -423,7 +430,7 @@ func openPersistent(ctx context.Context, name string, dsrc db.Source, dataDir st
 		}
 		// Restored metadata the database rejects: quarantine and bootstrap.
 		st.Close()
-		if renameErr := os.Rename(dir, dir+".bad"); renameErr != nil {
+		if quarantine(dir) != nil {
 			return nil, nil, rerr
 		}
 		if st, _, err = colstore.Open(dir); err != nil {
@@ -440,6 +447,15 @@ func openPersistent(ctx context.Context, name string, dsrc db.Source, dataDir st
 		return nil, nil, err
 	}
 	return d, st, nil
+}
+
+// quarantine moves a store directory aside to <dir>.bad, replacing an
+// older one, so the next open bootstraps from the source.
+func quarantine(dir string) error {
+	if err := os.RemoveAll(dir + ".bad"); err != nil {
+		return err
+	}
+	return os.Rename(dir, dir+".bad")
 }
 
 // touchLocked moves a resident source to the LRU front (inserting it when
@@ -482,7 +498,7 @@ func (s *Service) Status(name string) (Status, error) {
 	if !ok {
 		return Status{}, fmt.Errorf("aggchecker: %w: %q", ErrUnknownDatabase, name)
 	}
-	return statusOf(name, src.checker), nil
+	return statusOf(src, src.checker), nil
 }
 
 // Refresh brings a registered database up to date with its source.
@@ -536,8 +552,7 @@ func (s *Service) refresh(ctx context.Context, src *source, ck *Checker) (Status
 	r, ok := src.src.(db.Refresher)
 	if !ok {
 		// Opaque source: evict so the next request reloads fresh data.
-		s.evictChecker(src, ck)
-		return Status{Name: src.name}, nil
+		return Status{Name: src.name}, s.evictChecker(src, ck)
 	}
 	appended, err := r.Refresh(ctx, ck.DB)
 	if err != nil && ctx.Err() == nil {
@@ -546,11 +561,10 @@ func (s *Service) refresh(ctx context.Context, src *source, ck *Checker) (Status
 		// to a full re-open by evicting the checker, so the next request
 		// loads the file as it now is instead of serving pre-rewrite data
 		// forever. Cancellation is not a source problem and evicts nothing.
-		s.evictChecker(src, ck)
-		return Status{Name: src.name}, err
+		return Status{Name: src.name}, errors.Join(err, s.evictChecker(src, ck))
 	}
 	if err != nil {
-		return statusOf(src.name, ck), err
+		return statusOf(src, ck), err
 	}
 	if appended > 0 {
 		// The engine keeps its snapshot-versioned caches (appends are
@@ -577,18 +591,20 @@ func (s *Service) refresh(ctx context.Context, src *source, ck *Checker) (Status
 		ck = fresh
 		ck.maybeCompactAsync(ck.Config.CompactAfter)
 	}
-	st := statusOf(src.name, ck)
+	st := statusOf(src, ck)
 	st.Appended = appended
 	return st, nil
 }
 
 // evictChecker drops a resident checker (if still the given one) so the
-// next request rebuilds from a fresh source open.
-func (s *Service) evictChecker(src *source, ck *Checker) {
+// next request rebuilds from a fresh source open. Its persistent store
+// holds the data being replaced, so it is quarantined under the lock,
+// before a rebuild could restore it instead of opening the source.
+func (s *Service) evictChecker(src *source, ck *Checker) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if src.checker != ck {
-		return
+		return nil
 	}
 	ck.detachStore()
 	src.checker = nil
@@ -596,6 +612,10 @@ func (s *Service) evictChecker(src *source, ck *Checker) {
 		s.lru.Remove(src.elem)
 		src.elem = nil
 	}
+	if ck.store != nil {
+		return quarantine(ck.store.Dir())
+	}
+	return nil
 }
 
 // Check verifies a document against a named database; see Checker.Check

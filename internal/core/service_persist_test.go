@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,6 +212,91 @@ func TestServicePersistentRefreshAndCompaction(t *testing.T) {
 	}
 	if got := len(snap.Tables()[0].Blocks()); got != blocks {
 		t.Fatalf("restored blocks = %d, want %d (compacted layout persists)", got, blocks)
+	}
+}
+
+// TestServicePersistentRefreshRejectsExtendedTail: a store restored after
+// a restart has no record of what the source consumed. If the file's
+// unterminated last line was extended while the service was down, the
+// stored last row no longer matches the file, and the first refresh fails
+// as a rewrite instead of appending after a stale row. The failed refresh
+// quarantines the stale store, so the next request bootstraps from the
+// file as it now is and later refreshes append again.
+func TestServicePersistentRefreshRejectsExtendedTail(t *testing.T) {
+	dir := t.TempDir()
+	path := writeCSV(t, dir, "fines.csv", strings.TrimSuffix(persistCSV, "0\n"))
+	cfg := quickCfg()
+	cfg.DataDir = filepath.Join(dir, "blocks")
+	ctx := context.Background()
+
+	svc1 := NewService(WithDefaultConfig(cfg))
+	if err := svc1.RegisterSource("fines", db.NewCSVSource("fines", path)); err != nil {
+		t.Fatal(err)
+	}
+	ck1, err := svc1.Checker(ctx, "fines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ck1.DB.Snapshot().Table("fines").Column("amount").Float(7); got != 80 {
+		t.Fatalf("stored last amount = %v, want 80", got)
+	}
+
+	// While no service runs, the writer finishes the last line.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString("0\nIvy,reds,900\n")
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := NewService(WithDefaultConfig(cfg))
+	if err := svc2.RegisterSource("fines", db.NewCSVSource("fines", path)); err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := svc2.Checker(ctx, "fines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck2.Store() == nil || ck2.DB.Snapshot().NumRows("fines") != 8 {
+		t.Fatal("second service did not restore the stored 8 rows")
+	}
+	_, err = svc2.Refresh(ctx, "fines")
+	if err == nil || !strings.Contains(err.Error(), "rewritten") {
+		t.Fatalf("refresh after the tail was extended = %v, want a rewrite error", err)
+	}
+	if _, err := os.Stat(filepath.Join(cfg.DataDir, "fines.bad")); err != nil {
+		t.Errorf("stale store was not quarantined: %v", err)
+	}
+
+	ck3, err := svc2.Checker(ctx, "fines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := ck3.DB.Snapshot()
+	if ck3.Store() == nil || snap.NumRows("fines") != 9 {
+		t.Fatalf("rebuilt checker: has store %v, %d rows; want a fresh store with 9 rows", ck3.Store() != nil, snap.NumRows("fines"))
+	}
+	if got := snap.Table("fines").Column("amount").Float(7); got != 800 {
+		t.Fatalf("rebuilt last amount = %v, want the completed 800", got)
+	}
+	if got := snap.Table("fines").Column("player").StringAt(8); got != "Ivy" {
+		t.Fatalf("rebuilt row 8 player = %q, want Ivy", got)
+	}
+	f, err = os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString("Jon,blues,1000\n")
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc2.Refresh(ctx, "fines")
+	if err != nil || st.Appended != 1 || st.Rows["fines"] != 10 {
+		t.Fatalf("refresh after the rebuild = %+v (%v), want 1 appended, 10 rows", st, err)
 	}
 }
 

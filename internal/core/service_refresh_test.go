@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aggchecker/internal/corpus"
@@ -121,6 +122,82 @@ func TestServiceRefreshCSVSource(t *testing.T) {
 	}
 	if st, err = svc.Status("fines"); err != nil || st.Rows["fines"] != 1 {
 		t.Fatalf("re-opened status = %+v (%v), want the rewritten 1-row file", st, err)
+	}
+}
+
+// A CSV whose last record lacks a newline loads it. When the writer then
+// extends that record instead of ending it, the refresh fails, the
+// checker is evicted, and the re-opened database serves the completed row.
+func TestServiceRefreshExtendedLastRecordReopens(t *testing.T) {
+	dir := t.TempDir()
+	path := writeCSV(t, dir, "fines.csv", "player,amount\nAlice,100\nBob,20")
+	svc := NewService(WithDefaultConfig(quickCfg()))
+	if err := svc.RegisterSource("fines", db.NewCSVSource("fines", path)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := svc.Checker(ctx, "fines"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := svc.Status("fines"); err != nil || st.Rows["fines"] != 2 || st.PendingTailBytes != 0 {
+		t.Fatalf("open status = %+v (%v), want 2 rows, nothing pending", st, err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString("0\n")
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Refresh(ctx, "fines"); err == nil {
+		t.Fatal("refresh over an extended last record should fail")
+	}
+	if st, err := svc.Status("fines"); err != nil || st.Resident {
+		t.Fatalf("status after the failed refresh = %+v (%v), want evicted", st, err)
+	}
+	ck, err := svc.Checker(ctx, "fines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := svc.Status("fines"); err != nil || st.Rows["fines"] != 2 {
+		t.Fatalf("re-opened status = %+v (%v), want 2 rows", st, err)
+	}
+	if got := ck.DB.Snapshot().Table("fines").Column("amount").Float(1); got != 200 {
+		t.Fatalf("re-opened last amount = %v, want the completed 200", got)
+	}
+}
+
+// Under a data dir, refreshing an opaque source still reloads it: the
+// evicted checker's store is set aside instead of being restored.
+func TestServiceRefreshOpaqueSourceReopensPersistent(t *testing.T) {
+	dir := t.TempDir()
+	path := writeCSV(t, dir, "fines.csv", "player,amount\nAlice,100\n")
+	var opens atomic.Int32
+	cfg := quickCfg()
+	cfg.DataDir = filepath.Join(dir, "blocks")
+	svc := NewService(WithDefaultConfig(cfg))
+	if err := svc.RegisterSource("fines", db.SourceFunc(func(ctx context.Context) (*db.Database, error) {
+		opens.Add(1)
+		return db.NewCSVSource("fines", path).Open(ctx)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := svc.Checker(ctx, "fines"); err != nil {
+		t.Fatal(err)
+	}
+	writeCSV(t, dir, "fines.csv", "player,amount\nAlice,150\nBob,20\n")
+	if _, err := svc.Refresh(ctx, "fines"); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := svc.Checker(ctx, "fines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, rows := opens.Load(), ck.DB.Snapshot().NumRows("fines"); n != 2 || rows != 2 {
+		t.Fatalf("after an opaque refresh: %d source opens, %d rows; want 2 opens of the rewritten file's 2 rows", n, rows)
 	}
 }
 

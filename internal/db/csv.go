@@ -1,11 +1,13 @@
 package db
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
-	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -20,16 +22,6 @@ type CSVOptions struct {
 	NullTokens []string
 	// Comma is the field delimiter; 0 means ','.
 	Comma rune
-}
-
-// nullSet compiles the NULL-token list for case-insensitive lookup. The
-// empty string is always NULL.
-func (o CSVOptions) nullSet() map[string]bool {
-	set := map[string]bool{"": true}
-	for _, tok := range o.NullTokens {
-		set[strings.ToLower(strings.TrimSpace(tok))] = true
-	}
-	return set
 }
 
 // LoadCSV reads a table from CSV data with default options. The first
@@ -48,123 +40,107 @@ func LoadCSV(r io.Reader, tableName string) (*Table, error) {
 
 // LoadCSVOptions is LoadCSV with explicit parsing options.
 func LoadCSVOptions(r io.Reader, tableName string, opts CSVOptions) (*Table, error) {
-	records, err := readCSVRecords(r, tableName, opts)
-	if err != nil {
-		return nil, err
-	}
-	header := records[0]
-	rows := records[1:]
-	return buildCSVTable(tableName, header, rows, opts)
+	return loadTable(r, tableName, opts.format())
 }
 
-// readCSVRecords parses raw CSV records (header included).
-func readCSVRecords(r io.Reader, tableName string, opts CSVOptions) ([][]string, error) {
-	cr := csv.NewReader(r)
+// csvFormat is the CSV fileFormat: records are raw cells, converted by
+// column position. nulls holds the lower-cased NULL tokens; the empty
+// string is always NULL.
+type csvFormat struct {
+	opts  CSVOptions
+	nulls map[string]bool
+}
+
+func (o CSVOptions) format() csvFormat {
+	f := csvFormat{opts: o, nulls: map[string]bool{"": true}}
+	for _, tok := range o.NullTokens {
+		f.nulls[strings.ToLower(strings.TrimSpace(tok))] = true
+	}
+	return f
+}
+
+func (csvFormat) kind() string { return "csv" }
+
+func (f csvFormat) reader(data []byte) *csv.Reader {
+	cr := csv.NewReader(bytes.NewReader(data))
 	cr.TrimLeadingSpace = true
 	cr.FieldsPerRecord = -1
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
+	if f.opts.Comma != 0 {
+		cr.Comma = f.opts.Comma
 	}
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("db: reading csv for %s: %w", tableName, err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("db: csv for %s is empty", tableName)
-	}
-	return records, nil
+	return cr
 }
 
-// buildCSVTable infers column types over all rows and materializes the
-// table. NULL cells are excluded from inference and stored as NULL under
-// either inferred kind.
-func buildCSVTable(tableName string, header []string, rows [][]string, opts CSVOptions) (*Table, error) {
-	ncols := len(header)
-	nulls := opts.nullSet()
-	isNull := func(cell string) bool { return nulls[strings.ToLower(cell)] }
-
-	numeric := make([]bool, ncols)
-	for j := 0; j < ncols; j++ {
-		numeric[j] = true
-		nonNull := 0
-		for _, rec := range rows {
-			if j >= len(rec) {
-				continue
-			}
-			cell := strings.TrimSpace(rec[j])
-			if isNull(cell) {
-				continue
-			}
-			nonNull++
-			if _, err := parseNumericCell(cell); err != nil {
-				numeric[j] = false
-				break
-			}
+// decode splits CSV bytes into the header and the records after it. A
+// record that fails to parse only because its quoted field is still open
+// at the end of the data is a torn write, the undecoded tail; any other
+// parse error is permanent, whatever follows it.
+func (f csvFormat) decode(data []byte, table string) (decoded[[]string], error) {
+	cr := f.reader(data)
+	var dec decoded[[]string]
+	for {
+		start := int(cr.InputOffset())
+		rec, err := cr.Read()
+		if err == io.EOF {
+			dec.done = len(data)
+			break
 		}
-		if nonNull == 0 {
-			numeric[j] = false // all-NULL columns default to text
-		}
-	}
-
-	cols := make([]*Column, ncols)
-	for j := 0; j < ncols; j++ {
-		name := strings.TrimSpace(header[j])
-		if name == "" {
-			name = fmt.Sprintf("col%d", j+1)
-		}
-		if numeric[j] {
-			cols[j] = NewFloatColumn(name)
-		} else {
-			cols[j] = NewStringColumn(name)
-		}
-	}
-	for _, rec := range rows {
-		for j := 0; j < ncols; j++ {
-			var cell string
-			if j < len(rec) {
-				cell = strings.TrimSpace(rec[j])
+		if err != nil {
+			err = fmt.Errorf("db: reading csv for %s: %w", table, err)
+			// Closing the quote completes an open field and nothing else.
+			if _, perr := f.reader(append(slices.Clip(data[start:]), '"')).Read(); perr != nil {
+				return dec, err
 			}
-			null := isNull(cell)
-			if numeric[j] {
-				if null {
-					cols[j].AppendFloat(math.NaN())
-				} else {
-					v, _ := parseNumericCell(cell)
-					cols[j].AppendFloat(v)
+			dec.done, dec.tailErr = start, err
+			break
+		}
+		dec.open = data[cr.InputOffset()-1] != '\n'
+		if dec.cols == nil {
+			for j := range rec {
+				if rec[j] = strings.TrimSpace(rec[j]); rec[j] == "" {
+					rec[j] = fmt.Sprintf("col%d", j+1)
 				}
-			} else if null {
-				cols[j].AppendString("")
-			} else {
-				cols[j].AppendString(cell)
 			}
+			dec.cols = rec
+			continue
 		}
+		dec.last = start
+		dec.recs = append(dec.recs, rec)
 	}
-	return NewTable(tableName, cols...)
+	if dec.cols == nil {
+		if dec.tailErr != nil {
+			return dec, dec.tailErr
+		}
+		return dec, fmt.Errorf("db: csv for %s is empty", table)
+	}
+	return dec, nil
 }
 
-// LoadCSVFileOptions loads a table from a CSV file (see LoadCSVOptions);
-// the table name defaults to the file's base name without extension.
-func LoadCSVFileOptions(path, tableName string, opts CSVOptions) (*Table, error) {
-	f, err := os.Open(path)
+// value converts the cell at position j; a missing cell is NULL.
+func (f csvFormat) value(c *Column, j int, rec []string) (float64, string, error) {
+	var cell string
+	if j < len(rec) {
+		cell = strings.TrimSpace(rec[j])
+	}
+	if f.nulls[strings.ToLower(cell)] {
+		return math.NaN(), "", nil
+	}
+	if c.Kind == KindString {
+		return 0, cell, nil
+	}
+	v, err := parseNumericCell(cell)
 	if err != nil {
-		return nil, err
+		return 0, "", fmt.Errorf("column %s: cell %q is not numeric", c.Name, cell)
 	}
-	defer f.Close()
-	if tableName == "" {
-		tableName = tableNameFromPath(path)
-	}
-	return LoadCSVOptions(f, tableName, opts)
+	return v, "", nil
 }
 
 // tableNameFromPath derives a table name from a file path: the base name
 // without extension.
 func tableNameFromPath(path string) string {
-	base := path
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
+	base := filepath.Base(path)
 	if i := strings.LastIndexByte(base, '.'); i > 0 {
-		base = base[:i]
+		return base[:i]
 	}
 	return base
 }

@@ -1,15 +1,13 @@
 package db
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // LoadJSONL reads a table from JSON-lines data: one JSON object per line,
@@ -17,132 +15,82 @@ import (
 // is numeric when every present, non-null value is a JSON number; booleans
 // and strings make it text. Missing keys and JSON nulls are NULL.
 func LoadJSONL(r io.Reader, tableName string) (*Table, error) {
-	objs, keys, err := readJSONLObjects(r, tableName)
-	if err != nil {
-		return nil, err
-	}
-	return buildJSONLTable(tableName, keys, objs)
+	return loadTable(r, tableName, jsonlFormat{})
 }
 
-// LoadJSONLFile loads a table from a .jsonl file; the table name defaults
-// to the file's base name without extension.
-func LoadJSONLFile(path, tableName string) (*Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if tableName == "" {
-		tableName = tableNameFromPath(path)
-	}
-	return LoadJSONL(f, tableName)
-}
+// jsonlFormat is the JSON-lines fileFormat: records are decoded objects,
+// converted by key.
+type jsonlFormat struct{}
 
-// readJSONLObjects decodes every non-blank line and collects the key union
-// in first-seen order.
-func readJSONLObjects(r io.Reader, tableName string) ([]map[string]any, []string, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	var objs []map[string]any
-	var keys []string
+func (jsonlFormat) kind() string { return "jsonl" }
+
+// decode splits JSON lines into objects and collects the key union in
+// first-seen order. A line that does not decode is an error, except an
+// unterminated final one (a torn write), which is the undecoded tail. An
+// unterminated line that does decode is one whole object: appending cannot
+// change it (anything but whitespace after it fails to decode), so it is
+// never open.
+func (jsonlFormat) decode(data []byte, table string) (decoded[map[string]any], error) {
+	var dec decoded[map[string]any]
 	seen := make(map[string]bool)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	for line, off := 1, 0; off < len(data); line++ {
+		end := len(data)
+		if i := bytes.IndexByte(data[off:], '\n'); i >= 0 {
+			end = off + i + 1
 		}
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(text), &obj); err != nil {
-			return nil, nil, fmt.Errorf("db: jsonl for %s: line %d: %w", tableName, line, err)
-		}
-		objs = append(objs, obj)
-		// Per-line key order is lost by map decoding; sort new keys so the
-		// column order is deterministic.
-		var fresh []string
-		for k := range obj {
-			if !seen[k] {
-				seen[k] = true
-				fresh = append(fresh, k)
-			}
-		}
-		if len(fresh) > 1 {
-			sort.Strings(fresh)
-		}
-		keys = append(keys, fresh...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("db: jsonl for %s: %w", tableName, err)
-	}
-	if len(objs) == 0 {
-		return nil, nil, fmt.Errorf("db: jsonl for %s is empty", tableName)
-	}
-	return objs, keys, nil
-}
-
-func buildJSONLTable(tableName string, keys []string, objs []map[string]any) (*Table, error) {
-	numeric := make([]bool, len(keys))
-	for j, k := range keys {
-		numeric[j] = true
-		nonNull := 0
-		for _, obj := range objs {
-			v, ok := obj[k]
-			if !ok || v == nil {
-				continue
-			}
-			nonNull++
-			if _, isNum := v.(float64); !isNum {
-				numeric[j] = false
+		if text := bytes.TrimSpace(data[off:end]); len(text) > 0 {
+			var obj map[string]any
+			if err := json.Unmarshal(text, &obj); err != nil {
+				err = fmt.Errorf("db: jsonl for %s: line %d: %w", table, line, err)
+				if data[end-1] == '\n' {
+					return dec, err
+				}
+				dec.tailErr = err
 				break
 			}
-		}
-		if nonNull == 0 {
-			numeric[j] = false
-		}
-	}
-	cols := make([]*Column, len(keys))
-	for j, k := range keys {
-		if numeric[j] {
-			cols[j] = NewFloatColumn(k)
-		} else {
-			cols[j] = NewStringColumn(k)
-		}
-	}
-	for _, obj := range objs {
-		for j, k := range keys {
-			v, ok := obj[k]
-			if numeric[j] {
-				if f, isNum := v.(float64); ok && isNum {
-					cols[j].AppendFloat(f)
-				} else {
-					cols[j].AppendFloat(math.NaN())
+			dec.recs = append(dec.recs, obj)
+			// Per-line key order is lost by map decoding; sort new keys so
+			// the column order is deterministic.
+			var fresh []string
+			for k := range obj {
+				if !seen[k] {
+					seen[k] = true
+					fresh = append(fresh, k)
 				}
-				continue
 			}
-			cols[j].AppendString(jsonCellString(v, ok))
+			sort.Strings(fresh)
+			dec.cols = append(dec.cols, fresh...)
 		}
+		off = end
+		dec.done = off
 	}
-	return NewTable(tableName, cols...)
+	if len(dec.recs) == 0 {
+		if dec.tailErr != nil {
+			return dec, dec.tailErr
+		}
+		return dec, fmt.Errorf("db: jsonl for %s is empty", table)
+	}
+	return dec, nil
 }
 
-// jsonCellString formats a decoded JSON value for a text column ("" = NULL).
-func jsonCellString(v any, present bool) string {
-	if !present || v == nil {
-		return ""
+// value converts the object's value under column c's name; a missing key
+// or a JSON null is NULL, and a text column takes any value, formatted.
+func (jsonlFormat) value(c *Column, _ int, obj map[string]any) (float64, string, error) {
+	v := obj[c.Name]
+	f, isNum := v.(float64)
+	switch {
+	case v == nil:
+		return math.NaN(), "", nil
+	case c.Kind == KindFloat && !isNum:
+		return 0, "", fmt.Errorf("column %s: value %v is not a number", c.Name, v)
+	case c.Kind == KindFloat:
+		return f, "", nil
+	case isNum:
+		return 0, strconv.FormatFloat(f, 'g', -1, 64), nil
 	}
-	switch x := v.(type) {
-	case string:
-		return x
-	case bool:
-		return strconv.FormatBool(x)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	default:
-		data, err := json.Marshal(x)
-		if err != nil {
-			return ""
-		}
-		return string(data)
+	if str, isStr := v.(string); isStr {
+		return 0, str, nil
 	}
+	data, _ := json.Marshal(v) // a bool, array or object: decoded JSON always re-encodes
+	return 0, string(data), nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -420,6 +421,136 @@ func TestJSONLSourceKeepsWholeUnterminatedLine(t *testing.T) {
 	}
 	if got := d2.Snapshot().NumRows("two"); got != 2 {
 		t.Errorf("unterminated two-line rows = %d, want 2", got)
+	}
+}
+
+// appendTo appends s to the file at path.
+func appendTo(t *testing.T, path, s string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A CSV whose last record lacks a newline loads every row. Refresh then
+// appends what follows that newline, and a write that extends the
+// unterminated record instead is not an append. A malformed last record
+// that no later write can mend fails Open rather than being held back.
+func TestCSVSourceUnterminatedLastRecord(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	amounts := func(d *Database) []float64 {
+		c := d.Snapshot().Table("t").Column("a")
+		out := make([]float64, d.Snapshot().NumRows("t"))
+		for i := range out {
+			out[i] = c.Float(i)
+		}
+		return out
+	}
+
+	path := filepath.Join(dir, "t.csv")
+	if err := os.WriteFile(path, []byte("a\n1\n2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := NewCSVSource("t", path)
+	d, err := src.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := amounts(d); !slices.Equal(got, []float64{1, 2}) {
+		t.Fatalf("open rows = %v, want [1 2]", got)
+	}
+	if n, err := src.Refresh(ctx, d); err != nil || n != 0 {
+		t.Fatalf("unchanged refresh = (%d, %v), want (0, nil)", n, err)
+	}
+	appendTo(t, path, "\n3\n")
+	if n, err := src.Refresh(ctx, d); err != nil || n != 1 {
+		t.Fatalf("refresh after the newline = (%d, %v), want (1, nil)", n, err)
+	}
+	if got := amounts(d); !slices.Equal(got, []float64{1, 2, 3}) {
+		t.Fatalf("refreshed rows = %v, want [1 2 3]", got)
+	}
+
+	path = filepath.Join(dir, "u.csv")
+	if err := os.WriteFile(path, []byte("a\n1\n2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src = NewCSVSource("t", path)
+	if d, err = src.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	appendTo(t, path, "0\n")
+	if _, err := src.Refresh(ctx, d); err == nil || !strings.Contains(err.Error(), "append-only") {
+		t.Fatalf("refresh over an extended last record = %v, want the append-only error", err)
+	}
+	if d, err = NewCSVSource("t", path).Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Snapshot().Table("u").Column("a"); got.Float(0) != 1 || got.Float(1) != 20 || got.Len() != 2 {
+		t.Fatalf("fresh open after the extension: want [1 20]")
+	}
+
+	for _, tail := range []string{"2,y\"z\n", "2,y\"z", "2,\"y\"z\n", "2,\"y\"z"} {
+		path = filepath.Join(dir, "bad.csv")
+		if err := os.WriteFile(path, []byte("a,b\n1,x\n"+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewCSVSource("t", path).Open(ctx); err == nil || !strings.Contains(err.Error(), "quote") {
+			t.Errorf("open with last record %q = %v, want a quote error", tail, err)
+		}
+	}
+}
+
+// Bytes a file source holds back are counted: a torn JSON object, a CSV
+// line still without its newline at Refresh, and a CSV tail that does not
+// decode yet.
+func TestFileSourcePendingTailBytes(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	jpath := filepath.Join(dir, "j.jsonl")
+	if err := os.WriteFile(jpath, []byte(`{"a":1}`+"\n"+`{"a":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jsrc := NewJSONLSource("j", jpath)
+	d, err := jsrc.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := jsrc.PendingTailBytes(); got != 5 {
+		t.Errorf("torn object pending = %d, want 5", got)
+	}
+	appendTo(t, jpath, "2}\n")
+	if n, err := jsrc.Refresh(ctx, d); err != nil || n != 1 || jsrc.PendingTailBytes() != 0 {
+		t.Errorf("completed object: refresh = (%d, %v), pending %d; want (1, nil), 0", n, err, jsrc.PendingTailBytes())
+	}
+
+	cpath := filepath.Join(dir, "c.csv")
+	if err := os.WriteFile(cpath, []byte("a,b\n1,x\n2,\"y"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	csrc := NewCSVSource("c", cpath)
+	if d, err = csrc.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := csrc.PendingTailBytes(); got != 4 || d.Snapshot().NumRows("c") != 1 {
+		t.Errorf("open quoted field: pending %d, rows %d; want 4, 1", got, d.Snapshot().NumRows("c"))
+	}
+	appendTo(t, cpath, "z\"\n3,w")
+	if n, err := csrc.Refresh(ctx, d); err != nil || n != 1 {
+		t.Fatalf("refresh = (%d, %v), want (1, nil)", n, err)
+	}
+	if got := csrc.PendingTailBytes(); got != 3 {
+		t.Errorf("unterminated line at refresh: pending %d, want 3", got)
+	}
+	appendTo(t, cpath, "\n")
+	if n, err := csrc.Refresh(ctx, d); err != nil || n != 1 || csrc.PendingTailBytes() != 0 {
+		t.Errorf("terminated line: refresh = (%d, %v), pending %d; want (1, nil), 0", n, err, csrc.PendingTailBytes())
 	}
 }
 

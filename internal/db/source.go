@@ -4,42 +4,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 )
-
-// sourceFileState fingerprints the consumed prefix of one backing file:
-// its byte length and a hash of those bytes. Refresh verifies both before
-// appending, so a file that shrank, or was rewritten in place to the same
-// or a larger size, surfaces the non-append-only error instead of silently
-// appending garbage rows diffed from a stale offset.
-type sourceFileState struct {
-	size int64
-	sum  [sha256.Size]byte
-}
-
-func fingerprint(data []byte) sourceFileState {
-	return sourceFileState{size: int64(len(data)), sum: sha256.Sum256(data)}
-}
-
-// verifyAppendOnly checks the current file contents against the fingerprint
-// of the previously consumed prefix.
-func (st sourceFileState) verifyAppendOnly(data []byte, source, table string) error {
-	if int64(len(data)) < st.size {
-		return fmt.Errorf("db: %s source: table %s shrank from %d to %d bytes; refresh requires append-only files",
-			source, table, st.size, len(data))
-	}
-	if sha256.Sum256(data[:st.size]) != st.sum {
-		return fmt.Errorf("db: %s source: table %s was rewritten in place; refresh requires append-only files",
-			source, table)
-	}
-	return nil
-}
 
 // Source materializes a database on demand — the pluggable opener side of
 // the storage contract. A Source is registered with a service once and
@@ -86,10 +59,7 @@ type CSVSource struct {
 	// Options tunes CSV parsing (NULL tokens, delimiter).
 	Options CSVOptions
 
-	// mu guards seen: per-file fingerprints of the consumed prefix, used by
-	// Refresh to detect truncated or rewritten-in-place files.
-	mu   sync.Mutex
-	seen map[string]sourceFileState
+	fileSource[[]string]
 }
 
 // NewCSVSource returns a source over an explicit CSV file list.
@@ -102,86 +72,213 @@ func NewCSVDirSource(name, dir string) *CSVSource {
 	return &CSVSource{Name: name, Dir: dir}
 }
 
-// resolveFiles expands Dir into the effective file list.
-func (s *CSVSource) resolveFiles() ([]string, error) {
-	files := append([]string(nil), s.Files...)
-	if s.Dir != "" {
-		matches, err := filepath.Glob(filepath.Join(s.Dir, "*.csv"))
-		if err != nil {
-			return nil, fmt.Errorf("db: csv source %s: %w", s.Name, err)
-		}
-		files = append(files, matches...)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("db: csv source %s: no files", s.Name)
-	}
-	return files, nil
+// Open implements Source: every file becomes one table.
+func (s *CSVSource) Open(ctx context.Context) (*Database, error) {
+	return s.open(ctx, s.Name, s.Options.format(), s.Files, s.Dir)
 }
 
-// readCompleteLines reads a file but withholds any torn final line (no
-// trailing newline): a writer appending non-atomically may have flushed
-// half a row, and ingesting the fragment would be permanent — refresh
-// diffs by row count, so the later-completed line would never be re-read.
-// The withheld tail is picked up whole by the next Open or Refresh. Torn
-// quoted multi-line fields remain the writer's problem — append atomically
-// or whole-lines-at-a-time.
-func readCompleteLines(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if n := len(data); n > 0 && data[n-1] != '\n' {
-		cut := strings.LastIndexByte(string(data), '\n')
-		if cut < 0 {
-			return nil, nil
-		}
-		data = data[:cut+1]
-	}
-	return data, nil
+// Refresh implements Refresher (see fileSource).
+func (s *CSVSource) Refresh(ctx context.Context, d *Database) (int, error) {
+	return s.refresh(ctx, d, s.Name, s.Options.format(), s.Files, s.Dir)
 }
 
-// readCompleteJSONL is readCompleteLines for JSON lines, except that an
-// unterminated final line that is already one whole JSON object is kept:
-// no proper prefix of an object is itself a valid object, so a torn write
-// such as {"a":4, is still held back while a file whose writer never ends
-// its last record with a newline loads every row.
-func readCompleteJSONL(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cut := bytes.LastIndexByte(data, '\n') + 1
-	if tail := bytes.TrimSpace(data[cut:]); len(tail) > 0 && (tail[0] != '{' || !json.Valid(tail)) {
-		data = data[:cut]
-	}
-	return data, nil
+// JSONLSource opens a database from JSON-lines files, one table per file,
+// with the same incremental append-only Refresh contract as CSVSource.
+type JSONLSource struct {
+	Name  string
+	Files []string
+
+	fileSource[map[string]any]
+}
+
+// NewJSONLSource returns a source over an explicit JSONL file list.
+func NewJSONLSource(name string, files ...string) *JSONLSource {
+	return &JSONLSource{Name: name, Files: files}
 }
 
 // Open implements Source: every file becomes one table.
-func (s *CSVSource) Open(ctx context.Context) (*Database, error) {
-	files, err := s.resolveFiles()
+func (s *JSONLSource) Open(ctx context.Context) (*Database, error) {
+	return s.open(ctx, s.Name, jsonlFormat{}, s.Files, "")
+}
+
+// Refresh implements Refresher (see fileSource).
+func (s *JSONLSource) Refresh(ctx context.Context, d *Database) (int, error) {
+	return s.refresh(ctx, d, s.Name, jsonlFormat{}, s.Files, "")
+}
+
+// fileFormat is what one input format supplies to a fileSource: decoding
+// bytes into records, and converting one record's cells under fixed column
+// kinds. Loading, refreshing and type inference all go through value.
+type fileFormat[R any] interface {
+	kind() string // "csv" or "jsonl": the file extension
+	decode(data []byte, table string) (decoded[R], error)
+	// value converts the cell for column c (at position j) of one record
+	// under c's kind: a float (NaN = NULL) for a numeric column, a string
+	// ("" = NULL) for a text one. It fails when the cell is no number.
+	value(c *Column, j int, rec R) (float64, string, error)
+}
+
+// decoded is one file's bytes split into records by a format.
+type decoded[R any] struct {
+	cols    []string // column names: the CSV header, or JSONL keys in first-seen order
+	recs    []R
+	last    int   // offset where the last record starts
+	open    bool  // no newline ends the last record, which may still change: CSV 2 → 20
+	done    int   // bytes decoded; past them lies a tail that does not decode
+	tailErr error // why that tail does not decode
+}
+
+// loadTable reads a whole table from r. A reader has no later read to
+// complete a torn tail, so a tail that does not decode is an error.
+func loadTable[R any](r io.Reader, name string, f fileFormat[R]) (*Table, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("db: reading %s: %w", name, err)
+	}
+	dec, err := f.decode(data, name)
+	if err == nil {
+		err = dec.tailErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	d := NewDatabase(s.Name)
-	fresh := make(map[string]sourceFileState, len(files))
-	for _, f := range files {
+	return buildTable(f, name, dec)
+}
+
+// buildTable infers each column's kind over every record — numeric when
+// every non-NULL cell converts to a number and at least one does, text
+// otherwise — and then converts the records under those kinds.
+func buildTable[R any](f fileFormat[R], name string, dec decoded[R]) (*Table, error) {
+	cols := make([]*Column, len(dec.cols))
+	for j, col := range dec.cols {
+		cols[j] = NewFloatColumn(col)
+		numeric := false
+		for _, rec := range dec.recs {
+			v, _, err := f.value(cols[j], j, rec)
+			if err != nil {
+				numeric = false
+				break
+			}
+			numeric = numeric || !math.IsNaN(v)
+		}
+		if !numeric {
+			cols[j] = NewStringColumn(col)
+		}
+	}
+	for _, rec := range dec.recs {
+		for j, c := range cols {
+			// The kinds were inferred from these very cells: no error.
+			v, s, _ := f.value(c, j, rec)
+			if c.Kind == KindFloat {
+				c.AppendFloat(v)
+			} else {
+				c.AppendString(s)
+			}
+		}
+	}
+	return NewTable(name, cols...)
+}
+
+// fileState is what a fileSource consumed of one backing file: the
+// prefix's length and hash, whether the prefix ends inside its last
+// record's line, and how many bytes past the prefix were held back.
+type fileState struct {
+	size    int64
+	sum     [sha256.Size]byte
+	open    bool
+	pending int64
+}
+
+func consumed(data []byte, n int, open bool) fileState {
+	return fileState{size: int64(n), sum: sha256.Sum256(data[:n]), open: open, pending: int64(len(data) - n)}
+}
+
+// verifyAppendOnly checks the file's current contents against the
+// consumed prefix before Refresh diffs by row count, so a file rewritten
+// in place to the same or a larger size fails instead of appending rows
+// diffed from a stale offset. A file that shrank, or whose unterminated
+// last line was extended (the first byte past the prefix is no newline),
+// cannot be expressed as an append either.
+func (st fileState) verifyAppendOnly(data []byte, label, table string) error {
+	if int64(len(data)) < st.size {
+		return fmt.Errorf("db: %s: table %s shrank from %d to %d bytes; refresh requires append-only files",
+			label, table, st.size, len(data))
+	}
+	if sha256.Sum256(data[:st.size]) != st.sum {
+		return fmt.Errorf("db: %s: table %s was rewritten in place; refresh requires append-only files", label, table)
+	}
+	if rest := bytes.TrimPrefix(data[st.size:], []byte{'\r'}); st.open && len(rest) > 0 && rest[0] != '\n' {
+		return fmt.Errorf("db: %s: table %s extended its unterminated last line; refresh requires append-only files", label, table)
+	}
+	return nil
+}
+
+// fileSource is the one implementation behind CSVSource and JSONLSource:
+// one table per file, loaded and refreshed under one tail rule.
+//
+//   - Open loads every record that decodes, an unterminated final one
+//     included.
+//   - Refresh appends only records that can no longer change:
+//     newline-terminated ones, plus an unterminated one that is whole (a
+//     JSON object).
+//   - A record ingested unterminated whose line a later read finds
+//     extended fails the refresh as not append-only.
+//
+// The bytes held back — a tail that does not decode yet, or a final CSV
+// line without its newline at Refresh — are counted by PendingTailBytes.
+type fileSource[R any] struct {
+	// mu guards seen: what was consumed of each file, by path.
+	mu   sync.Mutex
+	seen map[string]fileState
+}
+
+// files trims the listed paths and adds the directory's files of the
+// format's kind.
+func files(label string, listed []string, dir, kind string) ([]string, error) {
+	out := make([]string, 0, len(listed))
+	for _, f := range listed {
+		out = append(out, strings.TrimSpace(f))
+	}
+	if dir != "" {
+		matches, err := filepath.Glob(filepath.Join(dir, "*."+kind))
+		if err != nil {
+			return nil, fmt.Errorf("db: %s: %w", label, err)
+		}
+		out = append(out, matches...)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("db: %s: no files", label)
+	}
+	return out, nil
+}
+
+func (s *fileSource[R]) open(ctx context.Context, name string, f fileFormat[R], listed []string, dir string) (*Database, error) {
+	paths, err := files(f.kind()+" source "+name, listed, dir, f.kind())
+	if err != nil {
+		return nil, err
+	}
+	d := NewDatabase(name)
+	fresh := make(map[string]fileState, len(paths))
+	for _, path := range paths {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		path := strings.TrimSpace(f)
-		data, err := readCompleteLines(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		tbl, err := LoadCSVOptions(strings.NewReader(string(data)), tableNameFromPath(path), s.Options)
+		dec, err := f.decode(data, tableNameFromPath(path))
+		if err != nil {
+			return nil, err
+		}
+		tbl, err := buildTable(f, tableNameFromPath(path), dec)
 		if err != nil {
 			return nil, err
 		}
 		if err := d.AddTable(tbl); err != nil {
 			return nil, err
 		}
-		fresh[path] = fingerprint(data)
+		fresh[path] = consumed(data, dec.done, dec.open)
 	}
 	s.mu.Lock()
 	s.seen = fresh
@@ -189,20 +286,19 @@ func (s *CSVSource) Open(ctx context.Context) (*Database, error) {
 	return d, nil
 }
 
-// Refresh implements Refresher: each backing file is re-read and any rows
-// beyond the table's current count are appended and committed as one new
-// block per table. A file that shrank (or whose table vanished) fails the
-// refresh, since the change cannot be expressed as an append.
-func (s *CSVSource) Refresh(ctx context.Context, d *Database) (int, error) {
-	files, err := s.resolveFiles()
+// refresh re-reads each backing file and appends the records past the
+// table's current count, committed as one new block per table. A file new
+// since Open is skipped (adding a table is structural; re-open).
+func (s *fileSource[R]) refresh(ctx context.Context, d *Database, name string, f fileFormat[R], listed []string, dir string) (int, error) {
+	label := f.kind() + " source " + name
+	paths, err := files(label, listed, dir, f.kind())
 	if err != nil {
 		return 0, err
 	}
 	appended := 0
-	// Commit whatever was successfully staged even when a later file
-	// fails, so one broken file cannot withhold other files' valid rows
-	// indefinitely (refreshTable stages a table only after all of its new
-	// rows converted cleanly, so partial tables are never committed).
+	// Commit what was staged even when a later file fails, so one broken
+	// file cannot withhold other files' rows (refreshFile stages a table
+	// only after all of its new rows converted).
 	commitStaged := func() error {
 		if appended == 0 {
 			return nil
@@ -210,17 +306,15 @@ func (s *CSVSource) Refresh(ctx context.Context, d *Database) (int, error) {
 		_, err := d.Commit()
 		return err
 	}
-	for _, path := range files {
+	for _, path := range paths {
 		if err := ctx.Err(); err != nil {
 			return appended, errors.Join(err, commitStaged())
 		}
-		path = strings.TrimSpace(path)
-		name := tableNameFromPath(path)
-		t := d.Table(name)
+		t := d.Table(tableNameFromPath(path))
 		if t == nil {
-			continue // new file since Open: adding tables needs a re-open
+			continue
 		}
-		n, err := s.refreshTable(d, t, path)
+		n, err := s.refreshFile(d, t, label, path, f)
 		if err != nil {
 			return appended, errors.Join(err, commitStaged())
 		}
@@ -229,8 +323,13 @@ func (s *CSVSource) Refresh(ctx context.Context, d *Database) (int, error) {
 	return appended, commitStaged()
 }
 
-func (s *CSVSource) refreshTable(d *Database, t *Table, path string) (int, error) {
-	data, err := readCompleteLines(path)
+// refreshFile stages one file's new records. With no record of the
+// consumed prefix — a database restored from a store — the row counts
+// alone place the new records, and the file's record at the table's last
+// row must still equal the stored row, so a tail extended or rewritten
+// while the process was down does not stand.
+func (s *fileSource[R]) refreshFile(d *Database, t *Table, label, path string, f fileFormat[R]) (int, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
@@ -238,46 +337,48 @@ func (s *CSVSource) refreshTable(d *Database, t *Table, path string) (int, error
 	prev, tracked := s.seen[path]
 	s.mu.Unlock()
 	if tracked {
-		if err := prev.verifyAppendOnly(data, "csv "+s.Name, t.Name); err != nil {
+		if err := prev.verifyAppendOnly(data, label, t.Name); err != nil {
 			return 0, err
 		}
 	}
-	if len(data) == 0 {
-		return 0, nil
-	}
-	records, err := readCSVRecords(strings.NewReader(string(data)), t.Name, s.Options)
+	dec, err := f.decode(data, t.Name)
 	if err != nil {
 		return 0, err
 	}
-	rows := records[1:]
 	have := t.NumRows() + d.Pending(t.Name)
-	if len(rows) < have {
-		return 0, fmt.Errorf("db: csv source %s: table %s shrank from %d to %d rows; refresh requires append-only files",
-			s.Name, t.Name, have, len(rows))
+	n, done, open := len(dec.recs), dec.done, dec.open
+	if dec.open && n > have {
+		n, done, open = n-1, dec.last, false
 	}
-	nulls := s.Options.nullSet()
+	if n < have {
+		return 0, fmt.Errorf("db: %s: table %s shrank from %d to %d rows; refresh requires append-only files",
+			label, t.Name, have, n)
+	}
+	if last := t.NumRows() - 1; !tracked && last >= 0 {
+		for j, c := range t.Columns {
+			v, str, err := f.value(c, j, dec.recs[last])
+			same := err == nil && c.StringAt(last) == str
+			if c.Kind == KindFloat {
+				same = err == nil && (c.Float(last) == v || c.IsNull(last) && math.IsNaN(v))
+			}
+			if !same {
+				return 0, fmt.Errorf("db: %s: table %s row %d was rewritten since it was stored; refresh requires append-only files",
+					label, t.Name, last)
+			}
+		}
+	}
 	var out [][]any
-	for _, rec := range rows[have:] {
+	for _, rec := range dec.recs[have:n] {
 		row := make([]any, len(t.Columns))
 		for j, c := range t.Columns {
-			var cell string
-			if j < len(rec) {
-				cell = strings.TrimSpace(rec[j])
+			v, str, err := f.value(c, j, rec)
+			if err != nil {
+				return 0, fmt.Errorf("db: %s: table %s: appended %w (column types are fixed after load)", label, t.Name, err)
 			}
-			if nulls[strings.ToLower(cell)] {
-				row[j] = nil
-				continue
-			}
+			row[j] = str
 			if c.Kind == KindFloat {
-				v, perr := parseNumericCell(cell)
-				if perr != nil {
-					return 0, fmt.Errorf("db: csv source %s: table %s column %s: appended cell %q is not numeric (column types are fixed after load)",
-						s.Name, t.Name, c.Name, cell)
-				}
 				row[j] = v
-				continue
 			}
-			row[j] = cell
 		}
 		out = append(out, row)
 	}
@@ -286,159 +387,28 @@ func (s *CSVSource) refreshTable(d *Database, t *Table, path string) (int, error
 			return 0, err
 		}
 	}
-	// Only bytes that parsed and staged cleanly become the new consumed
-	// prefix; a failed refresh re-verifies from the old fingerprint.
+	// Only bytes that staged cleanly become the new consumed prefix; a
+	// failed refresh re-verifies from the old one.
 	s.mu.Lock()
 	if s.seen == nil {
-		s.seen = make(map[string]sourceFileState)
+		s.seen = make(map[string]fileState)
 	}
-	s.seen[path] = fingerprint(data)
+	s.seen[path] = consumed(data, done, open)
 	s.mu.Unlock()
 	return len(out), nil
 }
 
-// JSONLSource opens a database from JSON-lines files, one table per file,
-// with the same incremental append-only Refresh contract as CSVSource; a
-// torn final line is held back until its newline arrives (readCompleteJSONL).
-type JSONLSource struct {
-	Name  string
-	Files []string
-
-	// mu guards seen: per-file fingerprints of the consumed prefix, used by
-	// Refresh to detect truncated or rewritten-in-place files.
-	mu   sync.Mutex
-	seen map[string]sourceFileState
-}
-
-// NewJSONLSource returns a source over an explicit JSONL file list.
-func NewJSONLSource(name string, files ...string) *JSONLSource {
-	return &JSONLSource{Name: name, Files: files}
-}
-
-// Open implements Source.
-func (s *JSONLSource) Open(ctx context.Context) (*Database, error) {
-	if len(s.Files) == 0 {
-		return nil, fmt.Errorf("db: jsonl source %s: no files", s.Name)
-	}
-	d := NewDatabase(s.Name)
-	fresh := make(map[string]sourceFileState, len(s.Files))
-	for _, f := range s.Files {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		path := strings.TrimSpace(f)
-		data, err := readCompleteJSONL(path)
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := LoadJSONL(bytes.NewReader(data), tableNameFromPath(path))
-		if err != nil {
-			return nil, err
-		}
-		if err := d.AddTable(tbl); err != nil {
-			return nil, err
-		}
-		fresh[path] = fingerprint(data)
-	}
+// PendingTailBytes sums, over the files, the bytes past what the last Open
+// or Refresh loaded, so a row that waits for its newline or for the rest
+// of a torn write is visible rather than silent.
+func (s *fileSource[R]) PendingTailBytes() int64 {
 	s.mu.Lock()
-	s.seen = fresh
-	s.mu.Unlock()
-	return d, nil
-}
-
-// Refresh implements Refresher for append-only JSONL files. As with
-// CSVSource, rows staged from earlier files are committed even when a
-// later file fails.
-func (s *JSONLSource) Refresh(ctx context.Context, d *Database) (int, error) {
-	appended := 0
-	commitStaged := func() error {
-		if appended == 0 {
-			return nil
-		}
-		_, err := d.Commit()
-		return err
+	defer s.mu.Unlock()
+	var n int64
+	for _, st := range s.seen {
+		n += st.pending
 	}
-	for _, path := range s.Files {
-		if err := ctx.Err(); err != nil {
-			return appended, errors.Join(err, commitStaged())
-		}
-		n, err := s.refreshFile(d, strings.TrimSpace(path))
-		if err != nil {
-			return appended, errors.Join(err, commitStaged())
-		}
-		appended += n
-	}
-	return appended, commitStaged()
-}
-
-// refreshFile stages one JSONL file's appended rows (the table is staged
-// only after every new row converted cleanly, so partial tables are never
-// committed).
-func (s *JSONLSource) refreshFile(d *Database, path string) (int, error) {
-	name := tableNameFromPath(path)
-	t := d.Table(name)
-	if t == nil {
-		return 0, nil
-	}
-	data, err := readCompleteJSONL(path)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	prev, tracked := s.seen[path]
-	s.mu.Unlock()
-	if tracked {
-		if err := prev.verifyAppendOnly(data, "jsonl "+s.Name, name); err != nil {
-			return 0, err
-		}
-	}
-	objs, _, err := readJSONLObjects(bytes.NewReader(data), name)
-	if err != nil {
-		return 0, err
-	}
-	have := t.NumRows() + d.Pending(name)
-	if len(objs) < have {
-		return 0, fmt.Errorf("db: jsonl source %s: table %s shrank from %d to %d rows; refresh requires append-only files",
-			s.Name, name, have, len(objs))
-	}
-	// Keys first appearing in appended lines are skipped (adding a column
-	// is structural; re-register the source), mirroring how new files are
-	// skipped by Refresh.
-	var out [][]any
-	for _, obj := range objs[have:] {
-		row := make([]any, len(t.Columns))
-		for j, c := range t.Columns {
-			v, ok := obj[c.Name]
-			if c.Kind == KindFloat {
-				switch {
-				case !ok || v == nil:
-					row[j] = nil
-				default:
-					f64, isNum := v.(float64)
-					if !isNum {
-						return 0, fmt.Errorf("db: jsonl source %s: table %s column %s: appended value %v is not a number (column types are fixed after load)",
-							s.Name, name, c.Name, v)
-					}
-					row[j] = f64
-				}
-				continue
-			}
-			row[j] = jsonCellString(v, ok)
-		}
-		out = append(out, row)
-	}
-	if len(out) > 0 {
-		if err := d.Append(name, out...); err != nil {
-			return 0, err
-		}
-	}
-	s.mu.Lock()
-	if s.seen == nil {
-		s.seen = make(map[string]sourceFileState)
-	}
-	s.seen[path] = fingerprint(data)
-	s.mu.Unlock()
-	return len(out), nil
+	return n
 }
 
 // MemSource wraps an already-built in-memory database (the builder opener):

@@ -129,3 +129,55 @@ func TestStatusAndRefreshEndpoints(t *testing.T) {
 		t.Errorf("conflict error = %q", errBody.Error)
 	}
 }
+
+// A CSV line still without its newline waits, and the status endpoint
+// says how many bytes wait rather than letting the row wait silently.
+func TestStatusReportsPendingTailBytes(t *testing.T) {
+	ts, path := newCSVTestServer(t)
+	resp := postDoc(t, ts.URL+"/v1/databases/fines/check", "There are 2 players.")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("check status = %d", resp.StatusCode)
+	}
+	grow := func(s string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refresh := func() {
+		t.Helper()
+		resp := postDoc(t, ts.URL+"/v1/databases/fines/refresh", "")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("refresh status code = %d", resp.StatusCode)
+		}
+	}
+
+	grow("Zed,3")
+	refresh()
+	resp, err := http.Get(ts.URL + "/v1/databases/fines/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw["pending_tail_bytes"] != float64(5) {
+		t.Fatalf("status = %v, want pending_tail_bytes 5", raw)
+	}
+
+	grow("00\n")
+	refresh()
+	if _, st := getStatus(t, ts.URL+"/v1/databases/fines/status"); st.PendingTailBytes != 0 || st.Rows["fines"] != 3 {
+		t.Fatalf("status after the newline = %+v, want 3 rows, nothing pending", st)
+	}
+}
