@@ -12,10 +12,8 @@ build:
 test:
 	$(GO) test -count=1 ./...
 
-# flake-guard hammers the two tests that have flaked on tier-1 — the
-# compaction trigger under the race detector, and the lattice-pool steady
-# state without it (that test skips itself under -race, where sync.Pool
-# drops puts at random) — plus the two concurrency tests of the one-pool
+# flake-guard hammers the compaction trigger, which has flaked on tier-1,
+# under the race detector, plus the two concurrency tests of the one-pool
 # path under the race detector: batches nesting morsel jobs on one
 # scheduler, and one parsed document checked from two goroutines. The
 # concurrent audits of the composition differential, cached and uncached,
@@ -25,7 +23,6 @@ test:
 flake-guard:
 	$(GO) test -race -count=20 -run 'TestServicePersistentRefreshAndCompaction|TestConcurrentChecksShareDocument' ./internal/core
 	$(GO) test -race -count=20 -run TestEvaluateBatchNestedOnScheduler ./internal/sqlexec
-	$(GO) test -count=20 -run TestSchedulerPassPoolsPartials ./internal/sqlexec
 	$(GO) test -count=10 -run 'TestExecutorCompositionDifferential/.*/.*/audit$$/.*' ./internal/core
 
 # test-noasm runs the suite with the assembly kernels compiled out, so the

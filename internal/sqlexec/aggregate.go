@@ -23,26 +23,21 @@ func newAccumulator(needDistinct bool) *accumulator {
 	return a
 }
 
-// addRow registers a row; null reports whether the aggregation column is
-// NULL at the row, v its numeric value and key its distinct-identity (column
-// dictionary code for strings, float bits for numerics).
-func (a *accumulator) addRow(null bool, v float64, key uint64) {
-	a.rows++
-	if null {
-		return
+// add folds b, an accumulator over a later row range built with the same
+// distinct flag, into a (a first, preserving the scan-order semantics of
+// min/max ties and summation order).
+func (a *accumulator) add(b *accumulator) {
+	a.rows += b.rows
+	a.nonNull += b.nonNull
+	a.sum += b.sum
+	if b.min < a.min {
+		a.min = b.min
 	}
-	a.nonNull++
-	if !math.IsNaN(v) {
-		a.sum += v
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
+	if b.max > a.max {
+		a.max = b.max
 	}
-	if a.distinct != nil {
-		a.distinct[key] = struct{}{}
+	for k := range b.distinct {
+		a.distinct[k] = struct{}{}
 	}
 }
 

@@ -52,7 +52,9 @@ func distinctCubeBatches() [][]Query {
 // cost-aware sweep evicts entries down to the budget; evicted cubes
 // recompute correctly on demand.
 func TestCubeCacheBudgetEviction(t *testing.T) {
-	const budget = 700
+	// Each one-dimension cube estimates 41 bytes and the two-dimension one
+	// 115: the budget holds two of the former, not the third or the latter.
+	const budget = 110
 	e := NewEngine(nflDB(t), WithCubeCacheBudget(budget))
 	for _, batch := range distinctCubeBatches() {
 		e.EvaluateBatch(context.Background(), batch, BatchOptions{})

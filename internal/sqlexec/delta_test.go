@@ -74,9 +74,10 @@ func reqsFor(cols []trackedCol) []AggRequest {
 
 // TestDeltaMergeDifferentialRandomized drives randomized append schedules
 // through a caching engine and asserts, at every published version, that
-// the delta-merged cube equals a from-scratch rebuild bit for bit. Every
-// third trial forces the scalar kernel so the scalar delta-range path is
-// differentially covered too.
+// the delta-merged cube equals the row-at-a-time oracle's from-scratch
+// rebuild bit for bit, and that the cube published before the advance
+// still equals its own version's rebuild (the fold ran on a copy). Appends
+// grow the string dictionaries, so the fold also grows distinct bitsets.
 func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 	trials := 10
 	if testing.Short() {
@@ -88,12 +89,25 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 		sc := randomDiffSchema(rng, 200+rng.Intn(400), false, true)
 		dims, cols := randomCubeSpec(rng, sc)
 		reqs := reqsFor(cols)
-		scalar := trial%3 == 0
 
-		e := NewEngine(sc.d, WithScalarKernel(scalar))
-		if _, err := e.CubeForContext(context.Background(), sc.tables, dims, reqs); err != nil {
+		oracle := func(label string) *scalarCube {
+			view, err := db.BuildSnapshotView(sc.d.Snapshot(), sc.tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := computeCubeScalarRange(ctx, view, sc.tables, dims, trackedColsFor(reqs), 0, view.NumRows())
+			if err != nil {
+				t.Fatalf("%s: rebuild: %v", label, err)
+			}
+			return want
+		}
+
+		e := NewEngine(sc.d)
+		prev, err := e.CubeForContext(context.Background(), sc.tables, dims, reqs)
+		if err != nil {
 			t.Fatal(err)
 		}
+		prevWant := oracle("initial")
 
 		versions := 2 + rng.Intn(4)
 		for v := 0; v < versions; v++ {
@@ -104,8 +118,8 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			label := fmt.Sprintf("trial %d version %d (scalar=%v dims=%d cols=%d commits=%d)",
-				trial, v, scalar, len(dims), len(cols), commits)
+			label := fmt.Sprintf("trial %d version %d (dims=%d cols=%d commits=%d)",
+				trial, v, len(dims), len(cols), commits)
 
 			deltasBefore := e.Stats.DeltaScans.Load()
 			blocksBefore := e.Stats.BlocksDelta.Load()
@@ -123,21 +137,70 @@ func TestDeltaMergeDifferentialRandomized(t *testing.T) {
 				t.Fatalf("%s: full rebuilds = %d, want 0", label, e.Stats.FullRebuilds.Load())
 			}
 
-			view, err := db.BuildSnapshotView(sc.d.Snapshot(), sc.tables)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want *CubeResult
-			if scalar {
-				want, err = computeCubeRange(ctx, view, sc.tables, dims, trackedColsFor(reqs), 0, view.NumRows(), passConfig{scalar: true})
-			} else {
-				want, err = computeCubeRange(ctx, view, sc.tables, dims, trackedColsFor(reqs), 0, view.NumRows(), passConfig{zones: true})
-			}
-			if err != nil {
-				t.Fatalf("%s: rebuild: %v", label, err)
-			}
+			want := oracle(label)
 			requireCubesIdentical(t, want, got, label)
+			requireCubesIdentical(t, prevWant, prev, label+" (cube published before the advance)")
+			prev, prevWant = got, want
 		}
+	}
+}
+
+// TestDeltaMergeGrowsDistinctBitsets appends enough new values to a
+// distinct-counted string column that its dictionary outgrows the cached
+// cube's bitsets (40 codes, one word, to 140 codes, three words): the fold
+// grows them, and both the advanced cube and the one published before it
+// equal the oracle's rebuild at their versions.
+func TestDeltaMergeGrowsDistinctBitsets(t *testing.T) {
+	s := db.NewStringColumn("s")
+	g := db.NewStringColumn("g")
+	for i := 0; i < 200; i++ {
+		s.AppendString("old" + strconv.Itoa(i%40))
+		g.AppendString([]string{"x", "y"}[i%2])
+	}
+	d := db.NewDatabase("grow")
+	d.MustAddTable(db.MustNewTable("t", s, g))
+	dims := []DimSpec{{Col: ColumnRef{Table: "t", Column: "g"}, Literals: []string{"x"}}}
+	reqs := []AggRequest{{Fn: CountDistinct, Col: ColumnRef{Table: "t", Column: "s"}}}
+	oracle := func() *scalarCube {
+		view, err := db.BuildSnapshotView(d.Snapshot(), []string{"t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := computeCubeScalarRange(context.Background(), view, []string{"t"}, dims, trackedColsFor(reqs), 0, view.NumRows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+
+	e := NewEngine(d)
+	before, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBefore := oracle()
+	rows := make([][]any, 100)
+	for i := range rows {
+		rows[i] = []any{"new" + strconv.Itoa(i), []string{"x", "y"}[i%2]}
+	}
+	if err := d.Append("t", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Stats.DeltaScans.Load(); n != 1 {
+		t.Fatalf("delta scans = %d, want 1", n)
+	}
+	requireCubesIdentical(t, oracle(), after, "advanced cube")
+	requireCubesIdentical(t, wantBefore, before, "cube published before the advance")
+	q := Query{Agg: CountDistinct, AggCol: reqs[0].Col}
+	if v, _ := after.Value(q); v != 140 {
+		t.Errorf("distinct s after the append = %v, want 140", v)
 	}
 }
 
@@ -433,7 +496,7 @@ func TestEngineDeltaRepublishAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireCubesIdentical(t, fresh, joined, "joined rebuild")
+	requireCubesIdentical(t, oracleOf(fresh), joined, "joined rebuild")
 }
 
 // TestDeltaZoneMapPruning is the delta-aware zone map test: a cached cube
@@ -507,6 +570,6 @@ func TestDeltaZoneMapPruning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireCubesIdentical(t, fresh, adv, "delta-pruned advance commit "+strconv.Itoa(c))
+		requireCubesIdentical(t, oracleOf(fresh), adv, "delta-pruned advance commit "+strconv.Itoa(c))
 	}
 }

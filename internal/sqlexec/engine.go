@@ -45,19 +45,18 @@ type Stats struct {
 	// could not proceed immediately — a direct measure of cache contention.
 	LockWaits atomic.Int64
 
-	// Vectorized-kernel counters. BlocksScanned counts kernel blocks
-	// processed by cube passes; DirectBlockReads and GatherBlockReads split
-	// per-column block reads into zero-copy column-slice reads versus
-	// gathers through join-view row maps; PartialsMerged counts row-range
-	// partials merged into cube results beyond the first (0 for
-	// single-threaded passes); ScalarPasses counts cube passes and delta
-	// scans served by the scalar interpreter (forced via WithScalarKernel,
-	// or literal sets too large for the dense lattice).
+	// Scan-block counters. BlocksScanned counts blocks processed by cube
+	// passes, delta scans and direct scans; DirectBlockReads and
+	// GatherBlockReads split per-column block reads into zero-copy
+	// column-slice reads versus gathers through join-view row maps;
+	// PartialsMerged counts row-range partials merged into cube results
+	// beyond the first (0 for single-threaded passes). A cube pass whose
+	// lattice exceeds the kernel's bound reads nothing and counts nothing
+	// here: its queries are answered by direct scans.
 	BlocksScanned    atomic.Int64
 	DirectBlockReads atomic.Int64
 	GatherBlockReads atomic.Int64
 	PartialsMerged   atomic.Int64
-	ScalarPasses     atomic.Int64
 
 	// Scan-pipeline counters. BlocksPruned counts scan segments skipped by
 	// zone maps: segments whose per-block summaries (min/max ranges,
@@ -139,7 +138,6 @@ func (s *Stats) Snapshot() map[string]int64 {
 		"direct_block_reads": s.DirectBlockReads.Load(),
 		"gather_block_reads": s.GatherBlockReads.Load(),
 		"partials_merged":    s.PartialsMerged.Load(),
-		"scalar_passes":      s.ScalarPasses.Load(),
 
 		"blocks_pruned":       s.BlocksPruned.Load(),
 		"direct_vector_scans": s.DirectVectorScans.Load(),
@@ -275,9 +273,6 @@ type Engine struct {
 
 	// caching enables the cube-result cache (on by default).
 	caching bool
-	// scalarKernel forces cube passes onto the row-at-a-time interpreter;
-	// the vectorized columnar kernel is the default.
-	scalarKernel bool
 	// zoneMaps enables zone-map pruning in the scan pipeline (on by
 	// default); WithZoneMaps(false) is the operational escape hatch and the
 	// scan differential tests' oracle.
@@ -363,10 +358,6 @@ func (e *Engine) CacheUsage() (entries int, bytes int64) {
 
 // CachingEnabled reports whether cube results are cached.
 func (e *Engine) CachingEnabled() bool { return e.caching }
-
-// ScalarKernel reports whether cube passes are forced onto the scalar
-// interpreter.
-func (e *Engine) ScalarKernel() bool { return e.scalarKernel }
 
 // Scheduler returns the pool the engine's jobs run on.
 func (e *Engine) Scheduler() *Scheduler { return e.sched }
@@ -849,16 +840,14 @@ func (e *Engine) advanceState(ctx context.Context, ent *cubeEntry, st *cubeState
 	return fresh.res, nil
 }
 
-// runCubeDelta scans joined rows [lo, hi) into a partial CubeResult using
-// the same kernel dispatch as a full pass. Delta ranges are small (the
-// appended blocks), so the scan is single-threaded.
+// runCubeDelta scans joined rows [lo, hi) into a partial CubeResult with
+// the same kernel as a full pass. Delta ranges are small (the appended
+// blocks), so the scan is single-threaded.
 func (e *Engine) runCubeDelta(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int) (*CubeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.Stats.RowsScanned.Add(int64(hi - lo))
-	pc := passConfig{stats: &e.Stats, scalar: e.scalarKernel, zones: e.zoneMaps}
-	return computeCubeRange(ctx, view, tables, dims, cols, lo, hi, pc)
+	return computeCubeRange(ctx, view, tables, dims, cols, lo, hi, passConfig{stats: &e.Stats, zones: e.zoneMaps})
 }
 
 // missingCols returns the requested tracked columns the cube does not cover.
@@ -883,13 +872,7 @@ func (e *Engine) runCube(ctx context.Context, view *db.JoinView, tables []string
 		return nil, err
 	}
 	e.Stats.CubePasses.Add(1)
-	e.Stats.RowsScanned.Add(int64(view.NumRows()))
-	pc := passConfig{
-		stats:  &e.Stats,
-		scalar: e.scalarKernel,
-		zones:  e.zoneMaps,
-		sched:  e.sched,
-	}
+	pc := passConfig{stats: &e.Stats, zones: e.zoneMaps, sched: e.sched}
 	return computeCubeRange(ctx, view, tables, dims, cols, 0, view.NumRows(), pc)
 }
 

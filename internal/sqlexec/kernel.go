@@ -4,16 +4,16 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"aggchecker/internal/db"
 	"aggchecker/internal/vec"
 )
 
-// This file implements the vectorized columnar execution kernel for cube
-// scans — the replacement for the row-at-a-time interpreter in cube.go.
+// This file implements the cube kernel: the one vectorized columnar scan
+// behind every cube pass and delta scan, and the dense lattice it
+// accumulates into, which is also the published CubeResult's cell store.
 // The merging phase (§6.2–6.3) makes one cube pass answer hundreds of
 // related claim candidates, so this scan is the system's hot path.
 //
@@ -34,8 +34,14 @@ import (
 //     distinct counts use per-cell dictionary-code bitsets for string
 //     columns and per-cell hash sets for numeric columns.
 //  4. Large scans split into zone-aligned morsels executed on the engine's
-//     scheduler and merged deterministically at the end, so one cube pass
-//     parallelizes internally, not just across passes.
+//     scheduler; their partials fold in range order (vecPartial.merge, the
+//     same fold that advances a cached cube by a delta scan's partial), so
+//     one cube pass parallelizes internally, not just across passes.
+//
+// The root partial is published as is: CubeResult answers queries from the
+// lattice arrays, and nothing converts them into another store. The
+// row-at-a-time interpreter the kernel replaced survives only as the
+// differential tests' oracle.
 //
 // Block reads go through the db block-access contract: zero-copy column
 // slices on single-table views, batch gathers through the join-view row
@@ -48,10 +54,10 @@ const (
 	// Context cancellation is checked once per block.
 	kernelBlockRows = 4096
 
-	// maxFlatCells bounds the dense lattice. Beyond this the flat
-	// accumulator arrays would dominate memory (the lattice is mostly empty
-	// for huge literal pools), so the pass falls back to the scalar kernel
-	// and its sparse map cell store.
+	// maxFlatCells bounds the dense lattice. Beyond it the flat arrays would
+	// dominate memory (the lattice is mostly empty for huge literal pools),
+	// so such a pass is refused and its queries are answered by direct
+	// scans. Real passes stay near a thousand cells.
 	maxFlatCells = 1 << 18
 )
 
@@ -63,7 +69,7 @@ var kernelParallelMinRows = 1 << 16
 
 // flatLatticeSize returns the dense cell count of the cube lattice (every
 // dimension contributes |literals| codes plus "other" and "any"), or -1
-// when it exceeds maxFlatCells and the dense kernel must not be used.
+// when it exceeds maxFlatCells.
 func flatLatticeSize(dims []DimSpec) int {
 	size := 1
 	for _, d := range dims {
@@ -76,38 +82,54 @@ func flatLatticeSize(dims []DimSpec) int {
 }
 
 // passConfig bundles the resolved execution settings of one cube pass or
-// delta scan: the stats sink, kernel and zone-map selection, and the
-// scheduler a large pass splits its morsels onto (nil for delta scans,
-// which always scan their range in one piece).
+// delta scan: the stats sink, zone-map selection, and the scheduler a large
+// pass splits its morsels onto (nil for delta scans, which always scan
+// their range in one piece).
 type passConfig struct {
-	stats  *Stats
-	scalar bool
-	zones  bool
-	sched  *Scheduler
+	stats *Stats
+	zones bool
+	sched *Scheduler
 }
 
 // computeCubeRange is the one cube-pass entry point: it accumulates joined
 // rows [lo, hi) — every row (lo=0, hi=NumRows) for a full pass, or the
 // rows of blocks sealed after a cached cube's snapshot for a delta scan,
 // whose partial CubeResult.mergeAppend folds into the published result.
-// It is the only place that picks the kernel: the vectorized kernel by
-// default, the scalar interpreter when forced (WithScalarKernel) or when
-// the literal sets blow the dense lattice bound. Both kernels produce
-// bit-for-bit identical CubeResults (asserted by the differential tests in
-// kernel_diff_test.go), so a delta partial matches what a full rebuild
-// would accumulate; pc.zones enables block pruning, which never changes
-// results either (a delta block whose dimension domains miss every
-// tracked literal takes the batched rolled-up update instead of the
-// per-row coding loops).
+// A lattice over maxFlatCells is an error returned before any row is read
+// (and before the rows count in pc.stats). The range scans as one piece or
+// as zone-aligned morsels on pc.sched (see scanMorsels); the decomposition
+// is fixed up front and partials merge in range order, so results do not
+// depend on scheduling. pc.zones enables block pruning, which never
+// changes results (a block whose dimension domains miss every tracked
+// literal takes the batched rolled-up update instead of the per-row coding
+// loops).
 func computeCubeRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, lo, hi int, pc passConfig) (*CubeResult, error) {
-	size := flatLatticeSize(dims)
-	if pc.scalar || size < 0 {
-		if pc.stats != nil {
-			pc.stats.ScalarPasses.Add(1)
-		}
-		return computeCubeScalarRange(ctx, view, tables, dims, cols, lo, hi)
+	r, err := newCubeResult(tables, dims, cols)
+	if err != nil {
+		return nil, err
 	}
-	return computeCubeVectorizedRange(ctx, view, tables, dims, cols, size, lo, hi, pc)
+	if pc.stats != nil {
+		pc.stats.RowsScanned.Add(int64(hi - lo))
+	}
+	k, err := newVecKernel(view, dims, r, pc.stats, pc.zones)
+	if err != nil {
+		return nil, err
+	}
+	partials, err := scanMorsels(ctx, pc.sched, pc.stats, k.spans, lo, hi, func(lo, hi int) (*vecPartial, error) {
+		return k.scanRange(ctx, lo, hi)
+	})
+	if err != nil {
+		return nil, err
+	}
+	root := partials[0]
+	for _, pt := range partials[1:] {
+		root.merge(pt)
+	}
+	if pc.stats != nil && len(partials) > 1 {
+		pc.stats.PartialsMerged.Add(int64(len(partials) - 1))
+	}
+	r.cells = root
+	return r, nil
 }
 
 // vecDim codes one dimension column into pre-multiplied lattice offsets.
@@ -122,18 +144,15 @@ type vecDim struct {
 	zones    []db.ZoneEntry
 	litCodes []int32
 	// dictToOff maps a dictionary code directly to literalIndex*stride
-	// (entries for non-literal values hold otherOff), replacing the scalar
-	// kernel's per-row map probe with an array load.
+	// (entries for non-literal values hold otherOff): an array load per
+	// row, not a map probe.
 	dictToOff []int32
 	// litVals/litOffs code numeric dimensions: the distinct literal values
 	// sorted ascending, with litOffs[i] = literalIndex*stride of
 	// litVals[i]. Literal sets are tiny, so a branchless lower-bound
-	// binary search over litVals beats the per-row map probe that used to
-	// be the kernel's last hash (ROADMAP: numeric dimension coding).
+	// binary search over litVals beats a per-row map probe.
 	litVals  []float64
 	litOffs  []int32
-	stride   int32
-	card     int32 // |literals|+2
 	otherOff int32 // |literals| * stride
 	anyOff   int32 // (|literals|+1) * stride
 }
@@ -181,10 +200,9 @@ type vecCol struct {
 
 // vecKernel is the immutable per-pass state shared by all partials.
 type vecKernel struct {
-	view *db.JoinView
 	dims []vecDim
 	cols []vecCol // parallel to CubeResult.cols
-	size int      // flat lattice cell count
+	size int      // lattice cell count
 	// spans is the zone-aligned segmentation of the view's rows (nil on
 	// gather views or with zone maps disabled: fixed-size chunks then).
 	spans []db.ZoneSpan
@@ -200,27 +218,24 @@ type vecKernel struct {
 	stats        *Stats
 }
 
-func newVecKernel(view *db.JoinView, dims []DimSpec, r *CubeResult, size int, stats *Stats, zoneMaps bool) (*vecKernel, error) {
-	k := &vecKernel{view: view, size: size, stats: stats}
+func newVecKernel(view *db.JoinView, dims []DimSpec, r *CubeResult, stats *Stats, zoneMaps bool) (*vecKernel, error) {
+	k := &vecKernel{size: flatLatticeSize(dims), stats: stats}
 	if zoneMaps {
 		k.spans = view.ZoneSpans()
 	}
 
-	stride := int32(1)
 	baseAny := int32(0)
-	for _, d := range dims {
+	for i, d := range dims {
 		acc, err := view.Accessor(d.Col.Table, d.Col.Column)
 		if err != nil {
 			return nil, err
 		}
-		vd := vecDim{acc: acc, isStr: acc.Column().Kind == db.KindString, direct: acc.Direct(), stride: stride}
+		stride, nl := r.strides[i], int32(len(d.Literals))
+		vd := vecDim{acc: acc, isStr: acc.Column().Kind == db.KindString, direct: acc.Direct(),
+			otherOff: nl * stride, anyOff: (nl + 1) * stride}
 		if k.spans != nil {
 			vd.zones = acc.Zones()
 		}
-		nl := int32(len(d.Literals))
-		vd.card = nl + 2
-		vd.otherOff = nl * stride
-		vd.anyOff = (nl + 1) * stride
 		if vd.isStr {
 			lut := make([]int32, len(acc.Column().Dictionary()))
 			for c := range lut {
@@ -235,8 +250,7 @@ func newVecKernel(view *db.JoinView, dims []DimSpec, r *CubeResult, size int, st
 			vd.dictToOff = lut
 		} else {
 			// Duplicate literal values (e.g. "1" and "1.0") resolve to the
-			// last literal's offset, matching the map semantics of the
-			// scalar reference kernel.
+			// last literal's offset, as a map from value to literal would.
 			m := make(map[float64]int32, len(d.Literals))
 			for j, lit := range d.Literals {
 				if v, err := parseLiteralFloat(lit); err == nil {
@@ -255,7 +269,6 @@ func newVecKernel(view *db.JoinView, dims []DimSpec, r *CubeResult, size int, st
 		}
 		k.dims = append(k.dims, vd)
 		baseAny += vd.anyOff
-		stride *= vd.card
 	}
 
 	nsubsets := 1 << len(dims)
@@ -294,12 +307,17 @@ func newVecKernel(view *db.JoinView, dims []DimSpec, r *CubeResult, size int, st
 	return k, nil
 }
 
-// vecPartial holds the struct-of-arrays accumulator state of one row range.
+// vecPartial holds the struct-of-arrays accumulator state of one row range
+// over the whole lattice: the scan's partials, and the published cube's
+// cell store.
 type vecPartial struct {
 	// rows is shared by every column: an accumulator's row count does not
 	// depend on which column it tracks.
 	rows []int64
 	cols []vecColAcc // parallel to vecKernel.cols; index 0 (star) empty
+	// cow marks a clone whose bitsets and sets are shared with a published
+	// cube: merge writes a fresh copy of one instead of mutating it.
+	cow bool
 }
 
 type vecColAcc struct {
@@ -309,75 +327,22 @@ type vecColAcc struct {
 	sets            []map[uint64]struct{} // per-cell value sets (numeric distinct)
 }
 
-// latticePool recycles the size-proportional flat accumulator arrays of
-// vecPartials between cube passes of the same lattice size. Only the dense
-// int64/float64 arrays are pooled: the per-cell bitset and set stores are
-// adopted by merge() and fill() and must never be reused.
-type latticePool struct {
-	ints   sync.Pool // *[]int64
-	floats sync.Pool // *[]float64
-}
-
-// latticePools maps lattice size -> *latticePool. Lattice sizes are bounded
-// (maxFlatCells) and few in practice — one per distinct dimension shape.
-var latticePools sync.Map
-
-// latticePoolMisses counts fresh dense-array allocations (pool misses) — a
-// test hook asserting that steady-state passes of a given lattice size run
-// through the pool without allocating.
-var latticePoolMisses atomic.Int64
-
-func poolForSize(size int) *latticePool {
-	if v, ok := latticePools.Load(size); ok {
-		return v.(*latticePool)
-	}
-	v, _ := latticePools.LoadOrStore(size, &latticePool{})
-	return v.(*latticePool)
-}
-
-func (p *latticePool) getInts(size int) []int64 {
-	if v := p.ints.Get(); v != nil {
-		s := *v.(*[]int64)
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	latticePoolMisses.Add(1)
-	return make([]int64, size)
-}
-
-func (p *latticePool) getFloats(size int, fill float64) []float64 {
-	if v := p.floats.Get(); v != nil {
-		s := *v.(*[]float64)
-		for i := range s {
-			s[i] = fill
-		}
-		return s
-	}
-	latticePoolMisses.Add(1)
-	s := make([]float64, size)
-	if fill != 0 {
-		for i := range s {
-			s[i] = fill
-		}
-	}
-	return s
-}
-
-func (p *latticePool) putInts(s []int64)     { p.ints.Put(&s) }
-func (p *latticePool) putFloats(s []float64) { p.floats.Put(&s) }
-
 func (k *vecKernel) newPartial() *vecPartial {
-	lp := poolForSize(k.size)
-	pt := &vecPartial{rows: lp.getInts(k.size), cols: make([]vecColAcc, len(k.cols))}
+	filled := func(v float64) []float64 {
+		s := make([]float64, k.size)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	pt := &vecPartial{rows: make([]int64, k.size), cols: make([]vecColAcc, len(k.cols))}
 	for i := 1; i < len(k.cols); i++ {
 		vc := &k.cols[i]
-		ca := vecColAcc{nonNull: lp.getInts(k.size)}
+		ca := vecColAcc{nonNull: make([]int64, k.size)}
 		if !vc.isStr {
-			ca.sum = lp.getFloats(k.size, 0)
-			ca.minv = lp.getFloats(k.size, math.Inf(1))
-			ca.maxv = lp.getFloats(k.size, math.Inf(-1))
+			ca.sum = make([]float64, k.size)
+			ca.minv = filled(math.Inf(1))
+			ca.maxv = filled(math.Inf(-1))
 		}
 		if vc.needDistinct {
 			if vc.isStr {
@@ -391,26 +356,6 @@ func (k *vecKernel) newPartial() *vecPartial {
 	return pt
 }
 
-// releasePartial returns a partial's dense arrays to the lattice pool. Call
-// only once the partial is dead: after it merged into an earlier-range
-// partial, or after fill() exported the root to the sparse cell store. The
-// bits/sets stores are not returned — merge and fill adopt their inner
-// objects into longer-lived owners.
-func (k *vecKernel) releasePartial(pt *vecPartial) {
-	lp := poolForSize(k.size)
-	lp.putInts(pt.rows)
-	for i := 1; i < len(pt.cols); i++ {
-		ca := &pt.cols[i]
-		lp.putInts(ca.nonNull)
-		if ca.sum != nil {
-			lp.putFloats(ca.sum)
-			lp.putFloats(ca.minv)
-			lp.putFloats(ca.maxv)
-		}
-	}
-	pt.rows, pt.cols = nil, nil
-}
-
 // scanRange accumulates joined rows [lo, hi) into a fresh partial,
 // segment by segment through the shared pipeline segmenter. Zone maps are
 // consulted before any data is read: a segment whose zones refute every
@@ -418,7 +363,7 @@ func (k *vecKernel) releasePartial(pt *vecPartial) {
 // subset mask accumulates into one constant "other" cell, dimension
 // columns are never read), and per-dimension misses skip that dimension's
 // read and coding loop. All accumulation stays in row order, so results
-// remain bit-for-bit identical to the scalar interpreter.
+// remain bit-for-bit identical to a row-at-a-time scan.
 func (k *vecKernel) scanRange(ctx context.Context, lo, hi int) (*vecPartial, error) {
 	pt := k.newPartial()
 	nd := len(k.dims)
@@ -657,7 +602,7 @@ func (k *vecKernel) accumulate(pt *vecPartial, i int, idx []int32, zi int, vals 
 	if vc.segNoNulls(zi) && !vc.needDistinct {
 		// NULL-free fast path: pure struct-of-arrays batch loop, via the
 		// dispatched scatter-accumulate primitive (strict row order — float
-		// sums must stay bit-for-bit equal to the scalar interpreter).
+		// sums must stay bit-for-bit equal to a row-at-a-time scan).
 		vec.AccumulateF64(idx, vals, nonNull, sum, minv, maxv)
 		return
 	}
@@ -689,7 +634,7 @@ func (k *vecKernel) accumulate(pt *vecPartial, i int, idx []int32, zi int, vals 
 // — the fully zone-pruned path, where every row of the segment belongs to
 // the same "other" cell per subset mask. Register-seeded running values
 // keep the accumulation order identical to the per-row path, so even
-// float sums stay bit-for-bit equal to the scalar interpreter.
+// float sums stay bit-for-bit equal to a row-at-a-time scan.
 func (k *vecKernel) accumulateConst(pt *vecPartial, i int, ix int32, zi int, vals []float64, codes []int32) {
 	vc := &k.cols[i]
 	ca := &pt.cols[i]
@@ -750,8 +695,13 @@ func (k *vecKernel) accumulateConst(pt *vecPartial, i int, ix int32, zi int, val
 	ca.sum[ix], ca.minv[ix], ca.maxv[ix] = s, mn, mx
 }
 
-// merge folds another partial into pt (pt covers the earlier row range, so
-// sums merge in deterministic range order).
+// merge folds o into pt. o covers the rows after pt's — a later morsel of
+// the same pass, or the rows a delta scan appended to a cached cube's — so
+// sums fold in range order and min/max keep first-seen ties. pt adopts o's
+// bitsets and sets, so o is dead afterwards. A bitset shorter than o's (the
+// dictionary grew between the two scans) grows; on a copy-on-write clone
+// (pt.cow) a bitset or set that both sides hold is unioned into a fresh
+// one, leaving the published cube that shares it untouched.
 func (pt *vecPartial) merge(o *vecPartial) {
 	for i, v := range o.rows {
 		pt.rows[i] += v
@@ -776,131 +726,117 @@ func (pt *vecPartial) merge(o *vecPartial) {
 				}
 			}
 		}
-		if a.bits != nil {
-			for i, bs := range b.bits {
-				if bs == nil {
-					continue
-				}
-				if a.bits[i] == nil {
-					a.bits[i] = bs
-					continue
-				}
-				dst := a.bits[i]
-				for w, x := range bs {
-					dst[w] |= x
-				}
+		for i, bs := range b.bits {
+			dst := a.bits[i]
+			switch {
+			case bs == nil:
+				continue
+			case dst == nil:
+				a.bits[i] = bs
+				continue
+			case pt.cow || len(dst) < len(bs):
+				dst = make([]uint64, max(len(dst), len(bs)))
+				copy(dst, a.bits[i])
+				a.bits[i] = dst
+			}
+			for w, x := range bs {
+				dst[w] |= x
 			}
 		}
-		if a.sets != nil {
-			for i, s := range b.sets {
-				if s == nil {
-					continue
-				}
-				if a.sets[i] == nil {
-					a.sets[i] = s
-					continue
-				}
-				dst := a.sets[i]
-				for key := range s {
+		for i, s := range b.sets {
+			dst := a.sets[i]
+			switch {
+			case s == nil:
+				continue
+			case dst == nil:
+				a.sets[i] = s
+				continue
+			case pt.cow:
+				dst = make(map[uint64]struct{}, len(dst)+len(s))
+				for key := range a.sets[i] {
 					dst[key] = struct{}{}
 				}
+				a.sets[i] = dst
+			}
+			for key := range s {
+				dst[key] = struct{}{}
 			}
 		}
 	}
 }
 
-// fill converts the flat partial into the sparse cell store of the
-// published CubeResult (only touched cells materialize, exactly like the
-// scalar kernel's lazily created map entries).
-func (k *vecKernel) fill(r *CubeResult, pt *vecPartial) {
-	for ix := 0; ix < k.size; ix++ {
-		n := pt.rows[ix]
-		if n == 0 {
-			continue
+// clone returns a copy-on-write copy of a published lattice for merge to
+// fold a delta into: the dense arrays are copied, the bitsets and sets
+// shared until merge writes one.
+func (pt *vecPartial) clone() *vecPartial {
+	c := &vecPartial{rows: slices.Clone(pt.rows), cols: make([]vecColAcc, len(pt.cols)), cow: true}
+	for i, ca := range pt.cols {
+		c.cols[i] = vecColAcc{
+			nonNull: slices.Clone(ca.nonNull),
+			sum:     slices.Clone(ca.sum),
+			minv:    slices.Clone(ca.minv),
+			maxv:    slices.Clone(ca.maxv),
+			bits:    slices.Clone(ca.bits),
+			sets:    slices.Clone(ca.sets),
 		}
-		key := cellKey{cellAny, cellAny, cellAny}
-		for i := range k.dims {
-			d := &k.dims[i]
-			code := (int32(ix) / d.stride) % d.card
-			switch code {
-			case d.card - 1:
-				key[i] = cellAny
-			case d.card - 2:
-				key[i] = cellOther
-			default:
-				key[i] = int16(code)
-			}
-		}
-		cell := make([]*accumulator, len(r.cols))
-		for ci := range r.cols {
-			a := &accumulator{rows: n, min: math.Inf(1), max: math.Inf(-1)}
-			if ci == 0 {
-				// The star accumulator counts every row as non-NULL.
-				a.nonNull = n
-			} else {
-				ca := &pt.cols[ci]
-				a.nonNull = ca.nonNull[ix]
-				if ca.sum != nil {
-					a.sum = ca.sum[ix]
-					a.min = ca.minv[ix]
-					a.max = ca.maxv[ix]
-				}
-				if r.cols[ci].needDistinct {
-					switch {
-					case ca.bits != nil:
-						a.distinct = make(map[uint64]struct{})
-						if bs := ca.bits[ix]; bs != nil {
-							for w, word := range bs {
-								for word != 0 {
-									b := bits.TrailingZeros64(word)
-									a.distinct[uint64(uint32(w*64+b))] = struct{}{}
-									word &= word - 1
-								}
-							}
-						}
-					case ca.sets != nil && ca.sets[ix] != nil:
-						a.distinct = ca.sets[ix] // partial is discarded; safe to adopt
-					default:
-						a.distinct = make(map[uint64]struct{})
-					}
-				}
-			}
-			cell[ci] = a
-		}
-		r.cells[key] = cell
 	}
+	return c
 }
 
-// computeCubeVectorizedRange runs the vectorized kernel over joined rows
-// [rangeLo, rangeHi) with a dense lattice of size cells. The range scans
-// as one piece or as zone-aligned morsels on pc.sched (see scanMorsels);
-// the decomposition is fixed up front and partials merge in range order,
-// so results do not depend on scheduling.
-func computeCubeVectorizedRange(ctx context.Context, view *db.JoinView, tables []string, dims []DimSpec, cols []trackedCol, size, rangeLo, rangeHi int, pc passConfig) (*CubeResult, error) {
-	r, err := newCubeResultWithCols(tables, dims, cols)
-	if err != nil {
-		return nil, err
+// cell returns column ci's statistics at lattice cell ix in the form
+// accumulator.finalize reads (distinct counts excluded: see
+// distinctCount). The star column (ci 0) counts every row as non-NULL, a
+// string column has no sum, min or max, and an empty cell reads exactly
+// like newAccumulator(false).
+func (pt *vecPartial) cell(ci, ix int) accumulator {
+	a := accumulator{rows: pt.rows[ix], nonNull: pt.rows[ix], min: math.Inf(1), max: math.Inf(-1)}
+	if ci == 0 {
+		return a
 	}
-	k, err := newVecKernel(view, dims, r, size, pc.stats, pc.zones)
-	if err != nil {
-		return nil, err
+	ca := &pt.cols[ci]
+	a.nonNull = ca.nonNull[ix]
+	if ca.sum != nil {
+		a.sum, a.min, a.max = ca.sum[ix], ca.minv[ix], ca.maxv[ix]
 	}
+	return a
+}
 
-	partials, err := scanMorsels(ctx, pc.sched, pc.stats, k.spans, rangeLo, rangeHi, func(lo, hi int) (*vecPartial, error) {
-		return k.scanRange(ctx, lo, hi)
-	})
-	if err != nil {
-		return nil, err
+// distinctCount returns the number of distinct values column ci holds at
+// lattice cell ix (0 when the column tracks no distinct values).
+func (pt *vecPartial) distinctCount(ci, ix int) int {
+	ca := &pt.cols[ci]
+	if ca.sets != nil {
+		return len(ca.sets[ix])
 	}
-	root := partials[0]
-	for _, pt := range partials[1:] {
-		root.merge(pt)
-		k.releasePartial(pt)
+	n := 0
+	if ca.bits != nil {
+		for _, w := range ca.bits[ix] {
+			n += bits.OnesCount64(w)
+		}
 	}
-	if pc.stats != nil && len(partials) > 1 {
-		pc.stats.PartialsMerged.Add(int64(len(partials) - 1))
+	return n
+}
+
+// memBytes estimates the lattice's resident heap size: 8 bytes per dense
+// array slot and bitset word, a slice or map header per distinct slot, and
+// fixed per-entry costs for the numeric distinct sets.
+func (pt *vecPartial) memBytes() int64 {
+	const (
+		distinctEntry = 16 // one uint64 key + bucket share
+		distinctMap   = 48 // non-nil distinct map header
+	)
+	n := int64(len(pt.rows)) * 8
+	for _, ca := range pt.cols {
+		n += int64(len(ca.nonNull)+len(ca.sum)+len(ca.minv)+len(ca.maxv)) * 8
+		n += int64(len(ca.bits))*24 + int64(len(ca.sets))*8
+		for _, bs := range ca.bits {
+			n += int64(len(bs)) * 8
+		}
+		for _, set := range ca.sets {
+			if set != nil {
+				n += distinctMap + int64(len(set))*distinctEntry
+			}
+		}
 	}
-	k.fill(r, root)
-	k.releasePartial(root)
-	return r, nil
+	return n
 }

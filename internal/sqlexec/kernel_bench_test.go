@@ -15,10 +15,10 @@ import (
 
 const kernelBenchRows = 40000
 
-// BenchmarkCubeKernel compares the vectorized kernel against the scalar
-// interpreter across the dimension/type/view/distinct matrix of
-// benchdata.Cases; rows/s is the comparable throughput measure (one op =
-// one full cube pass; caching is off so every request scans).
+// BenchmarkCubeKernel times the cube kernel across the
+// dimension/type/view/distinct matrix of benchdata.Cases; rows/s is the
+// comparable throughput measure (one op = one full cube pass; caching is
+// off so every request scans).
 func BenchmarkCubeKernel(bm *testing.B) {
 	ctx := context.Background()
 	d := benchdata.BuildDB(kernelBenchRows)
@@ -27,10 +27,10 @@ func BenchmarkCubeKernel(bm *testing.B) {
 		if err != nil {
 			bm.Fatal(err)
 		}
-		run := func(b *testing.B, scalar bool) {
+		bm.Run(tc.Name, func(b *testing.B) {
 			serial := sqlexec.NewScheduler(1) // isolate kernel throughput
 			defer serial.Close()
-			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(serial), sqlexec.WithCaching(false), sqlexec.WithScalarKernel(scalar))
+			e := sqlexec.NewEngine(d, sqlexec.WithScheduler(serial), sqlexec.WithCaching(false))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -40,9 +40,7 @@ func BenchmarkCubeKernel(bm *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(view.NumRows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		}
-		bm.Run(tc.Name+"/vectorized", func(b *testing.B) { run(b, false) })
-		bm.Run(tc.Name+"/scalar", func(b *testing.B) { run(b, true) })
+		})
 	}
 }
 

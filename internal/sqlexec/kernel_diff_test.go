@@ -11,14 +11,14 @@ import (
 	"aggchecker/internal/db"
 )
 
-// Differential tests: the vectorized kernel must produce CubeResults
-// bit-for-bit identical to the scalar reference interpreter over randomized
-// schemas, dimension sets, and literal pools — including NaN/NULL handling,
-// empty cells, CountDistinct on string and numeric columns, and joined
-// views. Single-threaded passes accumulate in the exact row order of the
-// scalar kernel, so even float sums must match to the last bit; parallel
-// partial merging is exercised separately with integer-valued data, where
-// every association order is exact.
+// Differential tests: the cube kernel must produce CubeResults bit-for-bit
+// identical to the row-at-a-time oracle (computeCubeScalarRange in
+// cube_oracle_test.go) over randomized schemas, dimension sets, and literal
+// pools — including NaN/NULL handling, empty cells, CountDistinct on string
+// and numeric columns, and joined views. Single-threaded passes accumulate
+// in the exact row order of the oracle, so even float sums must match to
+// the last bit; parallel partial merging is exercised separately with
+// integer-valued data, where every association order is exact.
 
 // diffSchema is one randomized database plus the dimension/column pool the
 // trials draw from.
@@ -153,65 +153,6 @@ func randomCubeSpec(rng *rand.Rand, sc *diffSchema) ([]DimSpec, []trackedCol) {
 	return dims, cols
 }
 
-// requireCubesIdentical asserts two CubeResults are bit-for-bit equal:
-// identical tracked columns, identical cell sets, and per-cell accumulators
-// whose counts, float bit patterns, and distinct sets all match.
-func requireCubesIdentical(t *testing.T, want, got *CubeResult, label string) {
-	t.Helper()
-	if len(want.cols) != len(got.cols) {
-		t.Fatalf("%s: tracked cols %d vs %d", label, len(want.cols), len(got.cols))
-	}
-	for i := range want.cols {
-		if want.cols[i].ref != got.cols[i].ref || want.cols[i].needDistinct != got.cols[i].needDistinct {
-			t.Fatalf("%s: col %d differs: %+v vs %+v", label, i, want.cols[i], got.cols[i])
-		}
-	}
-	if len(want.cells) != len(got.cells) {
-		t.Fatalf("%s: cell count %d vs %d", label, len(want.cells), len(got.cells))
-	}
-	feq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for key, wcell := range want.cells {
-		gcell, ok := got.cells[key]
-		if !ok {
-			t.Fatalf("%s: cell %v missing from vectorized result", label, key)
-		}
-		for ci := range wcell {
-			wa, ga := wcell[ci], gcell[ci]
-			if wa.rows != ga.rows || wa.nonNull != ga.nonNull {
-				t.Fatalf("%s: cell %v col %d: rows/nonNull (%d,%d) vs (%d,%d)",
-					label, key, ci, wa.rows, wa.nonNull, ga.rows, ga.nonNull)
-			}
-			if !feq(wa.sum, ga.sum) || !feq(wa.min, ga.min) || !feq(wa.max, ga.max) {
-				t.Fatalf("%s: cell %v col %d: sum/min/max (%v,%v,%v) vs (%v,%v,%v)",
-					label, key, ci, wa.sum, wa.min, wa.max, ga.sum, ga.min, ga.max)
-			}
-			if (wa.distinct == nil) != (ga.distinct == nil) {
-				t.Fatalf("%s: cell %v col %d: distinct tracking mismatch", label, key, ci)
-			}
-			if wa.distinct != nil {
-				if len(wa.distinct) != len(ga.distinct) {
-					t.Fatalf("%s: cell %v col %d: distinct %d vs %d",
-						label, key, ci, len(wa.distinct), len(ga.distinct))
-				}
-				for k := range wa.distinct {
-					if _, ok := ga.distinct[k]; !ok {
-						t.Fatalf("%s: cell %v col %d: distinct key %d missing", label, key, ci, k)
-					}
-				}
-			}
-		}
-	}
-	// Cross-check a sample of answers through the public query surface,
-	// covering ratio functions (which combine two cells) and empty cells.
-	for _, q := range sampleQueries(want) {
-		wv, wok := want.Value(q)
-		gv, gok := got.Value(q)
-		if wok != gok || (wok && !feq(wv, gv) && !(math.IsNaN(wv) && math.IsNaN(gv))) {
-			t.Fatalf("%s: query %s: scalar (%v,%v) vs vectorized (%v,%v)", label, q.Key(), wv, wok, gv, gok)
-		}
-	}
-}
-
 // sampleQueries enumerates queries the cube claims to cover: every agg
 // function over every tracked column, at the rolled-up cell and at
 // single-literal cells of each dimension (first literals, including ones
@@ -257,7 +198,7 @@ func sampleQueries(r *CubeResult) []Query {
 }
 
 // TestKernelDifferentialRandomized is the single-threaded property test:
-// scalar and vectorized kernels must agree bit-for-bit, float data and all.
+// kernel and oracle must agree bit-for-bit, float data and all.
 func TestKernelDifferentialRandomized(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -276,13 +217,13 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 		dims, cols := randomCubeSpec(rng, sc)
 		label := fmt.Sprintf("trial %d (joined=%v rows=%d dims=%d cols=%d)",
 			trial, joined, rows, len(dims), len(cols))
-		want, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
+		want, err := computeCubeScalarRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows())
 		if err != nil {
-			t.Fatalf("%s: scalar: %v", label, err)
+			t.Fatalf("%s: oracle: %v", label, err)
 		}
 		got, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{zones: true})
 		if err != nil {
-			t.Fatalf("%s: vectorized: %v", label, err)
+			t.Fatalf("%s: kernel: %v", label, err)
 		}
 		requireCubesIdentical(t, want, got, label)
 	}
@@ -312,13 +253,13 @@ func TestKernelDifferentialParallelPartials(t *testing.T) {
 		}
 		dims, cols := randomCubeSpec(rng, sc)
 		label := fmt.Sprintf("parallel trial %d (joined=%v rows=%d dims=%d)", trial, joined, rows, len(dims))
-		want, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
+		want, err := computeCubeScalarRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows())
 		if err != nil {
-			t.Fatalf("%s: scalar: %v", label, err)
+			t.Fatalf("%s: oracle: %v", label, err)
 		}
 		got, err := computeCubeRange(ctx, view, sc.tables, dims, cols, 0, view.NumRows(), passConfig{stats: &stats, zones: true, sched: sched})
 		if err != nil {
-			t.Fatalf("%s: vectorized: %v", label, err)
+			t.Fatalf("%s: kernel: %v", label, err)
 		}
 		requireCubesIdentical(t, want, got, label)
 	}
@@ -327,8 +268,8 @@ func TestKernelDifferentialParallelPartials(t *testing.T) {
 	}
 }
 
-// TestKernelEmptyView verifies both kernels agree on a zero-row scan (an
-// inner join that drops every row): no cells at all.
+// TestKernelEmptyView verifies kernel and oracle agree on a zero-row scan
+// (an inner join that drops every row): no cells at all.
 func TestKernelEmptyView(t *testing.T) {
 	s := db.NewStringColumn("s")
 	n := db.NewFloatColumn("n")
@@ -342,7 +283,7 @@ func TestKernelEmptyView(t *testing.T) {
 	}
 	dims := []DimSpec{{Col: ColumnRef{Table: "e", Column: "s"}, Literals: []string{"x"}}}
 	cols := []trackedCol{{ref: ColumnRef{Table: "e", Column: "n"}, needDistinct: true}}
-	want, err := computeCubeRange(context.Background(), view, []string{"e"}, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
+	want, err := computeCubeScalarRange(context.Background(), view, []string{"e"}, dims, cols, 0, view.NumRows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +292,8 @@ func TestKernelEmptyView(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireCubesIdentical(t, want, got, "empty view")
-	if len(got.cells) != 0 {
-		t.Errorf("empty view produced %d cells", len(got.cells))
+	if n := len(latticeCells(got)); n != 0 {
+		t.Errorf("empty view produced %d cells", n)
 	}
 	// Count over an empty cube answers 0, Avg answers NaN.
 	q := Query{Agg: Count, Preds: []Predicate{{Col: dims[0].Col, Value: "x"}}}
@@ -365,16 +306,16 @@ func TestKernelEmptyView(t *testing.T) {
 	}
 }
 
-// TestKernelLatticeFallback drives the dispatcher with a literal pool too
-// large for the dense lattice: the pass must fall back to the scalar kernel
-// (counted in Stats.ScalarPasses) and still be correct. The cached cube is
-// then advanced over committed appends, and the delta scan takes the same
-// route: one more scalar pass, and a merged cube equal to a fresh rebuild.
-func TestKernelLatticeFallback(t *testing.T) {
+// TestKernelLatticeBound drives a cube pass whose literal pool makes the
+// lattice too large for the kernel (72^3 cells): the pass is refused before
+// it reads a row and publishes nothing, and a batch whose queries plan onto
+// that cube answers every one of them exactly as a direct scan does.
+func TestKernelLatticeBound(t *testing.T) {
 	wide := make([]string, 70)
 	for i := range wide {
 		wide[i] = "L" + strconv.Itoa(i)
 	}
+	wide[0], wide[1], wide[2] = "p", "u", "7" // values present in the data
 	d := stressDB(t, 500)
 	e := NewEngine(d)
 	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
@@ -387,97 +328,49 @@ func TestKernelLatticeFallback(t *testing.T) {
 		t.Fatalf("72^3 lattice should exceed maxFlatCells")
 	}
 	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}}
-	cube, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs); err == nil {
+		t.Fatal("oversized lattice built a cube")
 	}
-	if got := e.Stats.ScalarPasses.Load(); got != 1 {
-		t.Errorf("scalar passes = %d, want 1 (lattice fallback)", got)
+	if n := e.Stats.RowsScanned.Load(); n != 0 {
+		t.Errorf("refused pass scanned %d rows", n)
 	}
-	q := Query{Agg: Count, Preds: []Predicate{{Col: cr("a"), Value: "L0"}}}
-	v, ok := cube.Value(q)
-	if !ok {
-		t.Fatal("fallback cube cannot answer covered query")
+	if n := e.Stats.BlocksScanned.Load(); n != 0 {
+		t.Errorf("refused pass scanned %d blocks", n)
 	}
-	dv, err := e.EvaluateContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eqNaN(v, dv) {
-		t.Errorf("fallback cube = %v, direct = %v", v, dv)
+	if entries, bytes := e.CacheUsage(); entries != 0 || bytes != 0 {
+		t.Errorf("refused pass published %d entries (%d bytes)", entries, bytes)
 	}
 
-	rng := rand.New(rand.NewSource(11))
-	rows := make([][]any, 40)
-	for i := range rows {
-		rows[i] = []any{wide[rng.Intn(4)], []string{"u", "v"}[rng.Intn(2)], float64(rng.Intn(100))}
+	pool := map[string][]string{"t.a": wide, "t.b": wide, "t.x": wide}
+	var queries []Query
+	for _, a := range []string{"p", "q", "L9"} {
+		for _, b := range []string{"u", "w"} {
+			preds := []Predicate{{Col: cr("a"), Value: a}, {Col: cr("b"), Value: b}, {Col: cr("x"), Value: "7"}}
+			queries = append(queries,
+				Query{Agg: Count, Preds: preds},
+				Query{Agg: Percentage, Preds: preds},
+				Query{Agg: ConditionalProbability, Preds: preds},
+				Query{Agg: Sum, AggCol: cr("x"), Preds: preds[:2]},
+				Query{Agg: CountDistinct, AggCol: cr("b"), Preds: preds[:1]},
+			)
+		}
 	}
-	if err := d.Append("t", rows...); err != nil {
-		t.Fatal(err)
+	plan := PlanCubesOpt(queries, "t", PlanOptions{MergeSmall: true, Pool: pool})
+	if len(plan.Cubes) != 1 || len(plan.Direct) != 0 || flatLatticeSize(plan.Cubes[0].Dims) != -1 {
+		t.Fatalf("queries do not plan onto one oversized cube: %d cubes, %d direct", len(plan.Cubes), len(plan.Direct))
 	}
-	if _, err := d.Commit(); err != nil {
-		t.Fatal(err)
+	got := e.EvaluateBatch(context.Background(), queries, BatchOptions{Pool: pool})
+	for i, q := range queries {
+		want, err := e.EvaluateContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+			t.Errorf("%s: batch %v, direct %v", q.Key(), got[i], want)
+		}
 	}
-	got, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := e.Stats.DeltaScans.Load(); n != 1 {
-		t.Fatalf("delta scans = %d, want 1", n)
-	}
-	if n := e.Stats.FullRebuilds.Load(); n != 0 {
-		t.Fatalf("full rebuilds = %d, want 0", n)
-	}
-	if n := e.Stats.ScalarPasses.Load(); n != 2 {
-		t.Errorf("scalar passes = %d, want 2 (full pass + delta scan)", n)
-	}
-	view, err := db.BuildSnapshotView(d.Snapshot(), []string{"t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := computeCubeRange(context.Background(), view, []string{"t"}, dims, trackedColsFor(reqs), 0, view.NumRows(), passConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireCubesIdentical(t, want, got, "lattice fallback delta")
-}
-
-// TestEngineScalarKernelFlag pins the legacy interpreter behind the engine
-// flag: forced scalar passes count in Stats.ScalarPasses and agree with the
-// vectorized default.
-func TestEngineScalarKernelFlag(t *testing.T) {
-	d := stressDB(t, 3000)
-	vecE := NewEngine(d)
-	sclE := NewEngine(d, WithScalarKernel(true))
-	if !sclE.ScalarKernel() || vecE.ScalarKernel() {
-		t.Fatal("scalar-kernel flag not plumbed")
-	}
-	dims := stressDims()
-	reqs := []AggRequest{
-		{Fn: Count, Col: ColumnRef{}},
-		{Fn: Sum, Col: ColumnRef{Table: "t", Column: "x"}},
-		{Fn: CountDistinct, Col: ColumnRef{Table: "t", Column: "x"}},
-	}
-	vc, err := vecE.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := sclE.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireCubesIdentical(t, sc, vc, "engine flag")
-	if sclE.Stats.ScalarPasses.Load() != 1 {
-		t.Errorf("scalar engine passes = %d, want 1", sclE.Stats.ScalarPasses.Load())
-	}
-	if vecE.Stats.ScalarPasses.Load() != 0 {
-		t.Errorf("vectorized engine recorded %d scalar passes", vecE.Stats.ScalarPasses.Load())
-	}
-	if vecE.Stats.BlocksScanned.Load() == 0 {
-		t.Error("vectorized pass recorded no blocks")
-	}
-	if sclE.Stats.BlocksScanned.Load() != 0 {
-		t.Error("scalar pass recorded kernel blocks")
+	if n := e.Stats.CubeAnswers.Load(); n != 0 {
+		t.Errorf("%d queries answered from a refused cube", n)
 	}
 }
 

@@ -18,15 +18,6 @@ func WithZoneMaps(on bool) ExecOption {
 	return func(e *Engine) { e.zoneMaps = on }
 }
 
-// WithScalarKernel routes cube passes to the scalar interpreter
-// (row-at-a-time, map-keyed cell store) instead of the vectorized columnar
-// kernel. Both kernels produce identical results: the scalar one is the
-// oracle of the kernel differential tests and the yardstick of
-// BenchmarkCubeKernel.
-func WithScalarKernel(on bool) ExecOption {
-	return func(e *Engine) { e.scalarKernel = on }
-}
-
 // WithCaching toggles the cube-result cache (on by default; Table 6's
 // "+ Caching" row turns it off to isolate the effect of query merging).
 func WithCaching(on bool) ExecOption {

@@ -203,9 +203,9 @@ func (pe *predEval) refine(start, n int, sel []int32, fBuf []float64, cBuf []int
 }
 
 // aggReader reads the aggregation column of a direct scan and folds rows
-// into accumulators with exactly the per-row semantics of
-// accumulator.addRow, in row order — so results are bit-for-bit identical
-// to the retired row-at-a-time path even for float sums.
+// into accumulators with exactly the per-row semantics of the tests'
+// row-at-a-time oracle (accumulator.addRow), in row order — so results are
+// bit-for-bit identical to it even for float sums.
 type aggReader struct {
 	star  bool
 	acc   db.ColumnAccessor
@@ -360,9 +360,9 @@ type directPartial struct {
 // merge folds a later row range's partial into p (p first, preserving
 // scan-order semantics of summation and min/max ties).
 func (p *directPartial) merge(o *directPartial) {
-	p.main = addAccumulators(p.main, o.main)
-	if p.base != nil || o.base != nil {
-		p.base = addAccumulators(p.base, o.base)
+	p.main.add(o.main)
+	if p.base != nil {
+		p.base.add(o.base)
 	}
 	p.scanned += o.scanned
 	p.pruned += o.pruned

@@ -452,8 +452,8 @@ func TestDirectScanCancellation(t *testing.T) {
 
 // TestCubeZoneMapPruning drives a cube pass whose dimension literals are
 // confined to one block: every other block must take the batched
-// rolled-up update, and the result must equal both the unpruned
-// vectorized pass and the scalar interpreter bit for bit.
+// rolled-up update, and the result must equal both the unpruned pass and
+// the row-at-a-time oracle bit for bit.
 func TestCubeZoneMapPruning(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	batches, rowsPer := 5, 300
@@ -491,19 +491,22 @@ func TestCubeZoneMapPruning(t *testing.T) {
 	if fs := flat.Stats.Snapshot(); fs["blocks_pruned"] != 0 {
 		t.Errorf("zone maps disabled but blocks_pruned = %d", fs["blocks_pruned"])
 	}
-	requireCubesIdentical(t, unpruned, pruned, "pruned vs unpruned cube")
+	requireCubesIdentical(t, oracleOf(unpruned), pruned, "pruned vs unpruned cube")
 
-	scalar := NewEngine(d, WithScalarKernel(true))
-	want, err := scalar.CubeForContext(context.Background(), []string{"t"}, dims, reqs)
+	view, err := db.BuildJoinView(d, []string{"t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireCubesIdentical(t, want, pruned, "pruned cube vs scalar oracle")
+	want, err := computeCubeScalarRange(context.Background(), view, []string{"t"}, dims, trackedColsFor(reqs), 0, view.NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCubesIdentical(t, want, pruned, "pruned cube vs oracle")
 }
 
 // TestCubeZoneMapPruningRandomized: randomized banded schedules, random
 // dimension/literal draws (some clustered, some absent, some uniform),
-// pruned vectorized vs scalar interpreter, bit for bit. Data is float-
+// pruned kernel vs row-at-a-time oracle, bit for bit. Data is float-
 // valued: single-threaded passes preserve row order even on the batched
 // rolled-up path (register-seeded accumulation).
 func TestCubeZoneMapPruningRandomized(t *testing.T) {
@@ -544,13 +547,13 @@ func TestCubeZoneMapPruningRandomized(t *testing.T) {
 			}
 		}
 		label := fmt.Sprintf("trial %d (batches=%d rowsPer=%d dims=%d)", trial, batches, rowsPer, len(dims))
-		want, err := computeCubeRange(ctx, view, []string{"t"}, dims, cols, 0, view.NumRows(), passConfig{scalar: true})
+		want, err := computeCubeScalarRange(ctx, view, []string{"t"}, dims, cols, 0, view.NumRows())
 		if err != nil {
-			t.Fatalf("%s: scalar: %v", label, err)
+			t.Fatalf("%s: oracle: %v", label, err)
 		}
 		got, err := computeCubeRange(ctx, view, []string{"t"}, dims, cols, 0, view.NumRows(), passConfig{zones: true})
 		if err != nil {
-			t.Fatalf("%s: vectorized+zones: %v", label, err)
+			t.Fatalf("%s: kernel+zones: %v", label, err)
 		}
 		requireCubesIdentical(t, want, got, label)
 	}

@@ -183,8 +183,17 @@ func (q Query) Tables(defaultTable string) []string {
 }
 
 // SQL renders the query as SQL text that sqlparse.Parse reads back to an
-// equal query over a single table: quotes in literals are doubled.
+// equal query: quotes in literals are doubled, and when the query joins
+// more than one table every column is qualified as table.column, since a
+// bare name may exist in several of them.
 func (q Query) SQL(defaultTable string) string {
+	tables := q.Tables(defaultTable)
+	column := func(c ColumnRef) string {
+		if len(tables) > 1 {
+			return c.String()
+		}
+		return c.Column
+	}
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
 	sb.WriteString(q.Agg.String())
@@ -192,17 +201,17 @@ func (q Query) SQL(defaultTable string) string {
 	if q.AggCol.IsStar() {
 		sb.WriteByte('*')
 	} else {
-		sb.WriteString(q.AggCol.Column)
+		sb.WriteString(column(q.AggCol))
 	}
 	sb.WriteString(") FROM ")
-	sb.WriteString(strings.Join(q.Tables(defaultTable), " E-JOIN "))
+	sb.WriteString(strings.Join(tables, " E-JOIN "))
 	if len(q.Preds) > 0 {
 		sb.WriteString(" WHERE ")
 		for i, p := range q.sortedPreds() {
 			if i > 0 {
 				sb.WriteString(" AND ")
 			}
-			sb.WriteString(p.Col.Column)
+			sb.WriteString(column(p.Col))
 			sb.WriteString(" = '")
 			sb.WriteString(strings.ReplaceAll(p.Value, "'", "''"))
 			sb.WriteString("'")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -307,62 +306,6 @@ func TestSchedulerEngineMatchesSingleThreaded(t *testing.T) {
 		if !bitIdentical(gotBatch[i], want) {
 			t.Fatalf("cube %s: scheduler %v != single-threaded %v", q.Key(), gotBatch[i], want)
 		}
-	}
-}
-
-// TestSchedulerPassPoolsPartials asserts the allocation contract of the
-// lattice pool: once the pool is warm, further morsel-driven cube passes of
-// the same lattice shape take every dense partial array from the pool —
-// zero fresh allocations, counted by the latticePoolMisses test hook. GC is
-// disabled for the steady-state window so sync.Pool cannot shed its
-// contents mid-assertion.
-func TestSchedulerPassPoolsPartials(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops puts at random; zero-miss cannot hold")
-	}
-	defer func(old int) { kernelParallelMinRows = old }(kernelParallelMinRows)
-	kernelParallelMinRows = 64
-	// sync.Pool parks one item per P in a private slot that no other P can
-	// steal, so with several Ps an array released on one can be out of reach
-	// of the next pass's workers and count as a miss although nothing was
-	// dropped (about one run in two at GOMAXPROCS=4 on two cores). One P
-	// makes every pooled array reachable; a pass still holds all of its
-	// morsel partials at once, so the demand on the pool is unchanged.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	d := stressDB(t, 40000)
-	sched := NewScheduler(4)
-	defer sched.Close()
-	e := NewEngine(d, WithScheduler(sched), WithCaching(false))
-	cr := func(c string) ColumnRef { return ColumnRef{Table: "t", Column: c} }
-	dims := []DimSpec{
-		{Col: cr("a"), Literals: []string{"p", "q", "r", "s"}},
-		{Col: cr("b"), Literals: []string{"u", "v", "w"}},
-	}
-	reqs := []AggRequest{{Fn: Count, Col: ColumnRef{}}, {Fn: Sum, Col: cr("x")}}
-	pass := func() {
-		if _, err := e.CubeForContext(context.Background(), []string{"t"}, dims, reqs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Warm the pool: the first passes populate it with as many partials as
-	// the scheduler keeps in flight at peak.
-	for i := 0; i < 3; i++ {
-		pass()
-	}
-
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC() // settle before the window so no collection lands inside it
-	before := latticePoolMisses.Load()
-	for i := 0; i < 5; i++ {
-		pass()
-	}
-	if misses := latticePoolMisses.Load() - before; misses != 0 {
-		t.Errorf("steady-state passes allocated %d dense partial arrays, want 0 (pool reuse)", misses)
-	}
-	if e.Stats.MorselsDispatched.Load() == 0 {
-		t.Fatal("passes never used the scheduler morsel path")
 	}
 }
 

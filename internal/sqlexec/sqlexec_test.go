@@ -390,6 +390,32 @@ func TestCubeCacheExtension(t *testing.T) {
 	if !ok || cv2 != 4 {
 		t.Errorf("count after merge = %v ok=%v, want 4", cv2, ok)
 	}
+
+	// Counting distinct values of a tracked column replaces its statistics
+	// with distinct-capable ones in one more pass; the cube extended
+	// before cannot count them and still answers its own queries.
+	q3 := Query{Agg: CountDistinct, AggCol: ref("fine"), Preds: []Predicate{{Col: ref("games"), Value: "indef"}}}
+	wider, err := e.CubeForContext(context.Background(), []string{"nflsuspensions"}, dims,
+		[]AggRequest{{Fn: CountDistinct, Col: ref("fine")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats.CubePasses.Load() != passes+2 {
+		t.Errorf("distinct extension should cost exactly one pass")
+	}
+	for _, q := range []Query{q, q2, q3} {
+		wv, ok := wider.Value(q)
+		dv, _ := e.EvaluateContext(context.Background(), q)
+		if !ok || !eqNaN(wv, dv) {
+			t.Errorf("%s after distinct extension = %v ok=%v, want %v", q.Key(), wv, ok, dv)
+		}
+	}
+	if _, ok := cube.Value(q3); ok {
+		t.Error("cube extended before answers a distinct count it does not track")
+	}
+	if v, ok := cube.Value(q); !ok || !eqNaN(v, dv) {
+		t.Errorf("cube extended before: %s = %v ok=%v, want %v", q.Key(), v, ok, dv)
+	}
 }
 
 func TestCubeCachingDisabled(t *testing.T) {

@@ -158,6 +158,48 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// joinedDB is a two-table catalog whose tables share the column "name".
+func joinedDB(t testing.TB) *db.Database {
+	t.Helper()
+	players, err := db.LoadCSV(strings.NewReader(
+		"name,team,fine\nBurfict,Bengals,100\nGordon,Browns,50\n"), "players")
+	if err != nil {
+		t.Fatal(err)
+	}
+	teams, err := db.LoadCSV(strings.NewReader("name,city\nBengals,Cincinnati\nBrowns,Cleveland\n"), "teams")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := db.NewDatabase("league")
+	d.MustAddTable(players)
+	d.MustAddTable(teams)
+	return d
+}
+
+// TestSQLRoundTripsJoinedQuery: the SQL of a query over two tables that
+// share a column name qualifies its columns, so it parses back to the same
+// query; a single-table query's SQL keeps bare column names.
+func TestSQLRoundTripsJoinedQuery(t *testing.T) {
+	d := joinedDB(t)
+	q, err := Parse("SELECT Sum(fine) FROM players E-JOIN teams WHERE teams.name = 'Bengals' AND players.name = 'Burfict'", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := q.SQL("players")
+	back, err := Parse(sql, d)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", sql, err)
+	}
+	if back.Key() != q.Key() {
+		t.Errorf("round trip %q != %q", back.Key(), q.Key())
+	}
+
+	single := sqlexec.Query{Agg: sqlexec.Count, Preds: []sqlexec.Predicate{{Col: sqlexec.ColumnRef{Table: "teams", Column: "name"}, Value: "Bengals"}}}
+	if got, want := single.SQL("players"), "SELECT Count(*) FROM teams WHERE name = 'Bengals'"; got != want {
+		t.Errorf("single-table SQL = %q, want %q", got, want)
+	}
+}
+
 func TestParseRoundTripsCorpusGroundTruth(t *testing.T) {
 	// Every ground-truth query rendered by Query.SQL must parse back to an
 	// equal query — the contract between corpusgen output and this parser.
@@ -192,24 +234,30 @@ func TestParsedQueryEvaluates(t *testing.T) {
 	}
 }
 
-// FuzzParseSQL feeds arbitrary text to Parse over the test table: Parse
-// never panics, and a query it accepts renders (Query.SQL) to text that
-// parses back to the same query. Seeds live under
-// testdata/fuzz/FuzzParseSQL; `make fuzz-smoke` runs the fuzzer.
+// FuzzParseSQL feeds arbitrary text to Parse over two catalogs, the test
+// table and a join of two tables sharing a column name: Parse never
+// panics, and a query it accepts renders (Query.SQL) to text that parses
+// back to the same query. Seeds live under testdata/fuzz/FuzzParseSQL;
+// `make fuzz-smoke` runs the fuzzer.
 func FuzzParseSQL(f *testing.F) {
-	d := testDB(f)
+	catalogs := []struct {
+		d            *db.Database
+		defaultTable string
+	}{{testDB(f), "nflsuspensions"}, {joinedDB(f), "players"}}
 	f.Fuzz(func(t *testing.T, input string) {
-		q, err := Parse(input, d)
-		if err != nil {
-			return
-		}
-		sql := q.SQL("nflsuspensions")
-		back, err := Parse(sql, d)
-		if err != nil {
-			t.Fatalf("Parse(%q) = %s, but its SQL %q does not parse: %v", input, q.Key(), sql, err)
-		}
-		if back.Key() != q.Key() {
-			t.Fatalf("Parse(%q) = %s, but its SQL %q parses to %s", input, q.Key(), sql, back.Key())
+		for _, c := range catalogs {
+			q, err := Parse(input, c.d)
+			if err != nil {
+				continue
+			}
+			sql := q.SQL(c.defaultTable)
+			back, err := Parse(sql, c.d)
+			if err != nil {
+				t.Fatalf("Parse(%q) = %s, but its SQL %q does not parse: %v", input, q.Key(), sql, err)
+			}
+			if back.Key() != q.Key() {
+				t.Fatalf("Parse(%q) = %s, but its SQL %q parses to %s", input, q.Key(), sql, back.Key())
+			}
 		}
 	})
 }
