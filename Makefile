@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test flake-guard test-noasm race vet fmt fuzz-smoke bench bench-smoke audit-smoke serve-smoke recovery-smoke ci
+.PHONY: all build test flake-guard race vet fmt fuzz-smoke bench bench-smoke audit-smoke serve-smoke recovery-smoke ci
 
 all: build test
 
@@ -25,24 +25,11 @@ flake-guard:
 	$(GO) test -race -count=20 -run TestEvaluateBatchNestedOnScheduler ./internal/sqlexec
 	$(GO) test -count=10 -run 'TestExecutorCompositionDifferential/.*/.*/audit$$/.*' ./internal/core
 
-# test-noasm runs the suite with the assembly kernels compiled out, so the
-# Go loops of the four dispatched internal/vec primitives (the only path
-# on non-amd64 platforms and under the `-tags noasm` escape hatch) carry
-# every cube and scan differential. internal/vec's property tests compare
-# each dispatched primitive against its Go loop under whichever binding
-# is live.
-test-noasm:
-	$(GO) test -count=1 -tags noasm ./...
-
 race:
 	$(GO) test -race -count=1 ./...
 
-# vet also covers the two builds the assembly is absent from: `-tags noasm`
-# and a non-amd64 target (arm64), where the Go loops are the only path.
 vet:
 	$(GO) vet ./...
-	$(GO) vet -tags noasm ./...
-	GOARCH=arm64 $(GO) vet ./...
 
 # fmt fails when any file is not gofmt-clean (CI gate); run `gofmt -w .` to fix.
 fmt:
@@ -107,4 +94,4 @@ serve-smoke:
 recovery-smoke:
 	$(GO) test -count=1 -run TestAggcheckdCrashRecovery ./cmd/aggcheckd
 
-ci: fmt vet build race flake-guard test-noasm fuzz-smoke bench-smoke audit-smoke serve-smoke recovery-smoke
+ci: fmt vet build race flake-guard fuzz-smoke bench-smoke audit-smoke serve-smoke recovery-smoke

@@ -223,9 +223,6 @@ func floatZones(vals []float64, spans []ZoneSpan, first int, prev []ZoneEntry) [
 	for _, sp := range spans[first:] {
 		z := ZoneEntry{Start: sp.Start, End: sp.End}
 		run := vals[sp.Start:sp.End]
-		// Min/Max via the dispatched NaN-skipping fold (±0 sign latitude is
-		// harmless here: MayContainFloat's range test treats ±0 as equal),
-		// then one branch-free pass for the null count.
 		z.Min, z.Max = vec.MinMaxF64(run)
 		for _, v := range run {
 			if v != v {
@@ -258,8 +255,7 @@ func codeZones(codes []int32, dictLen int, spans []ZoneSpan, first int, prev []Z
 				z.domain[c>>6] |= 1 << (uint(c) & 63)
 			}
 		} else {
-			// Without a domain bitset the loop only counts NULLs; the
-			// dispatched sign-bit popcount does that 8 codes at a time.
+			// Without a domain bitset the loop only counts NULLs.
 			z.NullCount = len(run) - vec.CountNonNegI32(run)
 		}
 		zones = append(zones, z)

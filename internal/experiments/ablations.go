@@ -22,9 +22,6 @@ func RunDesignAblations(o Options) []AccuracyRow {
 		{"Paper-literal restriction priors", func(c *core.Config) {
 			c.Model.PaperLiteralPriors = true
 		}},
-		{"Soft EM (posterior marginals)", func(c *core.Config) {
-			c.Model.SoftEM = true
-		}},
 		{"No score scaling (flat keyword evidence)", func(c *core.Config) {
 			c.Model.ScoreScale = 1
 		}},

@@ -65,9 +65,6 @@ type Config struct {
 	// multiplies p_ri only over restricted columns; the default uses the
 	// full Bernoulli product (see DESIGN.md).
 	PaperLiteralPriors bool
-	// SoftEM updates priors from posterior marginals instead of
-	// maximum-likelihood query counts (the paper uses hard counts).
-	SoftEM bool
 
 	// MaxEMIters bounds expectation-maximization iterations.
 	MaxEMIters int

@@ -295,51 +295,14 @@ func mlIndex(st *claimState, cfg Config) int {
 }
 
 // accumulate adds a claim's contribution to the maximization statistics:
-// hard EM counts the maximum-likelihood query; soft EM adds posterior
-// marginals (closed-form base marginals plus the matched-candidate
-// correction).
+// its maximum-likelihood query, counted as one (hard EM, as in the
+// paper's Algorithm 3).
 func accumulate(cat *fragments.Catalog, st *claimState, cfg Config, stats *priorStats) {
 	if len(st.top) == 0 {
 		return
 	}
-	if !cfg.SoftEM {
-		if j := mlIndex(st, cfg); j >= 0 {
-			stats.addQuery(cat, st.queries[j])
-		}
-		return
-	}
-	z := zOf(st, cfg)
-	if z <= 0 {
-		return
-	}
-	lowFactor := (1 - cfg.PT) / z
-	boost := (2*cfg.PT - 1) / z
-	if !cfg.UseEvalResults {
-		lowFactor, boost = 1, 0
-	}
-	fnM, colM, restrictM := st.space.baseMarginals()
-	stats.claims++
-	for f, m := range fnM {
-		stats.fn[f] += m * lowFactor
-	}
-	for c, m := range colM {
-		stats.col[c] += m * lowFactor
-	}
-	for p, m := range restrictM {
-		stats.restrict[p] += m * lowFactor
-	}
-	if boost != 0 {
-		for _, j := range st.matched {
-			c := st.top[j]
-			fc := st.space.fcs[c.fc]
-			stats.fn[fc.fnIdx] += c.Prob * boost
-			stats.col[fc.colIdx] += c.Prob * boost
-			for k, ci := range c.choice {
-				if st.space.cols[k].options[ci].fragID != -1 {
-					stats.restrict[st.space.cols[k].predIdx] += c.Prob * boost
-				}
-			}
-		}
+	if j := mlIndex(st, cfg); j >= 0 {
+		stats.addQuery(cat, st.queries[j])
 	}
 }
 

@@ -385,23 +385,6 @@ func TestUniformPriors(t *testing.T) {
 	}
 }
 
-func TestSoftEMAlsoResolves(t *testing.T) {
-	cat, doc, scores, eng := nflSetup(t)
-	cfg := testConfig()
-	cfg.SoftEM = true
-	res := mustRun(t, cat, doc, scores, naiveEval{eng}, cfg)
-	truth := nflGroundTruth()
-	hits := 0
-	for i := range truth {
-		if r := rankOf(res.Claims[i], truth[i]); r >= 0 && r < 5 {
-			hits++
-		}
-	}
-	if hits < 2 {
-		t.Errorf("soft EM resolved only %d/3 claims in top-5", hits)
-	}
-}
-
 func TestPCorrectRange(t *testing.T) {
 	cat, doc, scores, eng := nflSetup(t)
 	res := mustRun(t, cat, doc, scores, naiveEval{eng}, testConfig())

@@ -540,20 +540,3 @@ func vecKey(vec []uint16) string {
 	}
 	return string(b)
 }
-
-// baseMarginals computes, in closed form, the base-distribution marginals
-// needed by soft EM: per-function mass, per-column-fragment mass and
-// per-scope-column restriction mass.
-func (s *Space) baseMarginals() (fn map[int]float64, col map[int]float64, restrict map[int]float64) {
-	fn = make(map[int]float64)
-	col = make(map[int]float64)
-	restrict = make(map[int]float64)
-	for _, fc := range s.fcs {
-		fn[fc.fnIdx] += fc.weight
-		col[fc.colIdx] += fc.weight
-	}
-	for _, c := range s.cols {
-		restrict[c.predIdx] = 1 - c.options[c.noneIdx].weight
-	}
-	return
-}

@@ -601,7 +601,7 @@ func (k *vecKernel) accumulate(pt *vecPartial, i int, idx []int32, zi int, vals 
 	nonNull, sum, minv, maxv := ca.nonNull, ca.sum, ca.minv, ca.maxv
 	if vc.segNoNulls(zi) && !vc.needDistinct {
 		// NULL-free fast path: pure struct-of-arrays batch loop, via the
-		// dispatched scatter-accumulate primitive (strict row order — float
+		// scatter-accumulate primitive (strict row order — float
 		// sums must stay bit-for-bit equal to a row-at-a-time scan).
 		vec.AccumulateF64(idx, vals, nonNull, sum, minv, maxv)
 		return
@@ -644,7 +644,6 @@ func (k *vecKernel) accumulateConst(pt *vecPartial, i int, ix int32, zi int, val
 		}
 		nn := int64(0)
 		if !vc.needDistinct {
-			// Pure non-NULL count: the dispatched sign-bit popcount.
 			ca.nonNull[ix] += int64(vec.CountNonNegI32(codes))
 			return
 		}

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 
@@ -157,10 +158,9 @@ func (pe *predEval) zoneMisses(zi int) bool {
 // selectFull fills sel with the in-segment row offsets matching the
 // predicate. sel must have capacity for n entries; fBuf/cBuf are gather
 // scratch (unused on the zero-copy path). The compare runs through the
-// dispatched vec kernels — a bitmask compare plus mask-to-index
-// compaction, both branch-free — and produces the same ascending indexes
-// as the retired scalar loop (vec compares are Go == semantics: NaN never
-// matches, ±0 match each other).
+// vec kernels — a bitmask compare plus mask-to-index compaction — and
+// produces the same ascending indexes as the retired scalar loop (vec
+// compares are Go == semantics: NaN never matches, ±0 match each other).
 func (pe *predEval) selectFull(start, n int, sel []int32, fBuf []float64, cBuf []int32) []int32 {
 	// Segments never exceed kernelBlockRows (segmentsOf splits oversized
 	// spans), so the mask fits a fixed stack buffer.
@@ -217,9 +217,6 @@ func (g *aggReader) addAll(a *accumulator, start, n int, fBuf []float64, cBuf []
 	if g.star {
 		a.rows += int64(n)
 		a.nonNull += int64(n)
-		if a.distinct != nil && n > 0 {
-			a.distinct[0] = struct{}{}
-		}
 		return
 	}
 	if g.isStr {
@@ -248,9 +245,6 @@ func (g *aggReader) addSel(a *accumulator, start, n int, sel []int32, fBuf []flo
 	if g.star {
 		a.rows += int64(len(sel))
 		a.nonNull += int64(len(sel))
-		if a.distinct != nil {
-			a.distinct[0] = struct{}{}
-		}
 		return
 	}
 	if g.isStr {
@@ -333,6 +327,9 @@ func newDirectScan(view *db.JoinView, q Query, useZones bool) (*directScan, erro
 	}
 	ds := &directScan{q: q, preds: preds}
 	ds.agg.star = q.AggCol.IsStar()
+	if ds.agg.star && q.Agg == CountDistinct {
+		return nil, fmt.Errorf("sqlexec: CountDistinct needs a column, not *")
+	}
 	if !ds.agg.star {
 		acc, err := view.Accessor(q.AggCol.Table, q.AggCol.Column)
 		if err != nil {

@@ -50,6 +50,9 @@ func Parse(input string, d *db.Database) (sqlexec.Query, error) {
 	if distinct && q.Agg == sqlexec.Count {
 		q.Agg = sqlexec.CountDistinct // COUNT(DISTINCT c) sugar
 	}
+	if q.Agg == sqlexec.CountDistinct && col.IsStar() {
+		return q, fmt.Errorf("sqlparse: CountDistinct needs a column, not *")
+	}
 	if err := p.expect(")"); err != nil {
 		return q, err
 	}

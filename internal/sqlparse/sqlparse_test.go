@@ -150,6 +150,10 @@ func TestParseErrors(t *testing.T) {
 		"SELECT Sum(nflsuspensions.) FROM nflsuspensions",
 		"SELECT Sum('') FROM nflsuspensions",
 		"SELECT Count(*) FROM nflsuspensions WHERE .games = 'indef'",
+		// Distinct over * has no answer: a row has no value to be
+		// distinct by.
+		"SELECT CountDistinct(*) FROM nflsuspensions",
+		"SELECT count_distinct(*) FROM nflsuspensions WHERE games = 'indef'",
 	}
 	for _, input := range bad {
 		if _, err := Parse(input, d); err == nil {
@@ -236,19 +240,27 @@ func TestParsedQueryEvaluates(t *testing.T) {
 
 // FuzzParseSQL feeds arbitrary text to Parse over two catalogs, the test
 // table and a join of two tables sharing a column name: Parse never
-// panics, and a query it accepts renders (Query.SQL) to text that parses
-// back to the same query. Seeds live under testdata/fuzz/FuzzParseSQL;
-// `make fuzz-smoke` runs the fuzzer.
+// panics, a query it accepts renders (Query.SQL) to text that parses back
+// to the same query, and over the test table the engine's direct scan
+// answers it without an error (the joined catalog's tables share no join
+// key, so the engine refuses their join). Seeds live under
+// testdata/fuzz/FuzzParseSQL; `make fuzz-smoke` runs the fuzzer.
 func FuzzParseSQL(f *testing.F) {
 	catalogs := []struct {
 		d            *db.Database
 		defaultTable string
-	}{{testDB(f), "nflsuspensions"}, {joinedDB(f), "players"}}
+		answers      bool
+	}{{testDB(f), "nflsuspensions", true}, {joinedDB(f), "players", false}}
 	f.Fuzz(func(t *testing.T, input string) {
 		for _, c := range catalogs {
 			q, err := Parse(input, c.d)
 			if err != nil {
 				continue
+			}
+			if c.answers {
+				if _, err := sqlexec.NewEngine(c.d).EvaluateContext(context.Background(), q); err != nil {
+					t.Fatalf("Parse(%q) = %s, which the engine refuses: %v", input, q.Key(), err)
+				}
 			}
 			sql := q.SQL(c.defaultTable)
 			back, err := Parse(sql, c.d)

@@ -8,9 +8,7 @@ import (
 // Benchmarks time each primitive on one kernel-block of rows (4096,
 // matching sqlexec's kernelBlockRows). This is the primitive table:
 // `go test -run '^$' -bench . ./internal/vec` prints ns/op per primitive,
-// the four dispatched ones as their Go loop ("go") against the live
-// binding (Impl(): "avx2", or "go" again when no assembly is bound), and
-// `make bench-smoke` keeps every benchmark executing.
+// and `make bench-smoke` keeps every benchmark executing.
 const benchRows = 4096
 
 func benchData() (vals []float64, codes []int32, mask []uint64, sel []int32) {
@@ -28,30 +26,18 @@ func benchData() (vals []float64, codes []int32, mask []uint64, sel []int32) {
 
 func BenchmarkCmpEqF64(b *testing.B) {
 	vals, _, mask, _ := benchData()
-	run := func(name string, fn func([]float64, float64, []uint64)) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows * 8)
-			for i := 0; i < b.N; i++ {
-				fn(vals, 7, mask)
-			}
-		})
+	b.SetBytes(benchRows * 8)
+	for i := 0; i < b.N; i++ {
+		CmpEqF64(vals, 7, mask)
 	}
-	run("go", cmpEqF64Go)
-	run(Impl(), CmpEqF64)
 }
 
 func BenchmarkCmpEqI32(b *testing.B) {
 	_, codes, mask, _ := benchData()
-	run := func(name string, fn func([]int32, int32, []uint64)) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows * 4)
-			for i := 0; i < b.N; i++ {
-				fn(codes, 7, mask)
-			}
-		})
+	b.SetBytes(benchRows * 4)
+	for i := 0; i < b.N; i++ {
+		CmpEqI32(codes, 7, mask)
 	}
-	run("go", cmpEqI32Go)
-	run(Impl(), CmpEqI32)
 }
 
 func BenchmarkSelFromMask(b *testing.B) {
@@ -86,30 +72,18 @@ func BenchmarkLookupCodes(b *testing.B) {
 
 func BenchmarkMinMaxF64(b *testing.B) {
 	vals, _, _, _ := benchData()
-	run := func(name string, fn func([]float64) (float64, float64)) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows * 8)
-			for i := 0; i < b.N; i++ {
-				fn(vals)
-			}
-		})
+	b.SetBytes(benchRows * 8)
+	for i := 0; i < b.N; i++ {
+		MinMaxF64(vals)
 	}
-	run("go", minMaxF64Go)
-	run(Impl(), MinMaxF64)
 }
 
 func BenchmarkCountNonNegI32(b *testing.B) {
 	_, codes, _, _ := benchData()
-	run := func(name string, fn func([]int32) int) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows * 4)
-			for i := 0; i < b.N; i++ {
-				fn(codes)
-			}
-		})
+	b.SetBytes(benchRows * 4)
+	for i := 0; i < b.N; i++ {
+		CountNonNegI32(codes)
 	}
-	run("go", countNonNegI32Go)
-	run(Impl(), CountNonNegI32)
 }
 
 func BenchmarkAccumulateF64(b *testing.B) {

@@ -5,19 +5,14 @@
 // selection-vector and dictionary-code gathers, min/max folds, non-NULL
 // counts, SoA accumulate into gathered cells).
 //
-// Every primitive has one Go implementation, which defines its semantics.
-// Four of them — CmpEqF64, CmpEqI32, CountNonNegI32 and MinMaxF64 — are
-// package-level function variables that init() rebinds to AVX2 assembly
-// (vec_amd64.s) when the CPU reports AVX2 (+OS ymm state), unless the
-// binary is built with `-tags noasm`, which removes the assembly and the
-// CPUID probe entirely. Their Go loops stay as the portable path and as
-// the test oracle. The other five are plain functions. Impl() reports
-// which configuration is live.
+// Every primitive is one plain Go function, and its loop defines its
+// semantics.
 //
 // Float-sum ordering: primitives that add float64s (AccumulateF64,
 // const folds) are deliberately kept in strict row order and never get
-// SIMD variants — reassociating the sums would break the engine's
-// bit-for-bit differential guarantees against the scalar kernel.
+// SIMD variants — reassociating the sums would change their results in
+// the last bit, and the engine's differential tests pin cube cells
+// bit for bit against the row-at-a-time oracle.
 package vec
 
 import (
@@ -25,33 +20,15 @@ import (
 	"math/bits"
 )
 
-// Dispatched entry points. They default to the Go loops and are rebound
-// to AVX2 assembly by init() in dispatch_amd64.go when supported.
-var (
-	CmpEqF64       func(vals []float64, want float64, mask []uint64) = cmpEqF64Go
-	CmpEqI32       func(codes []int32, want int32, mask []uint64)    = cmpEqI32Go
-	MinMaxF64      func(vals []float64) (mn, mx float64)             = minMaxF64Go
-	CountNonNegI32 func(codes []int32) int                           = countNonNegI32Go
-)
-
-// Impl reports the live dispatch configuration: "avx2" when the assembly
-// kernels are bound, "go" otherwise (non-amd64, `noasm` build, or a CPU
-// without AVX2).
-func Impl() string { return asmLevel }
-
 // MaskWords returns the number of uint64 words needed to hold an n-row
 // bitmask.
 func MaskWords(n int) int { return (n + 63) >> 6 }
 
-// ---------------------------------------------------------------------------
-// CmpEqF64 / CmpEqI32: equality compare → bitmask.
-//
-// Set bit i of mask for every vals[i] == want and clear all other bits in
-// the first MaskWords(len(vals)) words, including the tail bits of the
-// last word. For floats NaN never matches (even NaN want) and ±0 compare
-// equal; NULL dictionary codes (negative) never match a non-negative want.
-
-func cmpEqF64Go(vals []float64, want float64, mask []uint64) {
+// CmpEqF64 is the equality compare → bitmask: it sets bit i of mask for
+// every vals[i] == want and clears all other bits in the first
+// MaskWords(len(vals)) words, including the tail bits of the last word.
+// NaN never matches (even NaN want) and ±0 compare equal.
+func CmpEqF64(vals []float64, want float64, mask []uint64) {
 	for w := range mask[:MaskWords(len(vals))] {
 		mask[w] = 0
 	}
@@ -62,7 +39,9 @@ func cmpEqF64Go(vals []float64, want float64, mask []uint64) {
 	}
 }
 
-func cmpEqI32Go(codes []int32, want int32, mask []uint64) {
+// CmpEqI32 is CmpEqF64 over dictionary codes. NULL codes (negative) never
+// match a non-negative want.
+func CmpEqI32(codes []int32, want int32, mask []uint64) {
 	for w := range mask[:MaskWords(len(codes))] {
 		mask[w] = 0
 	}
@@ -139,18 +118,11 @@ func LookupCodes(dst, codes, lut []int32, def int32) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// MinMaxF64: NaN-skipping min/max fold (zone-map construction).
-//
-// Returns (+Inf, -Inf) for an empty or all-NaN input. When both +0 and
-// -0 are present, implementations may return either representation of
-// zero (callers must not depend on the sign of a zero bound; zone-map
-// containment treats them as equal). This is the one primitive whose
-// implementations are allowed to differ below == equality.
-
-func minMaxF64Go(vals []float64) (mn, mx float64) {
-	mn = inf
-	mx = negInf
+// MinMaxF64 is the NaN-skipping min/max fold of zone-map construction. It
+// returns (+Inf, -Inf) for an empty or all-NaN input. Comparisons are
+// strict, so of equal values (+0 and -0 included) the first one wins.
+func MinMaxF64(vals []float64) (mn, mx float64) {
+	mn, mx = math.Inf(1), math.Inf(-1)
 	for _, v := range vals {
 		if v != v {
 			continue
@@ -165,16 +137,9 @@ func minMaxF64Go(vals []float64) (mn, mx float64) {
 	return mn, mx
 }
 
-var (
-	inf    = math.Inf(1)
-	negInf = math.Inf(-1)
-)
-
-// ---------------------------------------------------------------------------
-// CountNonNegI32: non-NULL count of a dictionary-code block (NULLs are
-// negative codes).
-
-func countNonNegI32Go(codes []int32) int {
+// CountNonNegI32 is the non-NULL count of a dictionary-code block (NULLs
+// are negative codes).
+func CountNonNegI32(codes []int32) int {
 	c := 0
 	for _, v := range codes {
 		if v >= 0 {
@@ -193,8 +158,8 @@ func countNonNegI32Go(codes []int32) int {
 //
 // This is the NULL-free fast path: callers must have established that no
 // vals entry is NaN. Row order is a hard contract (float sums must match
-// the scalar kernel bit for bit), so no SIMD variant exists and none
-// should be added.
+// the row-at-a-time oracle bit for bit), so no SIMD variant exists and
+// none should be added.
 func AccumulateF64(offs []int32, vals []float64, nonNull []int64, sum, minv, maxv []float64) {
 	for i, ix := range offs {
 		v := vals[i]

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// Lengths straddling every boundary in the package: the 4/8-lane vector
-// groups and the 64-row mask words (including multi-word, unaligned-tail
-// and empty inputs).
+// Lengths straddling the 64-row mask words (including multi-word,
+// unaligned-tail and empty inputs) and small multiples of 4 and 8.
 var lengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 66, 127, 128, 129, 191, 192, 193, 255, 256, 257, 300}
 
 func randFloats(rng *rand.Rand, n int) []float64 {
@@ -39,12 +38,15 @@ func randCodes(rng *rand.Rand, n, card int, nullFrac float64) []int32 {
 	return codes
 }
 
-func maskEq(t *testing.T, name string, n int, got, want []uint64) {
+// clearedTail checks that a compare cleared the bits past row n in its
+// last mask word, and left the word after it untouched.
+func clearedTail(t *testing.T, n int, mask []uint64) {
 	t.Helper()
-	for w := 0; w < MaskWords(n); w++ {
-		if got[w] != want[w] {
-			t.Fatalf("%s: n=%d word %d: got %016x want %016x", name, n, w, got[w], want[w])
-		}
+	if w, b := n>>6, n&63; b != 0 && mask[w]>>uint(b) != 0 {
+		t.Fatalf("n=%d: tail bits of word %d not cleared: %016x", n, w, mask[w])
+	}
+	if w := MaskWords(n); mask[w] != ^uint64(0) {
+		t.Fatalf("n=%d: word %d past the mask was written: %016x", n, w, mask[w])
 	}
 }
 
@@ -74,18 +76,15 @@ func TestCmpEqF64Variants(t *testing.T) {
 					want = vals[rng.Intn(n)]
 				}
 			}
-			ref := make([]uint64, MaskWords(n)+1)
-			got := make([]uint64, MaskWords(n)+1)
-			garbage(ref)
-			garbage(got)
-			cmpEqF64Go(vals, want, ref)
+			mask := make([]uint64, MaskWords(n)+1)
+			garbage(mask)
+			CmpEqF64(vals, want, mask)
 			for i, v := range vals {
-				if bit := ref[i>>6]>>uint(i&63)&1 == 1; bit != (v == want) {
-					t.Fatalf("go: n=%d row %d (%v == %v): bit %v", n, i, v, want, bit)
+				if bit := mask[i>>6]>>uint(i&63)&1 == 1; bit != (v == want) {
+					t.Fatalf("n=%d row %d (%v == %v): bit %v", n, i, v, want, bit)
 				}
 			}
-			CmpEqF64(vals, want, got)
-			maskEq(t, Impl(), n, got, ref)
+			clearedTail(t, n, mask)
 		}
 	}
 }
@@ -96,18 +95,15 @@ func TestCmpEqI32Variants(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			codes := randCodes(rng, n, 6, 0.3)
 			want := int32(rng.Intn(8) - 1) // includes -1: matching a NULL code is the caller's bug, but compare semantics stay exact
-			ref := make([]uint64, MaskWords(n)+1)
-			got := make([]uint64, MaskWords(n)+1)
-			garbage(ref)
-			garbage(got)
-			cmpEqI32Go(codes, want, ref)
+			mask := make([]uint64, MaskWords(n)+1)
+			garbage(mask)
+			CmpEqI32(codes, want, mask)
 			for i, c := range codes {
-				if bit := ref[i>>6]>>uint(i&63)&1 == 1; bit != (c == want) {
-					t.Fatalf("go: n=%d row %d (%d == %d): bit %v", n, i, c, want, bit)
+				if bit := mask[i>>6]>>uint(i&63)&1 == 1; bit != (c == want) {
+					t.Fatalf("n=%d row %d (%d == %d): bit %v", n, i, c, want, bit)
 				}
 			}
-			CmpEqI32(codes, want, got)
-			maskEq(t, Impl(), n, got, ref)
+			clearedTail(t, n, mask)
 		}
 	}
 }
@@ -237,8 +233,8 @@ func TestMinMaxF64Variants(t *testing.T) {
 			default:
 				vals = randFloats(rng, n)
 			}
-			// The Go loop against a per-row expectation: NaN-skipping,
-			// strict < and > so the first of equal values wins.
+			// A per-row expectation: NaN-skipping, strict < and > so the
+			// first of equal values wins, bit for bit (the sign of zero too).
 			wmn, wmx := math.Inf(1), math.Inf(-1)
 			for _, v := range vals {
 				if v < wmn {
@@ -248,14 +244,9 @@ func TestMinMaxF64Variants(t *testing.T) {
 					wmx = v
 				}
 			}
-			rmn, rmx := minMaxF64Go(vals)
-			if math.Float64bits(rmn) != math.Float64bits(wmn) || math.Float64bits(rmx) != math.Float64bits(wmx) {
-				t.Fatalf("go: n=%d got (%v,%v) want (%v,%v)", n, rmn, rmx, wmn, wmx)
-			}
-			// == treats -0 and +0 as equal, which is exactly the documented
-			// latitude of the dispatched implementation.
-			if mn, mx := MinMaxF64(vals); mn != rmn || mx != rmx {
-				t.Fatalf("%s: n=%d got (%v,%v) want (%v,%v)", Impl(), n, mn, mx, rmn, rmx)
+			mn, mx := MinMaxF64(vals)
+			if math.Float64bits(mn) != math.Float64bits(wmn) || math.Float64bits(mx) != math.Float64bits(wmx) {
+				t.Fatalf("n=%d got (%v,%v) want (%v,%v)", n, mn, mx, wmn, wmx)
 			}
 		}
 	}
@@ -272,11 +263,8 @@ func TestCountNonNegI32Variants(t *testing.T) {
 					want++
 				}
 			}
-			if got := countNonNegI32Go(codes); got != want {
-				t.Fatalf("go n=%d null=%.1f: %d != %d", n, nullFrac, got, want)
-			}
 			if got := CountNonNegI32(codes); got != want {
-				t.Fatalf("%s n=%d null=%.1f: %d != %d", Impl(), n, nullFrac, got, want)
+				t.Fatalf("n=%d null=%.1f: %d != %d", n, nullFrac, got, want)
 			}
 		}
 	}
@@ -367,13 +355,5 @@ func TestMaskSelRoundTrip(t *testing.T) {
 		if cnt != want {
 			t.Fatalf("n=%d: count %d want %d", n, cnt, want)
 		}
-	}
-}
-
-func TestImplReportsConfiguration(t *testing.T) {
-	switch Impl() {
-	case "avx2", "go":
-	default:
-		t.Fatalf("Impl() = %q, want avx2 or go", Impl())
 	}
 }
